@@ -46,9 +46,28 @@ def _parts(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"parts must be a comma list of integers, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+class UsageError(Exception):
+    pass
+
+
 def _env_int(name: str, default: int) -> int:
     value = os.environ.get(name)
-    return int(value) if value else default
+    if not value:
+        return default
+    try:
+        return _positive_int(value)
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{name}: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -76,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--maxima-cap", type=int, default=None)
     p_search.add_argument("--node-budget", type=int, default=None)
     p_search.add_argument("--cap", type=int, default=None, help="universe size cap")
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument("--workers", type=_positive_int, default=1)
     p_search.add_argument("--seed-star", action="store_true",
                           help="seed the lower bound with a star construction")
     p_search.add_argument("--out", help="write <out>.csv and <out>.json reports")
@@ -90,14 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
                             f"builtins: {', '.join(sorted(BUILTIN_CAMPAIGNS))}")
         p.add_argument("--samples", type=int, default=1000, help="sample count (lemma1)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--out", help="write <out>.csv and <out>.json reports")
         p.add_argument("--timings", action="store_true")
     return parser
-
-
-class UsageError(Exception):
-    pass
 
 
 def _resolve_sizes(args) -> tuple:

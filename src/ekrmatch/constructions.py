@@ -19,7 +19,7 @@ from .matchings import (
     project_pair,
     validate_matching,
 )
-from .predicates import ambiguous_box_params, degenerate_star_params, edges_in_box
+from .predicates import Predicate, ambiguous_box_params, degenerate_star_params, postings
 
 
 def _param_notes(universe: Universe, t: int) -> tuple:
@@ -39,11 +39,7 @@ def t_star(universe: Universe, centre) -> Family:
     t = len(centre)
     if t < 1 or t > max(universe.sizes):
         raise ValueError(f"centre of {t} edges cannot sit inside matchings of sizes {universe.sizes}")
-    cset = set(centre)
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        if cset <= set(m):
-            bits |= 1 << idx
+    bits = postings(universe, Predicate("intersecting", t))[0].get(centre, 0)
     return Family(universe, bits, _param_notes(universe, t))
 
 
@@ -62,10 +58,7 @@ def t_set_star(universe: Universe, box) -> Family:
     for i, side in enumerate(box):
         if not side <= set(range(1, parts[i] + 1)):
             raise ValueError(f"box side {sorted(side)} not inside part {i + 1} of size {parts[i]}")
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        if edges_in_box(m, box) == t:
-            bits |= 1 << idx
+    bits = postings(universe, Predicate("set-intersecting", t))[0].get(box, 0)
     return Family(universe, bits, _param_notes(universe, t))
 
 

@@ -704,20 +704,6 @@ def run_threshold_scan(cells=((4, 5, 2), (4, 6, 2), (4, 6, 1)), caps=None) -> Ca
     return report
 
 
-def run_conjecture_scan(which: str, **kwargs) -> CampaignReport:
-    """Dispatch a record-only scan: frame-max, t-set, non-uniform-t, threshold, ak-regime."""
-    table = {
-        "frame-max": run_frame_scan,
-        "t-set": run_set_scan,
-        "non-uniform-t": run_nonuniform_t_scan,
-        "threshold": run_threshold_scan,
-        "ak-regime": run_ak_regime,
-    }
-    if which not in table:
-        raise KeyError(f"unknown scan {which!r}; available: {sorted(table)}")
-    return table[which](**kwargs)
-
-
 def run_cross_set_campaign(parts=(6, 6), r: int = 4, t: int = 2, caps=None) -> CampaignReport:
     """Whether distinct-centre box stars can be cross t-set-intersecting (record-only)."""
     name = "cross-set-stars"
@@ -954,10 +940,6 @@ BUILTIN_CAMPAIGNS = {
     "formulas": lambda **kw: run_formula_campaign(),
     "semi-stars": lambda **kw: run_semi_star_campaign(),
 }
-
-SCAN_CAMPAIGNS = ("ak-regime", "set-intersecting", "frame-scan", "nonuniform-t-scan",
-                  "threshold-scan", "cross-set-stars", "t-intersecting")
-
 
 def run_builtin(name: str, **kwargs) -> CampaignReport:
     if name not in BUILTIN_CAMPAIGNS:

@@ -76,10 +76,10 @@ class Universe:
 
     Items are ordered by edge count, then lexicographically on the canonical
     edge list, so indices are stable across runs.  Instances are immutable
-    after construction.
+    after construction, apart from the memo that `predicates.postings` fills.
     """
 
-    __slots__ = ("parts", "sizes", "items", "index", "level_offsets")
+    __slots__ = ("parts", "sizes", "items", "index", "level_offsets", "postings_memo")
 
     def __init__(self, parts, sizes, items):
         self.parts = validate_parts(parts)
@@ -90,6 +90,7 @@ class Universe:
         for i, m in enumerate(self.items):
             offsets.setdefault(len(m), i)
         self.level_offsets = offsets
+        self.postings_memo = {}
 
     @property
     def k(self) -> int:

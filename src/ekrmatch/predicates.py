@@ -14,12 +14,17 @@ Four pairwise notions are supported, each with a strength parameter t:
 For k = 1 the weak kinds coincide with their plain kinds; for k = 2 they
 coincide as well, which the test suite checks by comparing whole adjacency
 rows.
+
+Every notion asks the same thing of two matchings: a common t-signature in
+every component.  `signatures` states this once for the fast paths (graph
+rows, star recognition and the star constructions), through the per-universe
+index that `postings` builds; the pairwise functions below stay as the
+independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .counts import t_set_star_size, t_star_size
@@ -85,7 +90,6 @@ def weakly_intersects_t(p, q, t: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def box_signatures(m, t: int) -> frozenset:
     """Per-part shadow tuples of the t-edge subsets of a matching.
 
@@ -130,6 +134,46 @@ def pair_checker(pred: Predicate, k: int):
     if effective.kind == "set-intersecting":
         return lambda p, q: set_intersects_t(p, q, t)
     return lambda p, q: weakly_set_intersects_t(p, q, t)
+
+
+def signatures(m, pred: Predicate, k: int) -> tuple:
+    """The t-signatures of an arity-k matching, one collection per component.
+
+    Two matchings satisfy the predicate exactly when they share a signature
+    in every component.  The plain kinds have one component, the matching;
+    the weak kinds have one per pair projection (weak equals plain at k = 1).
+    The signatures are the t-edge subsets for the intersecting kinds and the
+    box signatures for the set kinds, so a matching with fewer than t edges
+    has none and meets nothing.
+    """
+    if pred.is_weak and k > 1:
+        views = [project_pair(m, i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    else:
+        views = [m]
+    if pred.is_set:
+        return tuple(box_signatures(view, pred.t) for view in views)
+    return tuple(tuple(combinations(view, pred.t)) for view in views)
+
+
+def postings(universe, pred: Predicate) -> tuple:
+    """Per component, a dict from each signature to the bitset of the matchings having it.
+
+    The t-star of a centre C is ``postings(u, intersecting:t)[0][C]`` and the
+    t-set-star of a box B is ``postings(u, set-intersecting:t)[0][B]``.  The
+    index is memoised on the universe.
+    """
+    k = universe.k
+    index = universe.postings_memo.get(pred)
+    if index is None:
+        # the empty matching has every component, each without signatures
+        index = tuple({} for _ in signatures((), pred, k))
+        for idx, m in enumerate(universe.items):
+            bit = 1 << idx
+            for comp, sigs in zip(index, signatures(m, pred, k)):
+                for s in sigs:
+                    comp[s] = comp.get(s, 0) | bit
+        universe.postings_memo[pred] = index
+    return index
 
 
 def family_satisfies(fam: Family, pred: Predicate) -> bool:
@@ -188,23 +232,6 @@ def edges_in_box(m, box) -> int:
     return sum(all(e[i] in box[i] for i in range(len(e))) for e in m)
 
 
-def full_star_bits(universe, centre) -> int:
-    centre = set(centre)
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        if centre <= set(m):
-            bits |= 1 << idx
-    return bits
-
-
-def full_set_star_bits(universe, box, t: int) -> int:
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        if edges_in_box(m, box) == t:
-            bits |= 1 << idx
-    return bits
-
-
 def _star_centres(fam: Family, t: int) -> tuple:
     """All t-edge centres whose full star in the universe equals the family."""
     members = fam.members()
@@ -213,25 +240,21 @@ def _star_centres(fam: Family, t: int) -> tuple:
         common &= set(m)
         if len(common) < t:
             return ()
-    found = []
-    for centre in combinations(sorted(common), t):
-        if full_star_bits(fam.universe, centre) == fam.bits:
-            found.append(centre)
-    return tuple(found)
+    stars = postings(fam.universe, Predicate("intersecting", t))[0]
+    return tuple(c for c in combinations(sorted(common), t) if stars[c] == fam.bits)
 
 
 def _set_star_boxes(fam: Family, t: int) -> tuple:
     """All t-boxes whose full set-star in the universe equals the family."""
-    members = fam.members()
+    first = fam.members()[0]
     k = fam.universe.k
-    seen, found = set(), []
-    for sub in combinations(members[0], t):
-        box = tuple(tuple(sorted(e[i] for e in sub)) for i in range(k))
-        if box in seen:
-            continue
-        seen.add(box)
-        if full_set_star_bits(fam.universe, [set(b) for b in box], t) == fam.bits:
-            found.append(box)
+    stars = postings(fam.universe, Predicate("set-intersecting", t))[0]
+    found = []
+    # distinct t-subsets of one matching have distinct boxes
+    for sub in combinations(first, t):
+        box = tuple(frozenset(e[i] for e in sub) for i in range(k))
+        if stars[box] == fam.bits:
+            found.append(tuple(tuple(sorted(side)) for side in box))
     return tuple(found)
 
 

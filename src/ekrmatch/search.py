@@ -2,7 +2,11 @@
 
 A compatibility graph has one vertex per universe matching and an edge where
 the pairwise predicate holds, so maximum predicate-satisfying families are
-exactly maximum cliques.  The solver is branch-and-bound over bit-rows
+exactly maximum cliques.  Two matchings satisfy any of the four predicates
+exactly when they share a t-signature in every component
+(`predicates.signatures`), so a vertex's row is the AND over components of
+the OR of its signatures' posting bitsets (`predicates.postings`); no pair of
+matchings is compared directly.  The solver is branch-and-bound over bit-rows
 (Python ints) with a greedy-colouring bound and degeneracy root ordering.
 All tie-breaking is by lowest vertex index, so results are deterministic; the
 reported witness is the first maximum clique in the fixed depth-first order,
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .counts import t_set_star_size, t_star_size
-from .matchings import DEFAULT_UNIVERSE_CAP, Family, Universe, enumerate_union_universe, project_pair
-from .predicates import Predicate, box_signatures, classify_star
+from .matchings import DEFAULT_UNIVERSE_CAP, Family, Universe, enumerate_union_universe
+from .predicates import Predicate, classify_star, postings, signatures
 
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
@@ -83,54 +87,32 @@ class CompatGraph:
 # graph construction
 
 
-def _vertex_features(items, pred: Predicate, k: int):
-    eff = pred.plain() if (pred.is_weak and k == 1) else pred
-    t = eff.t
-    if eff.kind == "intersecting":
-        return eff, [frozenset(m) for m in items]
-    if eff.kind == "set-intersecting":
-        return eff, [box_signatures(m, t) for m in items]
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    if eff.kind == "weakly-intersecting":
-        return eff, [tuple(frozenset(project_pair(m, i, j)) for i, j in pairs) for m in items]
-    return eff, [tuple(box_signatures(project_pair(m, i, j), t) for i, j in pairs) for m in items]
-
-
-def _feature_checker(eff: Predicate):
-    t = eff.t
-    if eff.kind == "intersecting":
-        if t == 1:
-            return lambda a, b: not a.isdisjoint(b)
-        return lambda a, b: len(a & b) >= t
-    if eff.kind == "set-intersecting":
-        return lambda a, b: not a.isdisjoint(b)
-    if eff.kind == "weakly-intersecting":
-        if t == 1:
-            return lambda a, b: all(not x.isdisjoint(y) for x, y in zip(a, b))
-        return lambda a, b: all(len(x & y) >= t for x, y in zip(a, b))
-    return lambda a, b: all(not x.isdisjoint(y) for x, y in zip(a, b))
+def _rows(universe: Universe, pred: Predicate, index, lo: int, hi: int) -> list:
+    """Rows lo..hi-1: per component the OR of the vertex's postings, ANDed, plus the diagonal."""
+    items, k = universe.items, universe.k
+    out = []
+    for u in range(lo, hi):
+        row = -1
+        for comp, sigs in zip(index, signatures(items[u], pred, k)):
+            hit = 0
+            for s in sigs:
+                hit |= comp[s]
+            row &= hit
+        out.append(row | (1 << u))
+    return out
 
 
 _BUILD_CTX = None
 
 
-def _init_build(eff, features):
+def _init_build(universe, pred, index):
     global _BUILD_CTX
-    _BUILD_CTX = (_feature_checker(eff), features)
+    _BUILD_CTX = (universe, pred, index)
 
 
 def _build_row_block(block):
-    check, features = _BUILD_CTX
     lo, hi = block
-    out = []
-    for u in range(lo, hi):
-        fu = features[u]
-        row = 0
-        for v in range(u):
-            if check(fu, features[v]):
-                row |= 1 << v
-        out.append(row)
-    return lo, out
+    return lo, _rows(*_BUILD_CTX, lo, hi)
 
 
 def build_compat_graph(
@@ -143,40 +125,18 @@ def build_compat_graph(
     n = len(universe)
     if n > cap:
         raise GraphTooLargeError(n, cap)
-    eff, features = _vertex_features(universe.items, pred, universe.k)
-    lower = [0] * n
+    index = postings(universe, pred)
     if workers > 1 and n >= 64:
-        blocks = _split_blocks(n, workers * 4)
+        step = -(-n // (workers * 4))
+        blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+        rows = [0] * n
         ctx = get_context("fork")
-        with ctx.Pool(workers, initializer=_init_build, initargs=(eff, features)) as pool:
-            for lo, rows in pool.map(_build_row_block, blocks):
-                lower[lo : lo + len(rows)] = rows
+        with ctx.Pool(workers, initializer=_init_build, initargs=(universe, pred, index)) as pool:
+            for lo, block_rows in pool.map(_build_row_block, blocks):
+                rows[lo : lo + len(block_rows)] = block_rows
     else:
-        check = _feature_checker(eff)
-        for u in range(n):
-            fu = features[u]
-            row = 0
-            for v in range(u):
-                if check(fu, features[v]):
-                    row |= 1 << v
-            lower[u] = row
-    rows = [lower[u] | (1 << u) for u in range(n)]
-    for u in range(n):
-        r = lower[u]
-        while r:
-            low = r & -r
-            rows[low.bit_length() - 1] |= 1 << u
-            r ^= low
+        rows = _rows(universe, pred, index, 0, n)
     return CompatGraph(universe, pred, rows)
-
-
-def _split_blocks(n: int, parts: int):
-    # lower-triangle work grows with the row index, so balance by area
-    bounds = [0]
-    for b in range(1, parts):
-        bounds.append(round(n * (b / parts) ** 0.5))
-    bounds.append(n)
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ekrmatch.cli import main
 from ekrmatch.storage import load_universe
 
@@ -66,6 +68,29 @@ def test_search_budget_abort(capsys):
     code, _, err = run_cli(capsys, "search", "--parts", "3,3", "--r", "2",
                            "--pred", "intersecting:1", "--node-budget", "2")
     assert code == 3 and "budget" in err
+
+
+def test_env_override_must_be_a_positive_integer(capsys, monkeypatch):
+    argv = ("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1")
+    for name in ("EKRMATCH_NODE_BUDGET", "EKRMATCH_UNIVERSE_CAP", "EKRMATCH_MAXIMA_CAP"):
+        for value in ("lots", "0", "-5"):
+            monkeypatch.setenv(name, value)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2 and err.startswith("error: ") and name in err and not out
+        monkeypatch.delenv(name)
+    monkeypatch.setenv("EKRMATCH_NODE_BUDGET", "2")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 3 and "budget" in err
+
+
+def test_workers_below_one_rejected(capsys):
+    for verb_args in (("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1"),
+                      ("verify", "--campaign", "builtin:examples")):
+        for value in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main([*verb_args, "--workers", value])
+            assert exc.value.code == 2
+            assert "--workers" in capsys.readouterr().err
 
 
 def test_search_report_files(capsys, tmp_path):

@@ -1,0 +1,100 @@
+"""The signature index against the pairwise predicates and brute-force star scans."""
+
+from itertools import combinations, product
+
+import pytest
+
+from ekrmatch.constructions import t_set_star, t_star
+from ekrmatch.matchings import enumerate_union_universe
+from ekrmatch.predicates import (
+    PREDICATE_KINDS,
+    Predicate,
+    edges_in_box,
+    pair_checker,
+    postings,
+    signatures,
+)
+from ekrmatch.search import build_compat_graph
+
+# (parts, sizes): k = 1, 2 and 3; union universes with r = 0 members and
+# members with fewer than t edges
+UNIVERSES = [
+    ((5,), (0, 1, 2, 3)),
+    ((3, 3), (0, 1, 2, 3)),
+    ((3, 4), (2,)),
+    ((3, 3, 3), (0, 1, 2)),
+    ((2, 3, 3), (2,)),
+]
+
+
+def oracle_rows(universe, pred):
+    """Rows from pair_checker; a matching with fewer than t edges meets nothing.
+
+    pair_checker refuses such matchings for the set kinds (and the empty one
+    for the weak kinds), so they are decided before it is called.
+    """
+    items = universe.items
+    check = pair_checker(pred, universe.k)
+    rows = []
+    for u, p in enumerate(items):
+        row = 1 << u
+        for v, q in enumerate(items):
+            if v != u and min(len(p), len(q)) >= pred.t and check(p, q):
+                row |= 1 << v
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("parts,sizes", UNIVERSES)
+def test_rows_equal_pairwise_oracle(parts, sizes, kind, t):
+    universe = enumerate_union_universe(parts, sizes)
+    pred = Predicate(kind, t)
+    want = oracle_rows(universe, pred)
+    assert build_compat_graph(universe, pred).rows == want
+    assert build_compat_graph(universe, pred, workers=2).rows == want
+
+
+def test_small_matchings_have_no_signatures():
+    for kind in PREDICATE_KINDS:
+        pred = Predicate(kind, 2)
+        for m in [(), ((1, 1, 1),)]:
+            comps = signatures(m, pred, 3)
+            assert len(comps) == (3 if pred.is_weak else 1)
+            assert all(len(sigs) == 0 for sigs in comps)
+
+
+def test_weak_equals_plain_at_k1():
+    universe = enumerate_union_universe((5,), (1, 2, 3))
+    for plain in ("intersecting", "set-intersecting"):
+        weak = Predicate("weakly-" + plain, 2)
+        assert postings(universe, weak) == postings(universe, Predicate(plain, 2))
+
+
+def test_postings_are_memoised_per_universe():
+    pred = Predicate("set-intersecting", 1)
+    a = enumerate_union_universe((3, 3), (2,))
+    b = enumerate_union_universe((3, 3), (2,))
+    assert postings(a, pred) is postings(a, pred)
+    assert postings(a, pred) is not postings(b, pred)
+    assert postings(a, pred) == postings(b, pred)
+
+
+@pytest.mark.parametrize("parts,sizes", [((4, 4), (0, 1, 2, 3)), ((3, 3, 3), (1, 2, 3))])
+@pytest.mark.parametrize("t", [1, 2])
+def test_star_constructions_equal_brute_scan(parts, sizes, t):
+    universe = enumerate_union_universe(parts, sizes)
+    k = len(parts)
+    edges = sorted({e for m in universe.items for e in m})
+    for centre in combinations(edges, t):
+        if any(len({e[i] for e in centre}) < t for i in range(k)):
+            continue  # not a matching
+        want = sum(1 << idx for idx, m in enumerate(universe.items) if set(centre) <= set(m))
+        assert t_star(universe, centre).bits == want
+    sides = [list(combinations(range(1, n + 1), t)) for n in parts]
+    for box in product(*sides):
+        want = sum(1 << idx for idx, m in enumerate(universe.items)
+                   if edges_in_box(m, [set(side) for side in box]) == t)
+        assert t_set_star(universe, box).bits == want
+
