@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 assertion failure, 2 usage or configuration error,
-3 node-budget abort.  Every emitted report embeds the engine version and the
-full run configuration; identical configurations (and seeds) produce
-byte-identical files.  Wall-clock columns are withheld unless --timings is
-given, precisely so that reruns stay byte-identical.
+3 node-budget abort (of the maximum or of the all-maxima search).  Every
+emitted report embeds the engine version and the full run configuration;
+identical configurations (and seeds) produce byte-identical files.  Wall-clock
+columns are withheld unless --timings is given, precisely so that reruns stay
+byte-identical.
 """
 
 from __future__ import annotations
@@ -204,13 +205,18 @@ def _run_config(args, **extra) -> dict:
 
 def _run_campaign(args, record_only: bool) -> tuple[int, CampaignReport | None]:
     spec = args.campaign
-    kwargs = {"samples": args.samples, "seed": args.seed, "workers": args.workers}
+    caps = {
+        "universe_cap": _env_int("EKRMATCH_UNIVERSE_CAP", DEFAULT_UNIVERSE_CAP),
+        "node_budget": _env_int("EKRMATCH_NODE_BUDGET", DEFAULT_NODE_BUDGET),
+        "maxima_cap": _env_int("EKRMATCH_MAXIMA_CAP", DEFAULT_MAXIMA_CAP),
+    }
+    kwargs = {"samples": args.samples, "seed": args.seed, "workers": args.workers, "caps": caps}
     try:
         if spec.startswith("builtin:"):
             report = run_builtin(spec.removeprefix("builtin:"), **kwargs)
         else:
             name, cells = load_campaign_file(spec)
-            report = run_bound_campaign(name, cells, workers=args.workers)
+            report = run_bound_campaign(name, cells, caps, workers=args.workers)
     except (KeyError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None

@@ -567,7 +567,7 @@ def run_katona_campaign(ns=(4, 5, 6), ts=(1, 2), include_empty: bool = False,
             case = f"n={n}|t={t}"
             bound = katona_bound(n, t)
             pred = Predicate("intersecting", t)
-            rep = extremal((n,), sizes, pred, all_maxima=(t >= 2),
+            rep = extremal((n,), sizes, pred, all_maxima=(t >= 2), node_budget=caps["node_budget"],
                            maxima_cap=caps["maxima_cap"], universe=universe)
             value_ok = rep.max_size == bound
             detail = f"parity bound {bound}; star bound {rep.formula_value}"
@@ -580,13 +580,12 @@ def run_katona_campaign(ns=(4, 5, 6), ts=(1, 2), include_empty: bool = False,
                 else:
                     l = (n + t - 1) // 2
                     expected = [katona_family(universe, l, x) for x in range(1, n + 1)]
-                from .search import all_max_cliques
-
-                graph = build_compat_graph(universe, pred, caps["graph_cap"])
-                maxima = all_max_cliques(graph, rep.max_size, caps["maxima_cap"])
-                if {f.bits for f in maxima} != {f.bits for f in expected}:
+                if rep.maxima is None:
                     outcome = "fail"
-                    detail += f"; maxima != threshold families ({len(maxima)} vs {len(expected)})"
+                    detail += f"; more than {caps['maxima_cap']} maxima"
+                elif {f.bits for f in rep.maxima} != {f.bits for f in expected}:
+                    outcome = "fail"
+                    detail += f"; maxima != threshold families ({len(rep.maxima)} vs {len(expected)})"
                 else:
                     detail += f"; maxima are exactly the {len(expected)} threshold families"
             if t == 1:
@@ -614,6 +613,7 @@ def run_ak_regime(ns=(5, 6, 7, 8, 9), r: int = 3, t: int = 2, caps=None) -> Camp
         frame_sizes = [ak_family_size(n, r, t, i) for i in range((n - t) // 2 + 1)]
         best_frame = max(frame_sizes)
         rep = extremal((n,), (r,), Predicate("intersecting", t), all_maxima=True,
+                       universe_cap=caps["universe_cap"], node_budget=caps["node_budget"],
                        maxima_cap=caps["maxima_cap"])
         expect_status = "EXCEEDS_STAR_BOUND" if n < boundary else "MATCHES_STAR_BOUND"
         ok = rep.max_size == best_frame and rep.status == expect_status
@@ -645,7 +645,7 @@ def run_frame_scan(cells=(((3, 3), 2, 1), ((4, 4), 2, 1), ((4, 4), 3, 1),
         frames = [frame_family(universe, t, i) for i in range((n - t) // 2 + 1)]
         frame_sizes = [len(f) for f in frames]
         rep = extremal(parts, (r,), Predicate("intersecting", t), all_maxima=True,
-                       maxima_cap=caps["maxima_cap"], universe=universe)
+                       node_budget=caps["node_budget"], maxima_cap=caps["maxima_cap"], universe=universe)
         consistent = rep.max_size == max(frame_sizes)
         report.rows.append(_row(
             name, case, "record" if consistent else "attention",
@@ -901,19 +901,16 @@ def run_nonuniform_campaign(caps=None, workers: int = 1) -> CampaignReport:
     caps = _default_caps(caps)
     # upward closure of maximum families, the structural step behind the
     # union bound: any extension of a member inside the universe is a member
-    from .search import all_max_cliques, max_clique
-
     for parts, sizes in [((3, 3), (1, 2))]:
-        universe = enumerate_union_universe(parts, sizes, caps["universe_cap"])
-        graph = build_compat_graph(universe, Predicate("intersecting", 1), caps["graph_cap"])
-        size, _, _ = max_clique(graph, caps["node_budget"])
-        maxima = all_max_cliques(graph, size, caps["maxima_cap"])
-        closed = all(is_upward_closed(f) for f in maxima)
+        rep = extremal(parts, sizes, Predicate("intersecting", 1), universe_cap=caps["universe_cap"],
+                       graph_cap=caps["graph_cap"], node_budget=caps["node_budget"],
+                       all_maxima=True, maxima_cap=caps["maxima_cap"])
+        closed = rep.maxima is not None and all(is_upward_closed(f) for f in rep.maxima)
         report.rows.append(_row(
             "nonuniform", f"upward-closure|{parts}|R={sizes}", "pass" if closed else "fail",
-            detail=f"all {len(maxima)} maxima are upward closed: {closed}",
+            detail=f"all {rep.maxima_count} maxima are upward closed: {closed}",
             parts=parts, sizes=sizes, predicate="intersecting:1", expect=ASSERT_EQUALITY,
-            universe_size=len(universe), max_size=size, maxima_count=len(maxima),
+            universe_size=rep.universe_size, max_size=rep.max_size, maxima_count=rep.maxima_count,
         ))
     return report
 

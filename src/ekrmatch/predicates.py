@@ -124,16 +124,16 @@ def weakly_set_intersects_t(p, q, t: int) -> bool:
 
 
 def pair_checker(pred: Predicate, k: int):
-    """The pairwise test for a predicate over arity-k matchings (weak = plain at k = 1)."""
+    """The pairwise test over arity-k matchings (weak = plain at k = 1); fewer than t edges meet nothing."""
     effective = pred.plain() if (pred.is_weak and k == 1) else pred
     t = effective.t
-    if effective.kind == "intersecting":
-        return lambda p, q: intersects_t(p, q, t)
-    if effective.kind == "weakly-intersecting":
-        return lambda p, q: weakly_intersects_t(p, q, t)
-    if effective.kind == "set-intersecting":
-        return lambda p, q: set_intersects_t(p, q, t)
-    return lambda p, q: weakly_set_intersects_t(p, q, t)
+    test = {
+        "intersecting": intersects_t,
+        "weakly-intersecting": weakly_intersects_t,
+        "set-intersecting": set_intersects_t,
+        "weakly-set-intersecting": weakly_set_intersects_t,
+    }[effective.kind]
+    return lambda p, q: len(p) >= t and len(q) >= t and test(p, q, t)
 
 
 def signatures(m, pred: Predicate, k: int) -> tuple:

@@ -6,11 +6,14 @@ exactly maximum cliques.  Two matchings satisfy any of the four predicates
 exactly when they share a t-signature in every component
 (`predicates.signatures`), so a vertex's row is the AND over components of
 the OR of its signatures' posting bitsets (`predicates.postings`); no pair of
-matchings is compared directly.  The solver is branch-and-bound over bit-rows
-(Python ints) with a greedy-colouring bound and degeneracy root ordering.
-All tie-breaking is by lowest vertex index, so results are deterministic; the
-reported witness is the first maximum clique in the fixed depth-first order,
-which is also independent of the worker count.
+matchings is compared directly.  One branch-and-bound kernel over bit-rows
+(Python ints), with a greedy-colouring bound and degeneracy root ordering,
+finds the maximum clique and, holding its incumbent one below the maximum,
+lists all maximum cliques; both searches run under a node budget.  Workers
+each search a strided chunk of the roots under one incumbent, and the budget
+bounds their summed nodes.  All tie-breaking is by lowest vertex index, so
+results are deterministic; the reported witness is the first maximum clique
+in the fixed depth-first order, which is also independent of the worker count.
 """
 
 from __future__ import annotations
@@ -149,6 +152,15 @@ class _SearchState:
     best: int = 0
     witness: int = 0
     nodes: int = 0
+    found: list | None = None
+    cap: int = 0
+
+
+def _neighbour_rows(graph: CompatGraph) -> list:
+    """Adjacency rows without the diagonal; the recursion limit covers a clique of every vertex."""
+    n = graph.n
+    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 512))
+    return [graph.rows[v] & ~(1 << v) for v in range(n)]
 
 
 def _colour_order(pmask: int, nadj):
@@ -168,6 +180,18 @@ def _colour_order(pmask: int, nadj):
     return order, colours
 
 
+def _record(state: _SearchState, bits: int, size: int):
+    """A maximal clique larger than state.best: the new incumbent, or one more maximum."""
+    if state.found is None:
+        state.best, state.witness = size, bits
+        return
+    if size > state.best + 1:
+        raise ValueError(f"a clique of size {size} exists; {state.best + 1} is not the maximum")
+    state.found.append(bits)
+    if len(state.found) > state.cap:
+        raise MaximaOverflowError(state.cap)
+
+
 def _expand(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
     state.nodes += 1
     if state.nodes > state.budget:
@@ -182,8 +206,7 @@ def _expand(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
         if newp:
             _expand(nadj, newp, rbits | vbit, rsize + 1, state)
         elif rsize + 1 > state.best:
-            state.best = rsize + 1
-            state.witness = rbits | vbit
+            _record(state, rbits | vbit, rsize + 1)
         pmask ^= vbit
 
 
@@ -210,37 +233,44 @@ def _degeneracy_order(nadj, n: int):
 
 
 def _root_subproblems(nadj, n: int):
+    """(position, vertex, later neighbours) per vertex in degeneracy order."""
     order = _degeneracy_order(nadj, n)
     later = 0
     laters = [0] * n
     for pos in range(n - 1, -1, -1):
         laters[pos] = later
         later |= 1 << order[pos]
-    return [(order[pos], nadj[order[pos]] & laters[pos]) for pos in range(n)]
+    return [(pos, order[pos], nadj[order[pos]] & laters[pos]) for pos in range(n)]
 
 
-def _solve_root(nadj, v: int, pmask: int, initial_best: int, budget: int):
-    """Exact best clique through v within pmask; witness is the first maximum in DFS order."""
-    state = _SearchState(budget=budget, best=initial_best)
-    if pmask == 0:
-        if 1 > initial_best:
-            return 1, 1 << v, 1
-        return initial_best, 0, 1
-    _expand(nadj, pmask, 1 << v, 1, state)
-    return state.best, state.witness, state.nodes
+def _search_roots(nadj, roots, state: _SearchState):
+    """Search the roots in order; return the position of the root holding the witness, or None."""
+    at = None
+    for pos, v, pmask in roots:
+        before = state.best
+        if pmask:
+            _expand(nadj, pmask, 1 << v, 1, state)
+        elif state.best < 1:
+            _record(state, 1 << v, 1)
+        if state.best > before:
+            at = pos
+    return at
 
 
 _CLIQUE_CTX = None
 
 
-def _init_clique(nadj, initial_best, budget):
+def _init_clique(nadj, seed_size, seed_bits, budget):
     global _CLIQUE_CTX
-    _CLIQUE_CTX = (nadj, initial_best, budget)
+    _CLIQUE_CTX = (nadj, seed_size, seed_bits, budget)
 
 
 def _solve_root_chunk(chunk):
-    nadj, initial_best, budget = _CLIQUE_CTX
-    return [(pos,) + _solve_root(nadj, v, pmask, initial_best, budget) for pos, v, pmask in chunk]
+    """One worker's roots under one shared incumbent: (best, witness, position, nodes)."""
+    nadj, seed_size, seed_bits, budget = _CLIQUE_CTX
+    state = _SearchState(budget=budget, best=seed_size, witness=seed_bits)
+    at = _search_roots(nadj, chunk, state)
+    return state.best, state.witness, at, state.nodes
 
 
 def max_clique(
@@ -254,58 +284,37 @@ def max_clique(
     An optional seed family (known clique, e.g. a star) only raises the
     initial lower bound; when nothing larger exists the seed itself is the
     witness.  Exceeding the node budget raises, never degrades to a wrong
-    answer.
+    answer; with workers, the budget bounds the nodes of all workers together.
     """
-    n = graph.n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 512))
-    nadj = [graph.rows[v] & ~(1 << v) for v in range(n)]
+    nadj = _neighbour_rows(graph)
     seed_size, seed_bits = 0, 0
     if seed is not None:
         if seed.universe.key != graph.universe.key:
             raise ValueError("seed family lives in a different universe")
         seed_size, seed_bits = len(seed), seed.bits
-    roots = _root_subproblems(nadj, n)
-    best_size, best_bits = seed_size, seed_bits
-    total_nodes = 0
+    roots = _root_subproblems(nadj, graph.n)
     if workers <= 1:
-        state = _SearchState(budget=node_budget, best=best_size, witness=best_bits)
-        for v, pmask in roots:
-            if pmask == 0:
-                if 1 > state.best:
-                    state.best, state.witness = 1, 1 << v
-                continue
-            _expand(nadj, pmask, 1 << v, 1, state)
-        best_size, best_bits, total_nodes = state.best, state.witness, state.nodes
-        if best_size == seed_size and seed is not None:
-            best_bits = seed_bits
+        state = _SearchState(budget=node_budget, best=seed_size, witness=seed_bits)
+        _search_roots(nadj, roots, state)
+        best, bits, nodes = state.best, state.witness, state.nodes
     else:
-        # strided chunks balance load (early roots carry the larger subtrees);
-        # each result carries its root position so the combine runs in root order
-        tagged = [(pos, v, pmask) for pos, (v, pmask) in enumerate(roots)]
-        chunks = [c for c in (tagged[i::workers] for i in range(workers)) if c]
-        ctx = get_context("fork")
-        with ctx.Pool(len(chunks), initializer=_init_clique, initargs=(nadj, seed_size, node_budget)) as pool:
-            chunk_results = pool.map(_solve_root_chunk, chunks)
-        per_root = [None] * n
-        for chunk in chunk_results:
-            for pos, size, bits, nodes in chunk:
-                per_root[pos] = (size, bits, nodes)
-        for res in per_root:
-            size, bits, nodes = res
-            total_nodes += nodes
-            if size > best_size:
-                best_size, best_bits = size, bits
-        if best_size == seed_size and seed is not None:
-            best_bits = seed_bits
-    witness = Family(graph.universe, best_bits)
-    return best_size, witness, total_nodes
+        # strided chunks balance load (early roots carry the larger subtrees)
+        chunks = [c for c in (roots[i::workers] for i in range(workers)) if c]
+        with get_context("fork").Pool(len(chunks), initializer=_init_clique,
+                                      initargs=(nadj, seed_size, seed_bits, node_budget)) as pool:
+            results = pool.map(_solve_root_chunk, chunks)
+        nodes = sum(r[3] for r in results)
+        if nodes > node_budget:
+            raise NodeBudgetExceeded(nodes, node_budget)
+        # the first maximum in root order is the serial witness; a chunk
+        # without a position never beat the seed and holds the seed's bits
+        best, bits, _, _ = min(results, key=lambda r: (-r[0], r[2] or 0))
+    return best, Family(graph.universe, bits), nodes
 
 
 def max_clique_naive(graph: CompatGraph):
     """Plain include/exclude enumeration; the independent oracle for the solver."""
-    n = graph.n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 512))
-    nadj = [graph.rows[v] & ~(1 << v) for v in range(n)]
+    nadj = _neighbour_rows(graph)
     best = [0, 0]
 
     def rec(rbits, rsize, pmask):
@@ -320,41 +329,22 @@ def max_clique_naive(graph: CompatGraph):
         rec(rbits | low, rsize + 1, (pmask ^ low) & nadj[v])
         rec(rbits, rsize, pmask ^ low)
 
-    rec(0, 0, (1 << n) - 1)
+    rec(0, 0, (1 << graph.n) - 1)
     return best[0], Family(graph.universe, best[1])
 
 
-def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP):
-    """Every clique of exactly the given (maximum) size, in index-lexicographic order."""
+def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP,
+                    node_budget: int = DEFAULT_NODE_BUDGET):
+    """Every clique of the maximum size, in index-lexicographic order.
+
+    Raises past cap maxima, past the node budget, or on a clique larger than size.
+    """
     if size < 1:
         raise ValueError("clique size must be positive")
-    n = graph.n
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 512))
-    nadj = [graph.rows[v] & ~(1 << v) for v in range(n)]
-    found = []
-
-    def extend(rbits, rsize, pmask):
-        if rsize == size:
-            found.append(rbits)
-            if len(found) > cap:
-                raise MaximaOverflowError(cap)
-            return
-        need = size - rsize
-        if pmask.bit_count() < need:
-            return
-        _, colours = _colour_order(pmask, nadj)
-        if colours[-1] < need:
-            return
-        while pmask:
-            if pmask.bit_count() < need:
-                return
-            low = pmask & -pmask
-            v = low.bit_length() - 1
-            pmask ^= low
-            extend(rbits | low, rsize + 1, pmask & nadj[v])
-
-    extend(0, 0, (1 << n) - 1)
-    return [Family(graph.universe, bits) for bits in found]
+    nadj = _neighbour_rows(graph)
+    state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
+    _search_roots(nadj, _root_subproblems(nadj, graph.n), state)
+    return sorted((Family(graph.universe, bits) for bits in state.found), key=Family.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -384,6 +374,7 @@ class ExtremalReport:
     witness: Family
     maxima_count: object = None  # int, or "overflow", or None when not requested
     maxima_kinds: dict | None = None
+    maxima: list | None = None  # the maximum families themselves; not serialised
     classifications: list | None = None
     annotations: tuple = ()
     nodes: int = 0
@@ -454,12 +445,13 @@ def extremal(
         )
     status = STATUS_MATCHES if max_size == formula else STATUS_EXCEEDS
 
+    maxima = None
     maxima_count = None
     maxima_kinds = None
     classifications = None
     if all_maxima:
         try:
-            maxima = all_max_cliques(graph, max_size, maxima_cap)
+            maxima = all_max_cliques(graph, max_size, maxima_cap, node_budget)
             maxima_count = len(maxima)
             classifications = [classify_star(f, pred.t) for f in maxima]
             maxima_kinds = {}
@@ -481,6 +473,7 @@ def extremal(
         witness=witness,
         maxima_count=maxima_count,
         maxima_kinds=maxima_kinds,
+        maxima=maxima,
         classifications=classifications,
         annotations=tuple(annotations),
         nodes=nodes,

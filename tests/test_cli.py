@@ -70,6 +70,14 @@ def test_search_budget_abort(capsys):
     assert code == 3 and "budget" in err
 
 
+def test_search_all_maxima_budget_abort(capsys):
+    argv = ("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--node-budget", "20")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and "max=4" in out
+    code, out, err = run_cli(capsys, *argv, "--all-maxima")
+    assert code == 3 and "budget" in err and not out
+
+
 def test_env_override_must_be_a_positive_integer(capsys, monkeypatch):
     argv = ("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1")
     for name in ("EKRMATCH_NODE_BUDGET", "EKRMATCH_UNIVERSE_CAP", "EKRMATCH_MAXIMA_CAP"):
@@ -146,6 +154,15 @@ def test_verify_embeds_version_and_config(capsys, tmp_path):
     doc = json.loads((tmp_path / "rep.json").read_text())
     assert doc["engine_version"]
     assert doc["config"]["run"]["campaign"] == "builtin:examples"
+
+
+def test_verify_applies_env_caps(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("EKRMATCH_NODE_BUDGET", "1")
+    base = tmp_path / "rep"
+    code, _, _ = run_cli(capsys, "verify", "--campaign", "builtin:intersecting", "--out", str(base))
+    doc = json.loads((tmp_path / "rep.json").read_text())
+    assert code == 0 and doc["counts"]["skip"] == len(doc["rows"]) > 0
+    assert doc["config"]["caps"]["node_budget"] == 1
 
 
 def test_console_script_end_to_end():

@@ -4,8 +4,9 @@ import pytest
 
 from ekrmatch.constructions import klein_family, semi_star, t_set_star, t_star
 from ekrmatch.counts import t_set_star_size
-from ekrmatch.matchings import Family, enumerate_universe
+from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_universe
 from ekrmatch.predicates import (
+    PREDICATE_KINDS,
     Predicate,
     classify_star,
     cross_set_intersecting,
@@ -128,6 +129,16 @@ def test_family_satisfies():
     assert family_satisfies(klein_family(u44), Predicate("set-intersecting", 2))
     two_disjoint = Family.from_matchings(u, [((1, 1), (2, 2)), ((2, 3), (3, 1))])
     assert not family_satisfies(two_disjoint, Predicate("intersecting", 1))
+
+
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+def test_family_satisfies_with_members_below_t(kind):
+    # a member with fewer than t edges meets nothing, under every kind
+    u = enumerate_union_universe((3, 3, 3), (0, 1, 2))
+    assert not family_satisfies(Family.full(u), Predicate(kind, 1))
+    pair = Family.from_matchings(u, [((1, 1, 1),), ((1, 1, 1), (2, 2, 2))])
+    assert family_satisfies(pair, Predicate(kind, 1))
+    assert not family_satisfies(pair, Predicate(kind, 2))
 
 
 def test_cross_set_intersecting():

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -125,6 +126,17 @@ def test_max_clique_worker_determinism():
         assert (s1, w1.bits) == (s2, w2.bits) == (s3, w3.bits)
 
 
+def test_node_budget_bounds_all_workers_together():
+    g = build_compat_graph(enumerate_universe((5, 5), 4), Predicate("intersecting", 1))
+    for workers in (1, 2):
+        with pytest.raises(NodeBudgetExceeded):
+            max_clique(g, node_budget=400, workers=workers)
+    size, witness, serial_nodes = max_clique(g)
+    size2, witness2, parallel_nodes = max_clique(g, workers=2)
+    assert (size2, witness2.bits) == (size, witness.bits)
+    assert parallel_nodes < 2 * serial_nodes  # the chunk's roots share one incumbent
+
+
 def test_graph_build_worker_determinism():
     u = enumerate_universe((4, 4), 2)
     g1 = build_compat_graph(u, Predicate("intersecting", 1), workers=1)
@@ -175,6 +187,25 @@ def test_all_max_cliques_overflow():
     g = build_compat_graph(u, Predicate("intersecting", 1))
     with pytest.raises(MaximaOverflowError):
         all_max_cliques(g, 4, cap=3)
+
+
+def test_all_max_cliques_equal_brute_force_in_order():
+    rng = random.Random(11)
+    for _ in range(80):
+        n = rng.randint(1, 14)
+        g = _random_graph(n, rng.choice([0.2, 0.5, 0.8]), rng)
+        omega = max_clique_naive(g)[0]
+        want = [list(c) for c in combinations(range(n), omega)
+                if all(g.rows[a] >> b & 1 for a, b in combinations(c, 2))]
+        assert [f.indices() for f in all_max_cliques(g, omega)] == want
+
+
+def test_all_max_cliques_node_budget_and_size_checks():
+    g = _complete_graph(12)
+    with pytest.raises(NodeBudgetExceeded):
+        all_max_cliques(g, 12, node_budget=3)
+    with pytest.raises(ValueError):
+        all_max_cliques(g, 11)  # 11 is not the maximum
 
 
 def test_all_max_cliques_includes_klein_exception():
