@@ -749,10 +749,9 @@ def run_cross_set_campaign(parts=(6, 6), r: int = 4, t: int = 2, caps=None) -> C
 # closed-form versus construction sweep
 
 
-def run_formula_campaign(caps=None) -> CampaignReport:
+def run_formula_campaign() -> CampaignReport:
     """Every construction's cardinality against its closed form, plus count checks."""
     name = "formulas"
-    caps = _default_caps(caps)
     report = CampaignReport(name, {})
 
     def check(case, got, want, parts="", sizes="", detail=""):

@@ -206,12 +206,6 @@ def reduce_projection(m, i: int, j: int) -> tuple:
     return tuple(project_pair(m, i, l) for l in range(1, k + 1) if l != i and l != j)
 
 
-def drop_parts_sizes(parts, j: int) -> tuple:
-    parts = validate_parts(parts)
-    _check_part_index(len(parts), j)
-    return parts[: j - 1] + parts[j:]
-
-
 # ---------------------------------------------------------------------------
 # families
 

@@ -14,6 +14,20 @@ each search a strided chunk of the roots under one incumbent, and the budget
 bounds their summed nodes.  All tie-breaking is by lowest vertex index, so
 results are deterministic; the reported witness is the first maximum clique
 in the fixed depth-first order, which is also independent of the worker count.
+
+A graph built from a uniform universe (one edge count) is searched from the
+root at vertex 0 alone, serially.  The group S_{n_1} x ... x S_{n_k} of
+per-part vertex permutations acts transitively on the r-edge matchings, and
+all four predicates are invariant under it, so the graph is vertex-transitive
+and some maximum clique contains vertex 0.  The bits are those of the full
+search: a vertex-transitive graph is regular, so the degeneracy order takes
+vertex 0 first (lowest index on the tie), every neighbour of vertex 0 comes
+later, and the full search's first root is exactly (0, 0, nadj[0]).  That root
+reaches the maximum; later roots replace the witness only by a strictly
+larger clique, which cannot exist, so the witness is the first maximum under
+root 0.  With a seed clique, nothing beats the seed in either search and the
+seed stays the witness.  Only the node count shrinks.  Graphs built by hand
+and union universes (several edge counts, not transitive) search every root.
 """
 
 from __future__ import annotations
@@ -71,12 +85,13 @@ class InternalCheckError(RuntimeError):
 
 
 class CompatGraph:
-    __slots__ = ("universe", "pred", "rows")
+    __slots__ = ("universe", "pred", "rows", "transitive")
 
-    def __init__(self, universe: Universe, pred: Predicate, rows):
+    def __init__(self, universe: Universe, pred: Predicate, rows, transitive: bool = False):
         self.universe = universe
         self.pred = pred
         self.rows = rows
+        self.transitive = transitive  # vertex-transitive: root 0 alone finds the maximum
 
     @property
     def n(self) -> int:
@@ -139,7 +154,7 @@ def build_compat_graph(
                 rows[lo : lo + len(block_rows)] = block_rows
     else:
         rows = _rows(universe, pred, index, 0, n)
-    return CompatGraph(universe, pred, rows)
+    return CompatGraph(universe, pred, rows, transitive=len(universe.sizes) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +300,7 @@ def max_clique(
     initial lower bound; when nothing larger exists the seed itself is the
     witness.  Exceeding the node budget raises, never degrades to a wrong
     answer; with workers, the budget bounds the nodes of all workers together.
+    A transitive graph searches root 0 alone, serially (module docstring).
     """
     nadj = _neighbour_rows(graph)
     seed_size, seed_bits = 0, 0
@@ -292,7 +308,10 @@ def max_clique(
         if seed.universe.key != graph.universe.key:
             raise ValueError("seed family lives in a different universe")
         seed_size, seed_bits = len(seed), seed.bits
-    roots = _root_subproblems(nadj, graph.n)
+    if graph.transitive:
+        roots, workers = [(0, 0, nadj[0])], 1
+    else:
+        roots = _root_subproblems(nadj, graph.n)
     if workers <= 1:
         state = _SearchState(budget=node_budget, best=seed_size, witness=seed_bits)
         _search_roots(nadj, roots, state)

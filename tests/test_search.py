@@ -127,7 +127,9 @@ def test_max_clique_worker_determinism():
 
 
 def test_node_budget_bounds_all_workers_together():
-    g = build_compat_graph(enumerate_universe((5, 5), 4), Predicate("intersecting", 1))
+    marked = build_compat_graph(enumerate_universe((5, 5), 4), Predicate("intersecting", 1))
+    # the unmarked copy searches every root, as a graph from a union universe does
+    g = CompatGraph(marked.universe, marked.pred, marked.rows)
     for workers in (1, 2):
         with pytest.raises(NodeBudgetExceeded):
             max_clique(g, node_budget=400, workers=workers)
@@ -135,6 +137,9 @@ def test_node_budget_bounds_all_workers_together():
     size2, witness2, parallel_nodes = max_clique(g, workers=2)
     assert (size2, witness2.bits) == (size, witness.bits)
     assert parallel_nodes < 2 * serial_nodes  # the chunk's roots share one incumbent
+    # the uniform graph searches root 0 alone, serially, within the same budget
+    pruned = [max_clique(marked, node_budget=400, workers=w) for w in (1, 2)]
+    assert {(s, w.bits, n) for s, w, n in pruned} == {(size, witness.bits, pruned[0][2])}
 
 
 def test_graph_build_worker_determinism():

@@ -1,0 +1,133 @@
+"""Vertex-transitivity of uniform compatibility graphs, and the root-0 search it allows.
+
+The premise is checked without the clique search: per-part vertex
+permutations carry matching 0 to every matching and map the graph's rows onto
+themselves.  The shortcut is then checked against the full root loop on an
+unmarked copy of the same graph.
+"""
+
+import inspect
+
+import pytest
+
+from ekrmatch.constructions import diagonal_matching, t_set_star, t_star
+from ekrmatch.harness import (
+    intersecting_cells,
+    permutation_cells,
+    run_set_scan,
+    t_intersecting_cells,
+)
+from ekrmatch.matchings import canonical_matching, enumerate_union_universe, enumerate_universe
+from ekrmatch.predicates import PREDICATE_KINDS, Predicate
+from ekrmatch.search import (
+    CompatGraph,
+    _neighbour_rows,
+    _root_subproblems,
+    build_compat_graph,
+    max_clique,
+)
+
+from test_signatures import oracle_rows
+
+# (parts, r) at k = 1, 2 and 3
+UNIFORM = [((5,), 3), ((3, 4), 2), ((3, 3), 3), ((2, 3, 3), 2), ((3, 3, 3), 2)]
+
+
+def part_permutations(parts, source, target):
+    """Per-part bijections of 1..n_i sending the j-th edge of source to the j-th edge of target."""
+    perms = []
+    for i, n in enumerate(parts):
+        pi = {a[i]: b[i] for a, b in zip(source, target)}
+        rest = [x for x in range(1, n + 1) if x not in pi]
+        free = [x for x in range(1, n + 1) if x not in pi.values()]
+        pi.update(zip(rest, free))
+        perms.append(pi)
+    return perms
+
+
+def image_index(universe, perms, m):
+    return universe.index[canonical_matching(tuple(p[x] for p, x in zip(perms, e)) for e in m)]
+
+
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("parts,r", UNIFORM, ids=[f"{p}-r{r}" for p, r in UNIFORM])
+def test_uniform_graphs_are_vertex_transitive(parts, r, kind, t):
+    universe = enumerate_universe(parts, r)
+    rows = build_compat_graph(universe, Predicate(kind, t)).rows
+    items = universe.items
+    for v in range(len(items)):
+        perms = part_permutations(parts, items[0], items[v])
+        pi = [image_index(universe, perms, m) for m in items]
+        assert pi[0] == v
+        assert sorted(pi) == list(range(len(items)))
+        for u, row in enumerate(rows):
+            assert rows[pi[u]] == sum(1 << pi[w] for w in range(len(items)) if row >> w & 1)
+
+
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+def test_uniform_rows_equal_pairwise_oracle(kind):
+    universe = enumerate_universe((2, 3, 3), 2)
+    pred = Predicate(kind, 1)
+    assert build_compat_graph(universe, pred).rows == oracle_rows(universe, pred)
+
+
+def uniform_builtin_cells():
+    """(parts, r, predicate) of every uniform cell of the four uniform bound builtins."""
+    set_scan = inspect.signature(run_set_scan).parameters["cells"].default
+    cells = [(p, r, Predicate("set-intersecting", t)) for p, r, t in set_scan]
+    for cell in intersecting_cells() + permutation_cells() + t_intersecting_cells():
+        assert len(cell.sizes) == 1
+        cells.append((cell.parts, cell.sizes[0], cell.pred))
+        if cell.weak_twin and len(cell.parts) > 2:
+            cells.append((cell.parts, cell.sizes[0], Predicate("weakly-" + cell.pred.kind, cell.pred.t)))
+    return cells
+
+
+SHORTCUT_CELLS = uniform_builtin_cells() + [
+    ((4, 4, 4), 3, Predicate("weakly-intersecting", 1)),
+    ((4, 4, 4), 4, Predicate("weakly-set-intersecting", 2)),
+    ((6, 6), 3, Predicate("intersecting", 1)),
+]
+
+
+def star_seed(universe, pred):
+    parts = universe.parts
+    if pred.is_set:
+        return t_set_star(universe, tuple(tuple(range(1, pred.t + 1)) for _ in parts))
+    return t_star(universe, diagonal_matching(parts, pred.t))
+
+
+@pytest.mark.parametrize("parts,r,pred", SHORTCUT_CELLS,
+                         ids=[f"{p}-r{r}-{pred}" for p, r, pred in SHORTCUT_CELLS])
+def test_root_zero_search_equals_full_search(parts, r, pred):
+    universe = enumerate_universe(parts, r)
+    marked = build_compat_graph(universe, pred)
+    full = CompatGraph(marked.universe, marked.pred, marked.rows)
+    assert marked.transitive and not full.transitive
+    nadj = _neighbour_rows(marked)
+    assert _root_subproblems(nadj, marked.n)[0] == (0, 0, nadj[0])
+    seeds = [None]
+    if pred.t <= r:
+        seeds.append(star_seed(universe, pred))
+    for seed in seeds:
+        for workers in (1, 2):
+            size, witness, nodes = max_clique(marked, workers=workers, seed=seed)
+            want_size, want_witness, want_nodes = max_clique(full, workers=workers, seed=seed)
+            assert (size, witness.bits) == (want_size, want_witness.bits)
+            if workers == 1:
+                assert nodes <= want_nodes
+        if seed is not None and len(seed) == size:
+            assert witness.bits == seed.bits
+
+
+def test_union_universe_graphs_keep_every_root():
+    universe = enumerate_union_universe((3, 3), (1, 2))
+    assert not build_compat_graph(universe, Predicate("intersecting", 1)).transitive
+
+
+def test_deep_uniform_cell_closes_from_root_zero():
+    g = build_compat_graph(enumerate_universe((10,), 4), Predicate("intersecting", 1))
+    size, _, nodes = max_clique(g)
+    assert size == 84
+    assert nodes < 5_000
