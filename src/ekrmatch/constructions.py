@@ -39,7 +39,10 @@ def t_star(universe: Universe, centre) -> Family:
     t = len(centre)
     if t < 1 or t > max(universe.sizes):
         raise ValueError(f"centre of {t} edges cannot sit inside matchings of sizes {universe.sizes}")
-    bits = postings(universe, Predicate("intersecting", t))[0].get(centre, 0)
+    edge_stars = postings(universe, Predicate("intersecting", 1))[0]
+    bits = -1
+    for e in centre:
+        bits &= edge_stars.get((e,), 0)
     return Family(universe, bits, _param_notes(universe, t))
 
 

@@ -53,7 +53,6 @@ from .matchings import (
     enumerate_union_universe,
     enumerate_universe,
     project_all,
-    project_pair,
     reduction_classes,
     vertex_shadow,
 )
@@ -66,6 +65,7 @@ from .predicates import (
     intersects_t,
     is_full_pair_star,
     pair_checker,
+    postings,
     projection_family,
     set_intersects_t,
     weakly_intersects_t,
@@ -402,6 +402,14 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
 # weak stars collapse to stars (constructive sweep)
 
 
+def centre_system_bits(universe, t: int, system) -> int:
+    """The matchings whose pair projections contain the system's centres, pairs (i < j) in order."""
+    bits = (1 << len(universe)) - 1
+    for comp, centre in zip(postings(universe, Predicate("weakly-intersecting", t)), system):
+        bits &= comp.get(centre, 0)
+    return bits
+
+
 def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
                         system_cap: int = 10**5) -> CampaignReport:
     name = "weak-stars"
@@ -427,10 +435,7 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
     n_checked = n_nonempty = n_weak = n_confirmed = 0
     for system in systems:
         n_checked += 1
-        bits = 0
-        for idx, m in enumerate(universe.items):
-            if all(set(c) <= set(project_pair(m, i, j)) for (i, j), c in zip(pairs, system)):
-                bits |= 1 << idx
+        bits = centre_system_bits(universe, t, system)
         if bits == 0:
             continue
         n_nonempty += 1

@@ -119,6 +119,34 @@ class Universe:
         return f"Universe(parts={self.parts}, sizes={self.sizes}, count={len(self.items)})"
 
 
+def relabelling_generators(universe: Universe) -> tuple:
+    """Generators of the part relabellings S_{n_1} x ... x S_{n_k}, per part, as index permutations.
+
+    For a part of size n >= 3 they are the swap of vertices 1 and 2 and the
+    cycle x -> x + 1 (mod n); for n = 2 the swap alone, for n = 1 none.  A
+    generator g sends items[v] to items[g[v]].  Edges are ordered by their
+    distinct part-1 coordinates, so only a part-1 relabelling re-sorts them.
+    """
+    items, index = universe.items, universe.index
+    edges = list(product(*(range(1, n + 1) for n in universe.parts)))
+    out = []
+    for i, n in enumerate(universe.parts):
+        relabellings = []
+        if n >= 2:
+            relabellings.append({1: 2, 2: 1})
+        if n >= 3:
+            relabellings.append({x: x % n + 1 for x in range(1, n + 1)})
+        perms = []
+        for pi in relabellings:
+            image = {e: e[:i] + (pi.get(e[i], e[i]),) + e[i + 1 :] for e in edges}.__getitem__
+            if i == 0:
+                perms.append([index[tuple(sorted(map(image, m)))] for m in items])
+            else:
+                perms.append([index[tuple(map(image, m))] for m in items])
+        out.append(tuple(perms))
+    return tuple(out)
+
+
 def enumerate_union_universe(parts, sizes, cap: int = DEFAULT_UNIVERSE_CAP) -> Universe:
     """Enumerate the union universe over the given edge counts (ascending)."""
     parts = validate_parts(parts)

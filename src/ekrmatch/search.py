@@ -28,6 +28,23 @@ larger clique, which cannot exist, so the witness is the first maximum under
 root 0.  With a seed clique, nothing beats the seed in either search and the
 seed stays the witness.  Only the node count shrinks.  Graphs built by hand
 and union universes (several edge counts, not transitive) search every root.
+
+All maxima of a transitive graph come the same way: the kernel lists the m0
+maxima through vertex 0 from the root (0, 0, nadj[0]), and a breadth-first
+search closes that list under generators of the group (per part the swap
+(1 2) and the n_i-cycle, `matchings.relabelling_generators`).  The closure is
+exactly the full list: every image of a maximum is a maximum, since the group
+preserves the predicate, and every maximum C is an image of one through
+vertex 0, since some group element sends a vertex of C to vertex 0.  The list
+is sorted by `Family.indices` as before, so its order, and everything read
+from it, does not depend on the path.  Two checks that fail only through an
+engine bug guard the path.  By double counting the pairs (vertex, maximum
+containing it), the closure must hold exactly |V| * m0 / size maxima, which
+a generator set too small for the group would miss.  The star kind is
+invariant too, so `extremal` requires each kind's tally times the size to
+equal |V| times that kind's tally among the maxima through vertex 0.  The
+node budget bounds the root-0 listing.  The cap bounds the closure, which is
+the whole list, so it overflows exactly when the full listing would.
 """
 
 from __future__ import annotations
@@ -38,7 +55,13 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 
 from .counts import t_set_star_size, t_star_size
-from .matchings import DEFAULT_UNIVERSE_CAP, Family, Universe, enumerate_union_universe
+from .matchings import (
+    DEFAULT_UNIVERSE_CAP,
+    Family,
+    Universe,
+    enumerate_union_universe,
+    relabelling_generators,
+)
 from .predicates import Predicate, classify_star, postings, signatures
 
 DEFAULT_GRAPH_CAP = 20_000
@@ -352,18 +375,53 @@ def max_clique_naive(graph: CompatGraph):
     return best[0], Family(graph.universe, best[1])
 
 
+def _orbit_closure(seeds: list, generators, cap: int) -> list:
+    """Breadth-first closure of distinct bitsets under index permutations; raises past cap members."""
+    queue = list(seeds)
+    seen = set(queue)
+    for bits in queue:
+        for perm in generators:
+            image, rest = 0, bits
+            while rest:
+                low = rest & -rest
+                image |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+                if len(queue) > cap:
+                    raise MaximaOverflowError(cap)
+    return queue
+
+
 def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP,
                     node_budget: int = DEFAULT_NODE_BUDGET):
     """Every clique of the maximum size, in index-lexicographic order.
 
-    Raises past cap maxima, past the node budget, or on a clique larger than size.
+    A transitive graph lists the maxima through vertex 0 alone, within the
+    node budget, and closes that list under the part relabellings; the
+    closure must hold |V| * m0 / size members by double counting (module
+    docstring).  Other graphs search every root.  Raises past cap maxima,
+    past the node budget, or on a clique larger than size.
     """
     if size < 1:
         raise ValueError("clique size must be positive")
     nadj = _neighbour_rows(graph)
     state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
-    _search_roots(nadj, _root_subproblems(nadj, graph.n), state)
-    return sorted((Family(graph.universe, bits) for bits in state.found), key=Family.indices)
+    if graph.transitive:
+        _search_roots(nadj, [(0, 0, nadj[0])], state)
+        generators = [g for part in relabelling_generators(graph.universe) for g in part]
+        found = _orbit_closure(state.found, generators, cap)
+        if len(found) * size != graph.n * len(state.found):
+            raise InternalCheckError(
+                f"orbit closure holds {len(found)} maxima, but double counting {len(state.found)} "
+                f"through vertex 0 over {graph.n} vertices at size {size} gives "
+                f"{graph.n * len(state.found) / size}"
+            )
+    else:
+        _search_roots(nadj, _root_subproblems(nadj, graph.n), state)
+        found = state.found
+    return sorted((Family(graph.universe, bits) for bits in found), key=Family.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +478,16 @@ class ExtremalReport:
         return out
 
 
+def _check_kind_tallies(kinds: dict, through_zero: dict, size: int, n: int):
+    """On a transitive graph each kind's tally is n / size times its tally through vertex 0."""
+    for kind in sorted(kinds.keys() | through_zero.keys()):
+        if kinds.get(kind, 0) * size != n * through_zero.get(kind, 0):
+            raise InternalCheckError(
+                f"{kinds.get(kind, 0)} maxima of kind {kind} but {through_zero.get(kind, 0)} "
+                f"through vertex 0: double counting over {n} vertices and size {size} fails"
+            )
+
+
 def extremal(
     parts,
     sizes,
@@ -473,9 +541,13 @@ def extremal(
             maxima = all_max_cliques(graph, max_size, maxima_cap, node_budget)
             maxima_count = len(maxima)
             classifications = [classify_star(f, pred.t) for f in maxima]
-            maxima_kinds = {}
-            for c in classifications:
+            maxima_kinds, through_zero = {}, {}
+            for f, c in zip(maxima, classifications):
                 maxima_kinds[c.kind] = maxima_kinds.get(c.kind, 0) + 1
+                if f.bits & 1:
+                    through_zero[c.kind] = through_zero.get(c.kind, 0) + 1
+            if graph.transitive:
+                _check_kind_tallies(maxima_kinds, through_zero, max_size, graph.n)
         except MaximaOverflowError:
             maxima_count = "overflow"
             annotations.append(f"maxima-overflow:cap={maxima_cap}")

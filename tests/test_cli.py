@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,11 +73,14 @@ def test_search_budget_abort(capsys):
 
 
 def test_search_all_maxima_budget_abort(capsys):
-    argv = ("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--node-budget", "20")
+    # the maximum takes 3 nodes and the all-maxima listing from root 0 takes 5
+    argv = ("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--node-budget", "4")
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and "max=4" in out
     code, out, err = run_cli(capsys, *argv, "--all-maxima")
     assert code == 3 and "budget" in err and not out
+    code, out, _ = run_cli(capsys, *argv[:-1], "20", "--all-maxima")
+    assert code == 0 and "maxima=9 (9 t-star)" in out
 
 
 def test_env_override_must_be_a_positive_integer(capsys, monkeypatch):
@@ -166,9 +171,12 @@ def test_verify_applies_env_caps(capsys, monkeypatch, tmp_path):
 
 
 def test_console_script_end_to_end():
+    # the subprocess does not inherit pytest's pythonpath setting
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "ekrmatch.cli", "enumerate", "--parts", "3,3", "--r", "2"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0 and proc.stdout.strip() == "18"
 

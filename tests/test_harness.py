@@ -1,11 +1,13 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
 from ekrmatch.harness import (
     BoundCell,
     BUILTIN_CAMPAIGNS,
+    centre_system_bits,
     closure_violations,
     force_record,
     load_campaign_file,
@@ -19,7 +21,7 @@ from ekrmatch.harness import (
     run_lemma1_suite,
     run_weak_star_suite,
 )
-from ekrmatch.matchings import Family, enumerate_universe
+from ekrmatch.matchings import Family, enumerate_universe, project_pair
 from ekrmatch.predicates import Predicate, family_satisfies
 
 
@@ -72,6 +74,18 @@ def test_weak_star_suite_confirms_collapse():
     klein_row = next(r for r in rep.rows if "klein" in r["case"])
     assert "weak-t-set-star" in klein_row["detail"]
     assert "box stars: False" in klein_row["detail"]
+
+
+@pytest.mark.parametrize("parts,r,t", [((3, 3, 3), 2, 1), ((2, 3, 3), 2, 2), ((3, 4), 2, 1)])
+def test_centre_system_bits_equal_projection_scan(parts, r, t):
+    universe = enumerate_universe(parts, r)
+    k = len(parts)
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    pools = [enumerate_universe((parts[i - 1], parts[j - 1]), t).items for i, j in pairs]
+    for system in product(*pools):
+        scan = sum(1 << idx for idx, m in enumerate(universe.items)
+                   if all(set(c) <= set(project_pair(m, i, j)) for (i, j), c in zip(pairs, system)))
+        assert centre_system_bits(universe, t, system) == scan
 
 
 def test_weak_star_suite_skips_degenerate_parameters():

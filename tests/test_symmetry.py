@@ -1,15 +1,17 @@
-"""Vertex-transitivity of uniform compatibility graphs, and the root-0 search it allows.
+"""Vertex-transitivity of uniform compatibility graphs, and the root-0 searches it allows.
 
 The premise is checked without the clique search: per-part vertex
 permutations carry matching 0 to every matching and map the graph's rows onto
-themselves.  The shortcut is then checked against the full root loop on an
-unmarked copy of the same graph.
+themselves, and so does every relabelling generator.  The root-0 maximum and
+the orbit-closed list of all maxima are then checked against the full root
+loop on an unmarked copy of the same graph.
 """
 
 import inspect
 
 import pytest
 
+from ekrmatch import search
 from ekrmatch.constructions import diagonal_matching, t_set_star, t_star
 from ekrmatch.harness import (
     intersecting_cells,
@@ -17,13 +19,23 @@ from ekrmatch.harness import (
     run_set_scan,
     t_intersecting_cells,
 )
-from ekrmatch.matchings import canonical_matching, enumerate_union_universe, enumerate_universe
-from ekrmatch.predicates import PREDICATE_KINDS, Predicate
+from ekrmatch.matchings import (
+    canonical_matching,
+    enumerate_union_universe,
+    enumerate_universe,
+    relabelling_generators,
+)
+from ekrmatch.predicates import PREDICATE_KINDS, Predicate, StarClassification
 from ekrmatch.search import (
     CompatGraph,
+    InternalCheckError,
+    MaximaOverflowError,
     _neighbour_rows,
+    _orbit_closure,
     _root_subproblems,
+    all_max_cliques,
     build_compat_graph,
+    extremal,
     max_clique,
 )
 
@@ -49,6 +61,11 @@ def image_index(universe, perms, m):
     return universe.index[canonical_matching(tuple(p[x] for p, x in zip(perms, e)) for e in m)]
 
 
+def maps_rows_onto_themselves(rows, pi):
+    return all(rows[pi[u]] == sum(1 << pi[w] for w in range(len(rows)) if row >> w & 1)
+               for u, row in enumerate(rows))
+
+
 @pytest.mark.parametrize("kind", PREDICATE_KINDS)
 @pytest.mark.parametrize("t", [1, 2])
 @pytest.mark.parametrize("parts,r", UNIFORM, ids=[f"{p}-r{r}" for p, r in UNIFORM])
@@ -61,8 +78,22 @@ def test_uniform_graphs_are_vertex_transitive(parts, r, kind, t):
         pi = [image_index(universe, perms, m) for m in items]
         assert pi[0] == v
         assert sorted(pi) == list(range(len(items)))
-        for u, row in enumerate(rows):
-            assert rows[pi[u]] == sum(1 << pi[w] for w in range(len(items)) if row >> w & 1)
+        assert maps_rows_onto_themselves(rows, pi)
+
+
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+@pytest.mark.parametrize("parts,r", UNIFORM, ids=[f"{p}-r{r}" for p, r in UNIFORM])
+def test_relabelling_generators_are_graph_automorphisms(parts, r, kind):
+    universe = enumerate_universe(parts, r)
+    rows = build_compat_graph(universe, Predicate(kind, 1)).rows
+    generators = relabelling_generators(universe)
+    assert [len(g) for g in generators] == [min(n - 1, 2) for n in parts]
+    flat = [perm for part in generators for perm in part]
+    for perm in flat:
+        assert sorted(perm) == list(range(len(universe)))
+        assert maps_rows_onto_themselves(rows, perm)
+    # together they generate a transitive group: the orbit of vertex 0 is every vertex
+    assert sorted(_orbit_closure([1], flat, len(universe))) == [1 << v for v in range(len(universe))]
 
 
 @pytest.mark.parametrize("kind", PREDICATE_KINDS)
@@ -131,3 +162,47 @@ def test_deep_uniform_cell_closes_from_root_zero():
     size, _, nodes = max_clique(g)
     assert size == 84
     assert nodes < 5_000
+
+
+CLOSURE_CELLS = SHORTCUT_CELLS + [
+    ((4, 4), 4, Predicate("set-intersecting", 2)),  # Klein cell: 18 box stars and 6 non-stars
+    ((5, 5), 4, Predicate("intersecting", 2)),
+]
+
+
+@pytest.mark.parametrize("parts,r,pred", CLOSURE_CELLS,
+                         ids=[f"{p}-r{r}-{pred}" for p, r, pred in CLOSURE_CELLS])
+def test_orbit_closed_maxima_equal_full_listing(parts, r, pred):
+    marked = build_compat_graph(enumerate_universe(parts, r), pred)
+    full = CompatGraph(marked.universe, marked.pred, marked.rows)
+    size = max_clique(marked)[0]
+    assert [f.bits for f in all_max_cliques(marked, size)] == [f.bits for f in all_max_cliques(full, size)]
+
+
+def test_klein_cell_kinds_pass_the_tally_check():
+    rep = extremal((4, 4), (4,), Predicate("set-intersecting", 2), all_maxima=True)
+    assert rep.maxima_count == 24
+    assert rep.maxima_kinds == {"t-set-star": 18, "none": 6}
+
+
+def test_closure_overflow_past_the_cap():
+    g = build_compat_graph(enumerate_universe((3, 3), 2), Predicate("intersecting", 1))
+    assert len(all_max_cliques(g, 4, cap=9)) == 9
+    with pytest.raises(MaximaOverflowError):
+        all_max_cliques(g, 4, cap=3)  # 2 maxima through vertex 0, 9 in all
+
+
+def test_double_count_catches_a_partial_closure(monkeypatch):
+    g = build_compat_graph(enumerate_universe((6, 6), 3), Predicate("intersecting", 1))
+    assert len(all_max_cliques(g, 200)) == 36
+    part_one_only = lambda universe: relabelling_generators(universe)[:1]
+    monkeypatch.setattr(search, "relabelling_generators", part_one_only)
+    with pytest.raises(InternalCheckError, match="holds 18 maxima"):
+        all_max_cliques(g, 200)
+
+
+def test_kind_tally_catches_a_kind_that_depends_on_vertex_zero(monkeypatch):
+    fake = lambda fam, t: StarClassification("t-star" if fam.bits & 1 else "none", t)
+    monkeypatch.setattr(search, "classify_star", fake)
+    with pytest.raises(InternalCheckError, match="kind"):
+        extremal((3, 3), (2,), Predicate("intersecting", 1), all_maxima=True)
