@@ -19,7 +19,13 @@ from .matchings import (
     project_pair,
     validate_matching,
 )
-from .predicates import Predicate, ambiguous_box_params, degenerate_star_params, postings
+from .predicates import (
+    Predicate,
+    ambiguous_box_params,
+    box_star_bits,
+    degenerate_star_params,
+    postings,
+)
 
 
 def _param_notes(universe: Universe, t: int) -> tuple:
@@ -61,8 +67,7 @@ def t_set_star(universe: Universe, box) -> Family:
     for i, side in enumerate(box):
         if not side <= set(range(1, parts[i] + 1)):
             raise ValueError(f"box side {sorted(side)} not inside part {i + 1} of size {parts[i]}")
-    bits = postings(universe, Predicate("set-intersecting", t))[0].get(box, 0)
-    return Family(universe, bits, _param_notes(universe, t))
+    return Family(universe, box_star_bits(universe, box), _param_notes(universe, t))
 
 
 def semi_star(universe: Universe, centres, set_variant: bool = False) -> Family:

@@ -64,7 +64,6 @@ from .predicates import (
     family_satisfies,
     intersects_t,
     is_full_pair_star,
-    pair_checker,
     postings,
     projection_family,
     set_intersects_t,
@@ -280,20 +279,19 @@ def _default_caps(caps=None) -> dict:
 # closure identities on random predicate-closed families
 
 
-def random_weak_family(universe, t: int, rng: random.Random) -> Family:
-    """Greedily grow a weakly t-intersecting family along a shuffled universe order."""
-    check = pair_checker(Predicate("weakly-intersecting", t), universe.k)
+def random_weak_family(graph, rng: random.Random) -> Family:
+    """Greedily grow a clique of the graph, a predicate-closed family, along a shuffled order."""
+    universe, rows = graph.universe, graph.rows
     order = list(range(len(universe)))
     rng.shuffle(order)
     target = rng.randint(1, 12)
-    chosen: list = []
-    bits = 0
+    allowed, bits, size = -1, 0, 0
     for idx in order:
-        m = universe.items[idx]
-        if all(check(m, c) for c in chosen):
-            chosen.append(m)
+        if allowed >> idx & 1:
+            allowed &= rows[idx]
             bits |= 1 << idx
-            if len(chosen) >= target:
+            size += 1
+            if size >= target:
                 break
     return Family(universe, bits)
 
@@ -365,12 +363,13 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
         per_cell[i] += 1
     for (parts, r, t), n_samples in zip(cells, per_cell):
         universe = enumerate_universe(parts, r)
+        graph = build_compat_graph(universe, Predicate("weakly-intersecting", t))
         case = f"{parts}|r={r}|t={t}"
         violations = 0
         checked = 0
         sizes_seen = set()
         for _ in range(n_samples):
-            fam = random_weak_family(universe, t, rng)
+            fam = random_weak_family(graph, rng)
             sizes_seen.add(len(fam))
             bad = closure_violations(fam, t)
             checked += 1

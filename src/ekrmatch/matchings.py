@@ -54,21 +54,18 @@ def validate_matching(parts, m, r: int | None = None) -> Matching:
     return m
 
 
-def _enumerate_level(parts, r):
-    """Yield all r-edge matchings, built part by part (no invalid tuples materialised)."""
-    if r == 0:
-        yield ()
-        return
-    k = len(parts)
-    first = combinations(range(1, parts[0] + 1), r)
-    if k == 1:
-        for base in first:
-            yield tuple((x,) for x in base)
-        return
+def _enumerate_level(parts, r, edge):
+    """Yield all r-edge matchings, built part by part (no invalid tuples materialised).
+
+    Each matching zips an r-subset of part 1 with one r-arrangement per other
+    part; ``edge`` maps every edge to one shared tuple, so equal edges are one
+    object and a large universe holds each edge once.  At r = 0 every pool
+    yields one empty tuple, and at k = 1 ``product()`` yields one ``()``.
+    """
     rest_pools = [list(permutations(range(1, n + 1), r)) for n in parts[1:]]
-    for base in first:
+    for base in combinations(range(1, parts[0] + 1), r):
         for cols in product(*rest_pools):
-            yield tuple((base[i],) + tuple(col[i] for col in cols) for i in range(r))
+            yield tuple(map(edge, zip(base, *cols)))
 
 
 class Universe:
@@ -158,9 +155,11 @@ def enumerate_union_universe(parts, sizes, cap: int = DEFAULT_UNIVERSE_CAP) -> U
     predicted = sum(count_matchings(parts, r) for r in sizes)
     if predicted > cap:
         raise UniverseTooLargeError(predicted, cap)
+    edges = product(*(range(1, n + 1) for n in parts))
+    edge = {e: e for e in edges}.__getitem__
     items = []
     for r in sizes:
-        level = sorted(_enumerate_level(parts, r))
+        level = sorted(_enumerate_level(parts, r, edge))
         if len(level) != count_matchings(parts, r):
             raise AssertionError(
                 f"enumeration bug: got {len(level)} matchings at r={r}, "

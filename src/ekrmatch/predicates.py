@@ -25,7 +25,7 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 from .counts import t_set_star_size, t_star_size
 from .matchings import Family, project_pair
@@ -158,8 +158,11 @@ def signatures(m, pred: Predicate, k: int) -> tuple:
 def postings(universe, pred: Predicate) -> tuple:
     """Per component, a dict from each signature to the bitset of the matchings having it.
 
-    The t-star of a centre C is ``postings(u, intersecting:t)[0][C]`` and the
-    t-set-star of a box B is ``postings(u, set-intersecting:t)[0][B]``.  The
+    The t-star of a centre C is ``postings(u, intersecting:t)[0][C]``, which
+    equals the AND of its edges' entries in ``postings(u, intersecting:1)``;
+    `constructions.t_star` reads the latter.  The t-set-star of a box B is
+    ``postings(u, set-intersecting:t)[0][B]``, but `box_star_bits` reads it
+    from the edge postings, so the box index serves graph rows only.  The
     index is memoised on the universe.
     """
     k = universe.k
@@ -244,16 +247,34 @@ def _star_centres(fam: Family, t: int) -> tuple:
     return tuple(c for c in combinations(sorted(common), t) if stars[c] == fam.bits)
 
 
+def box_star_bits(universe, box) -> int:
+    """The matchings of the universe with exactly t edges inside a box of per-part t-sets.
+
+    t edges inside the box cover every side, so they form a perfect matching
+    of the box: the set-star is the OR, over the box's t!^(k-1) perfect
+    matchings, of the AND of their edge postings.
+    """
+    edge_stars = postings(universe, Predicate("intersecting", 1))[0]
+    first, *rest = (sorted(side) for side in box)
+    everything = (1 << len(universe)) - 1
+    bits = 0
+    for cols in product(*map(permutations, rest)):
+        hit = everything
+        for e in zip(first, *cols):
+            hit &= edge_stars.get((e,), 0)
+        bits |= hit
+    return bits
+
+
 def _set_star_boxes(fam: Family, t: int) -> tuple:
     """All t-boxes whose full set-star in the universe equals the family."""
     first = fam.members()[0]
     k = fam.universe.k
-    stars = postings(fam.universe, Predicate("set-intersecting", t))[0]
     found = []
     # distinct t-subsets of one matching have distinct boxes
     for sub in combinations(first, t):
         box = tuple(frozenset(e[i] for e in sub) for i in range(k))
-        if stars[box] == fam.bits:
+        if box_star_bits(fam.universe, box) == fam.bits:
             found.append(tuple(tuple(sorted(side)) for side in box))
     return tuple(found)
 

@@ -7,6 +7,7 @@ import pytest
 from ekrmatch.harness import (
     BoundCell,
     BUILTIN_CAMPAIGNS,
+    LEMMA_CELLS,
     centre_system_bits,
     closure_violations,
     force_record,
@@ -22,7 +23,8 @@ from ekrmatch.harness import (
     run_weak_star_suite,
 )
 from ekrmatch.matchings import Family, enumerate_universe, project_pair
-from ekrmatch.predicates import Predicate, family_satisfies
+from ekrmatch.predicates import Predicate, family_satisfies, pair_checker
+from ekrmatch.search import build_compat_graph
 
 
 def test_example_suite_reproduces_worked_examples():
@@ -38,10 +40,38 @@ def test_example_suite_reproduces_worked_examples():
 def test_random_weak_families_satisfy_the_predicate():
     rng = random.Random(1)
     u = enumerate_universe((3, 3, 3), 2)
+    graph = build_compat_graph(u, Predicate("weakly-intersecting", 1))
     for _ in range(25):
-        fam = random_weak_family(u, 1, rng)
+        fam = random_weak_family(graph, rng)
         assert len(fam) >= 1
         assert family_satisfies(fam, Predicate("weakly-intersecting", 1))
+
+
+def greedy_weak_family_oracle(universe, t, rng):
+    """The greedy draw through pair_checker: same shuffle and target, pairwise tests."""
+    check = pair_checker(Predicate("weakly-intersecting", t), universe.k)
+    order = list(range(len(universe)))
+    rng.shuffle(order)
+    target = rng.randint(1, 12)
+    chosen, bits = [], 0
+    for idx in order:
+        m = universe.items[idx]
+        if all(check(m, c) for c in chosen):
+            chosen.append(m)
+            bits |= 1 << idx
+            if len(chosen) >= target:
+                break
+    return bits
+
+
+@pytest.mark.parametrize("parts,r,t", LEMMA_CELLS)
+def test_random_weak_family_equals_pairwise_greedy(parts, r, t):
+    u = enumerate_universe(parts, r)
+    graph = build_compat_graph(u, Predicate("weakly-intersecting", t))
+    fast, slow = random.Random(17), random.Random(17)
+    for _ in range(200):
+        assert random_weak_family(graph, fast).bits == greedy_weak_family_oracle(u, t, slow)
+    assert fast.getstate() == slow.getstate()
 
 
 def test_closure_checker_is_not_vacuous():

@@ -42,6 +42,20 @@ def test_enumeration_is_canonical_and_lexicographic():
     assert len(set(u.items)) == len(u)
 
 
+@pytest.mark.parametrize("parts,sizes", [((1,), (0, 1)), ((5,), (1, 2, 3)), ((6,), (0, 3, 6)),
+                                         ((3, 3), (0, 1, 2, 3)), ((2, 3, 3), (0, 1, 2))])
+def test_one_part_and_empty_levels_match_brute_force(parts, sizes):
+    u = enumerate_union_universe(parts, sizes)
+    assert list(u.items) == [m for r in sizes for m in sorted(brute_matchings(parts, r))]
+
+
+@pytest.mark.parametrize("parts,sizes", [((4, 4, 4), (3,)), ((6, 6), (6,)), ((3, 3), (1, 2, 3))])
+def test_equal_edges_are_one_object_per_universe(parts, sizes):
+    u = enumerate_union_universe(parts, sizes)
+    edges = [e for m in u.items for e in m]
+    assert len({id(e) for e in edges}) == len(set(edges))
+
+
 def test_index_round_trip():
     u = enumerate_universe((3, 3), 2)
     for i, m in enumerate(u.items):

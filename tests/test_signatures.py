@@ -5,10 +5,11 @@ from itertools import combinations, product
 import pytest
 
 from ekrmatch.constructions import t_set_star, t_star
-from ekrmatch.matchings import enumerate_union_universe
+from ekrmatch.matchings import enumerate_union_universe, enumerate_universe
 from ekrmatch.predicates import (
     PREDICATE_KINDS,
     Predicate,
+    box_star_bits,
     edges_in_box,
     pair_checker,
     postings,
@@ -94,3 +95,44 @@ def test_star_constructions_equal_brute_scan(parts, sizes, t):
                    if edges_in_box(m, [set(side) for side in box]) == t)
         assert t_set_star(universe, box).bits == want
 
+
+
+# uniform universes at k = 1, 2, 3, and union universes with r = 0 members
+# and members smaller than t
+BOX_UNIVERSES = [
+    ((5,), (3,)),
+    ((4, 4), (3,)),
+    ((3, 4), (2,)),
+    ((3, 3, 3), (3,)),
+    ((5,), (0, 1, 2, 3)),
+    ((4, 4), (0, 1, 2, 3)),
+    ((3, 3, 3), (0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("parts,sizes", BOX_UNIVERSES)
+@pytest.mark.parametrize("t", [1, 2, 3])
+def test_box_star_bits_equal_brute_scan(parts, sizes, t):
+    universe = enumerate_union_universe(parts, sizes)
+    sides = [list(combinations(range(1, n + 1), t)) for n in parts]
+    for box in product(*sides):
+        box = tuple(frozenset(side) for side in box)
+        want = sum(1 << idx for idx, m in enumerate(universe.items)
+                   if len(m) >= t and edges_in_box(m, box) == t)
+        assert box_star_bits(universe, box) == want
+
+
+def test_t_set_star_errors_unchanged():
+    u = enumerate_universe((4, 4), 3)
+    cases = [
+        (((1, 2),), "box has 1 sides, expected 2"),
+        (((1, 2), (1, 2, 3)), "box sides must all have the same size"),
+        (((), ()), "box side size 0 out of range for matching sizes (3,)"),
+        (((1, 2, 3, 4), (1, 2, 3, 4)), "box side size 4 out of range for matching sizes (3,)"),
+        (((1, 5), (1, 2)), "box side [1, 5] not inside part 1 of size 4"),
+        (((1, 2), (0, 2)), "box side [0, 2] not inside part 2 of size 4"),
+    ]
+    for box, message in cases:
+        with pytest.raises(ValueError) as err:
+            t_set_star(u, box)
+        assert str(err.value) == message
