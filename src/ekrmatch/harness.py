@@ -49,11 +49,9 @@ from .matchings import (
     DEFAULT_UNIVERSE_CAP,
     Family,
     UniverseTooLargeError,
-    drop_part,
     enumerate_union_universe,
     enumerate_universe,
-    project_all,
-    reduction_classes,
+    item_projections,
     vertex_shadow,
 )
 from .predicates import (
@@ -101,6 +99,7 @@ class CampaignReport:
     config: dict
     rows: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
+    kept: dict = field(default_factory=dict)  # cell index -> ExtremalReport, when asked; not serialised
 
     def counts(self) -> dict:
         out = {"pass": 0, "fail": 0, "record": 0, "attention": 0, "skip": 0}
@@ -170,7 +169,7 @@ def _expected_star_kind(pred: Predicate) -> str:
 
 
 def _run_bound_cell(args):
-    name, idx, cell, caps = args
+    name, idx, cell, caps, keep = args
     case = f"{idx:02d}:{cell.parts}|r={','.join(map(str, cell.sizes))}|{cell.pred}"
     rows, witnesses = [], {}
     try:
@@ -187,7 +186,7 @@ def _run_bound_cell(args):
     except (UniverseTooLargeError, GraphTooLargeError, NodeBudgetExceeded) as exc:
         rows.append(_row(name, case, "skip", detail=f"cap: {exc}", parts=cell.parts,
                          sizes=cell.sizes, predicate=str(cell.pred), expect=cell.expect))
-        return rows, witnesses
+        return rows, witnesses, None
 
     expected = cell.expect_max if cell.expect_max is not None else rep.formula_value
     star_kind = _expected_star_kind(cell.pred)
@@ -239,17 +238,18 @@ def _run_bound_cell(args):
         else:
             twin_cell = BoundCell(cell.parts, cell.sizes, weak_pred, cell.expect,
                                   cell.all_maxima, False, cell.expect_max, cell.note)
-            twin_rows, twin_wit = _run_bound_cell((name, idx, twin_cell, caps))
+            twin_rows, twin_wit, _ = _run_bound_cell((name, idx, twin_cell, caps, False))
             for tr in twin_rows:
                 tr["case"] = tr["case"] + "|weak"
             rows.extend(twin_rows)
             witnesses.update({k + "|weak": v for k, v in twin_wit.items()})
-    return rows, witnesses
+    return rows, witnesses, rep if keep else None
 
 
-def run_bound_campaign(name: str, cells, caps=None, workers: int = 1) -> CampaignReport:
+def run_bound_campaign(name: str, cells, caps=None, workers: int = 1, keep=()) -> CampaignReport:
+    """Run every cell; the `ExtremalReport` of each cell index in keep lands in report.kept."""
     caps = _default_caps(caps)
-    jobs = [(name, i, cell, caps) for i, cell in enumerate(cells)]
+    jobs = [(name, i, cell, caps, i in keep) for i, cell in enumerate(cells)]
     if workers > 1 and len(jobs) > 1:
         ctx = get_context("fork")
         with ctx.Pool(min(workers, len(jobs))) as pool:
@@ -257,9 +257,11 @@ def run_bound_campaign(name: str, cells, caps=None, workers: int = 1) -> Campaig
     else:
         results = [_run_bound_cell(job) for job in jobs]
     report = CampaignReport(name, {"cells": len(jobs), "caps": caps, "workers": workers})
-    for rows, witnesses in results:
+    for i, (rows, witnesses, rep) in enumerate(results):
         report.rows.extend(rows)
         report.witnesses.update(witnesses)
+        if rep is not None:
+            report.kept[i] = rep
     return report
 
 
@@ -303,19 +305,19 @@ def closure_violations(fam: Family, t: int) -> list:
     restrictions live over the parent's vertex shadow, the full projection is
     injective, and restriction classes partition the family.
     """
-    u = fam.universe
-    k = u.k
-    members = fam.members()
+    k = fam.universe.k
+    table = item_projections(fam.universe)
+    rows = [table[v] for v in fam.indices()]
     bad = []
 
     for i in range(1, k + 1):
-        if len({project_all(m, i, k) for m in members}) != len(members):
+        if len({row.alls[i] for row in rows}) != len(rows):
             bad.append(f"projection from part {i} is not injective")
 
     for j in range(1, k + 1):
         if k == 1:
             break
-        dropped = sorted({drop_part(m, j) for m in members})
+        dropped = sorted({row.drops[j] for row in rows})
         for a in range(len(dropped)):
             for b in range(a + 1, len(dropped)):
                 if k - 1 == 1:
@@ -329,8 +331,11 @@ def closure_violations(fam: Family, t: int) -> list:
         for j in range(1, k + 1):
             if i == j or k < 2:
                 continue
-            classes = reduction_classes(fam, i, j)
-            if sum(len(ps) for ps in classes.values()) != len(members):
+            grouped: dict = {}
+            for row in rows:
+                grouped.setdefault(row.reduced[i, j], set()).add(row.pairs[i, j])
+            classes = {x: sorted(ps) for x, ps in grouped.items()}
+            if sum(len(ps) for ps in classes.values()) != len(rows):
                 bad.append(f"restriction classes over ({i},{j}) do not partition the family")
             for x, projs in classes.items():
                 for a in range(len(projs)):
@@ -900,21 +905,25 @@ def nonuniform_cells():
 
 
 def run_nonuniform_campaign(caps=None, workers: int = 1) -> CampaignReport:
-    report = run_bound_campaign("nonuniform", nonuniform_cells(), caps, workers)
+    cells = nonuniform_cells()
+    report = run_bound_campaign("nonuniform", cells, caps, workers, keep={0})
     caps = _default_caps(caps)
     # upward closure of maximum families, the structural step behind the
-    # union bound: any extension of a member inside the universe is a member
-    for parts, sizes in [((3, 3), (1, 2))]:
-        rep = extremal(parts, sizes, Predicate("intersecting", 1), universe_cap=caps["universe_cap"],
+    # union bound: any extension of a member inside the universe is a member;
+    # the maxima are those the (3,3) R=(1,2) cell found above
+    cell = cells[0]
+    rep = report.kept.get(0)
+    if rep is None:  # the cell hit a cap: solving it again raises that cap's error
+        rep = extremal(cell.parts, cell.sizes, cell.pred, universe_cap=caps["universe_cap"],
                        graph_cap=caps["graph_cap"], node_budget=caps["node_budget"],
                        all_maxima=True, maxima_cap=caps["maxima_cap"])
-        closed = rep.maxima is not None and all(is_upward_closed(f) for f in rep.maxima)
-        report.rows.append(_row(
-            "nonuniform", f"upward-closure|{parts}|R={sizes}", "pass" if closed else "fail",
-            detail=f"all {rep.maxima_count} maxima are upward closed: {closed}",
-            parts=parts, sizes=sizes, predicate="intersecting:1", expect=ASSERT_EQUALITY,
-            universe_size=rep.universe_size, max_size=rep.max_size, maxima_count=rep.maxima_count,
-        ))
+    closed = rep.maxima is not None and all(is_upward_closed(f) for f in rep.maxima)
+    report.rows.append(_row(
+        "nonuniform", f"upward-closure|{cell.parts}|R={cell.sizes}", "pass" if closed else "fail",
+        detail=f"all {rep.maxima_count} maxima are upward closed: {closed}",
+        parts=cell.parts, sizes=cell.sizes, predicate="intersecting:1", expect=ASSERT_EQUALITY,
+        universe_size=rep.universe_size, max_size=rep.max_size, maxima_count=rep.maxima_count,
+    ))
     return report
 
 

@@ -73,10 +73,11 @@ class Universe:
 
     Items are ordered by edge count, then lexicographically on the canonical
     edge list, so indices are stable across runs.  Instances are immutable
-    after construction, apart from the memo that `predicates.postings` fills.
+    after construction, apart from the memos that `predicates.postings` and
+    `item_projections` fill.
     """
 
-    __slots__ = ("parts", "sizes", "items", "index", "level_offsets", "postings_memo")
+    __slots__ = ("parts", "sizes", "items", "index", "level_offsets", "postings_memo", "projections_memo")
 
     def __init__(self, parts, sizes, items):
         self.parts = validate_parts(parts)
@@ -88,6 +89,7 @@ class Universe:
             offsets.setdefault(len(m), i)
         self.level_offsets = offsets
         self.postings_memo = {}
+        self.projections_memo = None
 
     @property
     def k(self) -> int:
@@ -231,6 +233,26 @@ def reduce_projection(m, i: int, j: int) -> tuple:
     _check_part_index(k, i)
     _check_part_index(k, j)
     return tuple(project_pair(m, i, l) for l in range(1, k + 1) if l != i and l != j)
+
+
+class ItemProjections:
+    """One matching's projections, keyed by 1-based part indices."""
+
+    __slots__ = ("alls", "drops", "pairs", "reduced")
+
+    def __init__(self, m, k: int):
+        parts = range(1, k + 1)
+        self.alls = {i: project_all(m, i, k) for i in parts}
+        self.drops = {j: drop_part(m, j) for j in parts} if k > 1 else {}
+        self.pairs = {(i, j): project_pair(m, i, j) for i in parts for j in parts if i != j}
+        self.reduced = {(i, j): reduce_projection(m, i, j) for i in parts for j in parts if i != j}
+
+
+def item_projections(universe: Universe) -> list:
+    """Every item's `ItemProjections`, in item order, computed once per universe."""
+    if universe.projections_memo is None:
+        universe.projections_memo = [ItemProjections(m, universe.k) for m in universe.items]
+    return universe.projections_memo
 
 
 # ---------------------------------------------------------------------------

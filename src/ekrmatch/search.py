@@ -45,13 +45,49 @@ invariant too, so `extremal` requires each kind's tally times the size to
 equal |V| times that kind's tally among the maxima through vertex 0.  The
 node budget bounds the root-0 listing.  The cap bounds the closure, which is
 the whole list, so it overflows exactly when the full listing would.
+
+A graph from `build_compat_graph` is marked symmetric: its rows come from a
+whole (union) universe, so the part relabellings map them onto themselves.
+Its maximum comes in two phases; a graph built by hand is unmarked and gets
+the single search above.  The witness phase runs that search with the
+incumbent at max(seed size, s - 1), where s is the star bound
+(`star_formula_value`), and stops at the first clique of size at least s.
+A star is a clique of size s, so ending below s is an engine bug.  The
+witness is the full search's.  The colour order depends only on the
+candidate set, so the depth-first tree is fixed, and a branch is pruned only
+when its colour bound is at most the incumbent, that is, when it holds no
+clique larger than the incumbent.  While the incumbent is below the maximum
+w, no branch holding a w-clique is pruned, so every such search reaches the
+same first leaf of size w; that is the full search's witness, which only a
+strictly larger clique could replace.  A seed of size at least s skips the
+phase and stays the witness, as it does in the full search.
+
+The proof phase (`_prove`) shows that nothing beats the witness size.  It
+branches as the kernel does but keeps no witness, and it colours by MCS
+Re-NUMBER (Tomita et al., WALCOM 2010): with kmin = incumbent - depth, the
+first kmin greedy classes are never branched on, and a vertex past them
+first tries to join one of them, directly or by moving its single
+conflicting neighbour there to a later class up to kmin.  It starts from one
+root per orbit of the relabelling group.  The group acts transitively on
+each edge-count level, so the orbits are the levels, and root i is the
+lowest index of level i with its neighbours outside the earlier levels: a
+clique whose lowest level is i has an image through root i, and that image
+avoids the earlier levels too.  A transitive graph has the one root
+(0, nadj[0]).  If the proof ends at w' above the witness size (status
+EXCEEDS), the witness phase runs once more, with the incumbent at w' - 1 and
+the stop at w', and by the argument above returns the full search's
+witness.  One node budget bounds all phases, and the node count is their
+sum.  With workers on a union universe the witness phase gives each chunk of
+roots the same stop; a chunk runs the serial search of its roots until it
+stops, so the earliest root position to reach the stop holds the serial
+witness.  The proof runs serially.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 from .counts import t_set_star_size, t_star_size
@@ -108,17 +144,22 @@ class InternalCheckError(RuntimeError):
 
 
 class CompatGraph:
-    __slots__ = ("universe", "pred", "rows", "transitive")
+    __slots__ = ("universe", "pred", "rows", "symmetric")
 
-    def __init__(self, universe: Universe, pred: Predicate, rows, transitive: bool = False):
+    def __init__(self, universe: Universe, pred: Predicate, rows, symmetric: bool = False):
         self.universe = universe
         self.pred = pred
         self.rows = rows
-        self.transitive = transitive  # vertex-transitive: root 0 alone finds the maximum
+        self.symmetric = symmetric  # rows from the whole universe: invariant under the part relabellings
 
     @property
     def n(self) -> int:
         return len(self.rows)
+
+    @property
+    def transitive(self) -> bool:
+        """Vertex-transitive: a symmetric graph of one edge count, where root 0 alone finds the maximum."""
+        return self.symmetric and len(self.universe.sizes) == 1
 
     def degree(self, v: int) -> int:
         return (self.rows[v] & ~(1 << v)).bit_count()
@@ -177,7 +218,7 @@ def build_compat_graph(
                 rows[lo : lo + len(block_rows)] = block_rows
     else:
         rows = _rows(universe, pred, index, 0, n)
-    return CompatGraph(universe, pred, rows, transitive=len(universe.sizes) == 1)
+    return CompatGraph(universe, pred, rows, symmetric=True)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +233,11 @@ class _SearchState:
     nodes: int = 0
     found: list | None = None
     cap: int = 0
+    stop: int | None = None  # the witness phase ends at its first clique this large
+
+
+class _Stopped(Exception):
+    """The witness phase reached its stop size."""
 
 
 def _neighbour_rows(graph: CompatGraph) -> list:
@@ -222,6 +268,8 @@ def _record(state: _SearchState, bits: int, size: int):
     """A maximal clique larger than state.best: the new incumbent, or one more maximum."""
     if state.found is None:
         state.best, state.witness = size, bits
+        if state.stop is not None and size >= state.stop:
+            raise _Stopped
         return
     if size > state.best + 1:
         raise ValueError(f"a clique of size {size} exists; {state.best + 1} is not the maximum")
@@ -282,14 +330,20 @@ def _root_subproblems(nadj, n: int):
 
 
 def _search_roots(nadj, roots, state: _SearchState):
-    """Search the roots in order; return the position of the root holding the witness, or None."""
+    """Search the roots in order; return the position of the root holding the witness, or None.
+
+    With a stop size the search returns at the root where it reaches it.
+    """
     at = None
     for pos, v, pmask in roots:
         before = state.best
-        if pmask:
-            _expand(nadj, pmask, 1 << v, 1, state)
-        elif state.best < 1:
-            _record(state, 1 << v, 1)
+        try:
+            if pmask:
+                _expand(nadj, pmask, 1 << v, 1, state)
+            elif state.best < 1:
+                _record(state, 1 << v, 1)
+        except _Stopped:
+            return pos
         if state.best > before:
             at = pos
     return at
@@ -298,17 +352,125 @@ def _search_roots(nadj, roots, state: _SearchState):
 _CLIQUE_CTX = None
 
 
-def _init_clique(nadj, seed_size, seed_bits, budget):
+def _init_clique(nadj, state):
     global _CLIQUE_CTX
-    _CLIQUE_CTX = (nadj, seed_size, seed_bits, budget)
+    _CLIQUE_CTX = (nadj, state)
 
 
 def _solve_root_chunk(chunk):
     """One worker's roots under one shared incumbent: (best, witness, position, nodes)."""
-    nadj, seed_size, seed_bits, budget = _CLIQUE_CTX
-    state = _SearchState(budget=budget, best=seed_size, witness=seed_bits)
+    nadj, start = _CLIQUE_CTX
+    state = replace(start)
     at = _search_roots(nadj, chunk, state)
-    return state.best, state.witness, at, state.nodes
+    return state.best, state.witness, at, state.nodes - start.nodes
+
+
+def _search_with_workers(nadj, roots, state: _SearchState, workers: int):
+    """Search the roots from state's incumbent, in place, up to state.stop if set.
+
+    The witness is the serial one at any worker count: each chunk of roots
+    runs the serial search of its roots, so the first chunk position to reach
+    the stop, or without a stop the first position of the largest clique,
+    holds the serial witness.
+    """
+    if workers <= 1:
+        _search_roots(nadj, roots, state)
+        return
+    # strided chunks balance load (early roots carry the larger subtrees)
+    chunks = [c for c in (roots[i::workers] for i in range(workers)) if c]
+    with get_context("fork").Pool(len(chunks), initializer=_init_clique, initargs=(nadj, state)) as pool:
+        results = pool.map(_solve_root_chunk, chunks)
+    state.nodes += sum(r[3] for r in results)
+    if state.nodes > state.budget:
+        raise NodeBudgetExceeded(state.nodes, state.budget)
+    if state.stop is not None:
+        stopped = [r for r in results if r[0] >= state.stop]
+        if stopped:
+            state.best, state.witness, _, _ = min(stopped, key=lambda r: r[2])
+            return
+    # a chunk without a position never beat the incumbent and holds its bits
+    state.best, state.witness, _, _ = min(results, key=lambda r: (-r[0], r[2] or 0))
+
+
+def _witness_phase(nadj, roots, state: _SearchState, workers: int, stop: int):
+    """The first clique of size at least stop in the fixed order, from the incumbent stop - 1."""
+    state.best, state.stop = stop - 1, stop
+    _search_with_workers(nadj, roots, state, workers)
+    if state.best < stop:
+        raise InternalCheckError(f"the witness search ended at {state.best}, below {stop}")
+    state.stop = None
+
+
+def _renumber_order(pmask: int, nadj, kmin: int):
+    """The candidates to branch on, with ascending colours, all above kmin (MCS Re-NUMBER).
+
+    Classes 1..kmin are built as in `_colour_order` and never branched on.
+    Each leftover vertex p then joins one of them if it has no neighbour
+    there, or if its one neighbour q there can move to a later class up to
+    kmin that holds no neighbour of q.  Only the vertices still left are
+    coloured greedily from kmin + 1.
+    """
+    classes = []
+    while pmask and len(classes) < kmin:
+        cls, avail = 0, pmask
+        while avail:
+            low = avail & -avail
+            cls |= low
+            pmask ^= low
+            avail = (avail ^ low) & ~nadj[low.bit_length() - 1]
+        classes.append(cls)
+    left, rest = 0, pmask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        adj = nadj[low.bit_length() - 1]
+        for k1, cls in enumerate(classes):
+            hit = adj & cls
+            if not hit:
+                classes[k1] = cls | low
+                break
+            if hit & (hit - 1) == 0:
+                nq = nadj[hit.bit_length() - 1]
+                for k2 in range(k1 + 1, kmin):
+                    if not nq & classes[k2]:
+                        classes[k2] |= hit
+                        classes[k1] = cls ^ hit ^ low
+                        break
+                else:
+                    continue
+                break
+        else:
+            left |= low
+    order, colours = _colour_order(left, nadj)
+    return order, [c + kmin for c in colours]
+
+
+def _prove(nadj, pmask: int, rsize: int, state: _SearchState):
+    """Raise state.best to the largest clique size under this node; no witness is kept."""
+    state.nodes += 1
+    if state.nodes > state.budget:
+        raise NodeBudgetExceeded(state.nodes, state.budget)
+    order, colours = _renumber_order(pmask, nadj, max(state.best - rsize, 0))
+    for idx in range(len(order) - 1, -1, -1):
+        if rsize + colours[idx] <= state.best:
+            return
+        v = order[idx]
+        newp = pmask & nadj[v]
+        if newp:
+            _prove(nadj, newp, rsize + 1, state)
+        elif rsize + 1 > state.best:
+            state.best = rsize + 1
+        pmask ^= 1 << v
+
+
+def _proof_roots(graph: CompatGraph, nadj):
+    """Candidates of one root per edge-count level: its lowest index v and v's later neighbours.
+
+    The part relabellings act transitively on each level, and a clique whose
+    lowest level is i has an image through root i that avoids earlier levels.
+    A transitive graph has the single root 0, with candidates nadj[0].
+    """
+    return [nadj[v] >> v << v for v in sorted(graph.universe.level_offsets.values())]
 
 
 def max_clique(
@@ -323,35 +485,39 @@ def max_clique(
     initial lower bound; when nothing larger exists the seed itself is the
     witness.  Exceeding the node budget raises, never degrades to a wrong
     answer; with workers, the budget bounds the nodes of all workers together.
-    A transitive graph searches root 0 alone, serially (module docstring).
+    A graph from `build_compat_graph` is solved in two phases, a witness
+    search that stops at the star bound and a proof that nothing is larger,
+    and a transitive one searches root 0 alone, serially (module docstring).
+    The node count is the sum over all phases.
     """
     nadj = _neighbour_rows(graph)
-    seed_size, seed_bits = 0, 0
+    state = _SearchState(budget=node_budget)
     if seed is not None:
         if seed.universe.key != graph.universe.key:
             raise ValueError("seed family lives in a different universe")
-        seed_size, seed_bits = len(seed), seed.bits
+        state.best, state.witness = len(seed), seed.bits
     if graph.transitive:
         roots, workers = [(0, 0, nadj[0])], 1
     else:
         roots = _root_subproblems(nadj, graph.n)
-    if workers <= 1:
-        state = _SearchState(budget=node_budget, best=seed_size, witness=seed_bits)
-        _search_roots(nadj, roots, state)
-        best, bits, nodes = state.best, state.witness, state.nodes
-    else:
-        # strided chunks balance load (early roots carry the larger subtrees)
-        chunks = [c for c in (roots[i::workers] for i in range(workers)) if c]
-        with get_context("fork").Pool(len(chunks), initializer=_init_clique,
-                                      initargs=(nadj, seed_size, seed_bits, node_budget)) as pool:
-            results = pool.map(_solve_root_chunk, chunks)
-        nodes = sum(r[3] for r in results)
-        if nodes > node_budget:
-            raise NodeBudgetExceeded(nodes, node_budget)
-        # the first maximum in root order is the serial witness; a chunk
-        # without a position never beat the seed and holds the seed's bits
-        best, bits, _, _ = min(results, key=lambda r: (-r[0], r[2] or 0))
-    return best, Family(graph.universe, bits), nodes
+    universe = graph.universe
+    star = star_formula_value(universe.parts, universe.sizes, graph.pred) if graph.symmetric else 0
+    if star == 0:
+        _search_with_workers(nadj, roots, state, workers)
+        return state.best, Family(universe, state.witness), state.nodes
+
+    if state.best < star:  # a star is a clique of size star
+        _witness_phase(nadj, roots, state, workers, star)
+    size, witness = state.best, state.witness
+    for pmask in _proof_roots(graph, nadj):
+        if pmask:
+            _prove(nadj, pmask, 1, state)
+        elif state.best < 1:
+            state.best = 1
+    if state.best > size:  # EXCEEDS: the first clique of the proof's size is the witness
+        _witness_phase(nadj, roots, state, workers, state.best)
+        size, witness = state.best, state.witness
+    return size, Family(universe, witness), state.nodes
 
 
 def max_clique_naive(graph: CompatGraph):

@@ -22,9 +22,23 @@ from ekrmatch.harness import (
     run_lemma1_suite,
     run_weak_star_suite,
 )
-from ekrmatch.matchings import Family, enumerate_universe, project_pair
-from ekrmatch.predicates import Predicate, family_satisfies, pair_checker
-from ekrmatch.search import build_compat_graph
+from ekrmatch.matchings import (
+    Family,
+    drop_part,
+    enumerate_universe,
+    project_all,
+    project_pair,
+    reduction_classes,
+    vertex_shadow,
+)
+from ekrmatch.predicates import (
+    Predicate,
+    family_satisfies,
+    intersects_t,
+    pair_checker,
+    weakly_intersects_t,
+)
+from ekrmatch.search import NodeBudgetExceeded, build_compat_graph
 
 
 def test_example_suite_reproduces_worked_examples():
@@ -79,6 +93,87 @@ def test_closure_checker_is_not_vacuous():
     u = enumerate_universe((3, 3), 2)
     bad = Family.from_matchings(u, [((1, 1), (2, 2)), ((2, 3), (3, 1))])
     assert closure_violations(bad, 1)
+
+
+def closure_violations_oracle(fam, t):
+    """The projection identities recomputed from every member, part pair by part pair."""
+    k = fam.universe.k
+    members = fam.members()
+    bad = []
+    for i in range(1, k + 1):
+        if len({project_all(m, i, k) for m in members}) != len(members):
+            bad.append(f"projection from part {i} is not injective")
+    for j in range(1, k + 1):
+        if k == 1:
+            break
+        dropped = sorted({drop_part(m, j) for m in members})
+        for a in range(len(dropped)):
+            for b in range(a + 1, len(dropped)):
+                if k - 1 == 1:
+                    ok = intersects_t(dropped[a], dropped[b], t)
+                else:
+                    ok = weakly_intersects_t(dropped[a], dropped[b], t)
+                if not ok:
+                    bad.append(f"drop of part {j} not weakly {t}-intersecting")
+    for i in range(1, k + 1):
+        for j in range(1, k + 1):
+            if i == j or k < 2:
+                continue
+            classes = reduction_classes(fam, i, j)
+            if sum(len(ps) for ps in classes.values()) != len(members):
+                bad.append(f"restriction classes over ({i},{j}) do not partition the family")
+            for x, projs in classes.items():
+                for a in range(len(projs)):
+                    for b in range(a + 1, len(projs)):
+                        if not intersects_t(projs[a], projs[b], t):
+                            bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
+                if k >= 3:
+                    vx = vertex_shadow(x[0], 1)
+                    if any(vertex_shadow(p, 1) != vx for p in projs):
+                        bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
+    return bad
+
+
+@pytest.mark.parametrize("parts,r,t", LEMMA_CELLS + (((4,), 2, 1), ((2, 3), 2, 1)))
+def test_closure_violations_equal_the_per_member_oracle(parts, r, t):
+    u = enumerate_universe(parts, r)
+    graph = build_compat_graph(u, Predicate("weakly-intersecting", t))
+    rng = random.Random(5)
+    families = [Family.full(u)]
+    for _ in range(60):
+        families.append(random_weak_family(graph, rng))
+        families.append(Family(u, rng.getrandbits(len(u))))  # not closed: violations are compared too
+    violating = 0
+    for fam in families:
+        want = closure_violations_oracle(fam, t)
+        assert closure_violations(fam, t) == want
+        violating += bool(want)
+    assert violating
+
+
+def test_nonuniform_campaign_solves_each_cell_once(monkeypatch):
+    from ekrmatch import harness
+
+    real, calls = harness.extremal, []
+
+    def counting(parts, sizes, pred, **kw):
+        calls.append((parts, tuple(sizes), str(pred)))
+        return real(parts, sizes, pred, **kw)
+
+    monkeypatch.setattr(harness, "extremal", counting)
+    rep = BUILTIN_CAMPAIGNS["nonuniform"]()
+    assert len(calls) == len(set(calls))
+    row = rep.rows[-1]
+    assert row["case"] == "upward-closure|(3, 3)|R=(1, 2)" and row["outcome"] == "pass"
+    assert row["detail"] == "all 9 maxima are upward closed: True"
+    for workers in (1, 2):
+        again = BUILTIN_CAMPAIGNS["nonuniform"](workers=workers)
+        assert again.to_doc()["rows"] == rep.to_doc()["rows"]
+
+
+def test_nonuniform_campaign_keeps_its_budget_abort():
+    with pytest.raises(NodeBudgetExceeded):
+        BUILTIN_CAMPAIGNS["nonuniform"](caps={"node_budget": 2})
 
 
 def test_lemma1_suite_clean():

@@ -96,6 +96,26 @@ def test_relabelling_generators_are_graph_automorphisms(parts, r, kind):
     assert sorted(_orbit_closure([1], flat, len(universe))) == [1 << v for v in range(len(universe))]
 
 
+UNION = [((3, 3), (1, 2)), ((4,), (0, 1, 2, 3, 4)), ((2, 3), (0, 1, 2)), ((3, 3, 3), (1, 2))]
+
+
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("parts,sizes", UNION, ids=[f"{p}-R{s}" for p, s in UNION])
+def test_relabellings_map_union_rows_onto_themselves(parts, sizes, kind, t):
+    # the premise of the proof phase's roots: the orbits are exactly the edge-count levels
+    universe = enumerate_union_universe(parts, sizes)
+    rows = build_compat_graph(universe, Predicate(kind, t)).rows
+    flat = [perm for part in relabelling_generators(universe) for perm in part]
+    for perm in flat:
+        assert sorted(perm) == list(range(len(universe)))
+        assert maps_rows_onto_themselves(rows, perm)
+    ends = sorted(universe.level_offsets.values()) + [len(universe)]
+    for lo, hi in zip(ends, ends[1:]):
+        orbit = _orbit_closure([1 << lo], flat, len(universe))
+        assert sorted(orbit) == [1 << v for v in range(lo, hi)]
+
+
 @pytest.mark.parametrize("kind", PREDICATE_KINDS)
 def test_uniform_rows_equal_pairwise_oracle(kind):
     universe = enumerate_universe((2, 3, 3), 2)
