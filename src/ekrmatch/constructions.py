@@ -24,7 +24,7 @@ from .predicates import (
     ambiguous_box_params,
     box_star_bits,
     degenerate_star_params,
-    postings,
+    signature_bits,
 )
 
 
@@ -45,10 +45,7 @@ def t_star(universe: Universe, centre) -> Family:
     t = len(centre)
     if t < 1 or t > max(universe.sizes):
         raise ValueError(f"centre of {t} edges cannot sit inside matchings of sizes {universe.sizes}")
-    edge_stars = postings(universe, Predicate("intersecting", 1))[0]
-    bits = -1
-    for e in centre:
-        bits &= edge_stars.get((e,), 0)
+    bits = signature_bits(universe, Predicate("intersecting", t), 0, centre)
     return Family(universe, bits, _param_notes(universe, t))
 
 

@@ -62,9 +62,9 @@ from .predicates import (
     family_satisfies,
     intersects_t,
     is_full_pair_star,
-    postings,
     projection_family,
     set_intersects_t,
+    signature_bits,
     weakly_intersects_t,
 )
 from .search import (
@@ -223,7 +223,7 @@ def _run_bound_cell(args):
         if len(cell.parts) <= 2:
             # weak and plain predicates coincide at k <= 2: the twin row must
             # duplicate this row, checked at the adjacency level
-            universe = enumerate_union_universe(cell.parts, cell.sizes, caps["universe_cap"])
+            universe = rep.witness.universe
             g_plain = build_compat_graph(universe, cell.pred, caps["graph_cap"])
             g_weak = build_compat_graph(universe, weak_pred, caps["graph_cap"])
             same = g_plain.rows == g_weak.rows
@@ -408,9 +408,10 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
 
 def centre_system_bits(universe, t: int, system) -> int:
     """The matchings whose pair projections contain the system's centres, pairs (i < j) in order."""
+    pred = Predicate("weakly-intersecting", t)
     bits = (1 << len(universe)) - 1
-    for comp, centre in zip(postings(universe, Predicate("weakly-intersecting", t)), system):
-        bits &= comp.get(centre, 0)
+    for component, centre in enumerate(system):
+        bits &= signature_bits(universe, pred, component, centre)
     return bits
 
 

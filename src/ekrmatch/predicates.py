@@ -18,8 +18,9 @@ rows.
 Every notion asks the same thing of two matchings: a common t-signature in
 every component.  `signatures` states this once for the fast paths (graph
 rows, star recognition and the star constructions), through the per-universe
-index that `postings` builds; the pairwise functions below stay as the
-independent oracle.
+index that `postings` builds or one entry of it that `signature_bits` reads
+off the edge postings; the pairwise functions below stay as the independent
+oracle.
 """
 
 from __future__ import annotations
@@ -155,28 +156,86 @@ def signatures(m, pred: Predicate, k: int) -> tuple:
     return tuple(tuple(combinations(view, pred.t)) for view in views)
 
 
+def signature_index(universe, pred: Predicate, indices) -> tuple:
+    """Per component, a dict from each signature to the bitset of the listed items having it."""
+    items, k = universe.items, universe.k
+    # the empty matching has every component, each without signatures
+    index = tuple({} for _ in signatures((), pred, k))
+    for idx in indices:
+        bit = 1 << idx
+        for comp, sigs in zip(index, signatures(items[idx], pred, k)):
+            for s in sigs:
+                comp[s] = comp.get(s, 0) | bit
+    return index
+
+
 def postings(universe, pred: Predicate) -> tuple:
     """Per component, a dict from each signature to the bitset of the matchings having it.
 
-    The t-star of a centre C is ``postings(u, intersecting:t)[0][C]``, which
-    equals the AND of its edges' entries in ``postings(u, intersecting:1)``;
-    `constructions.t_star` reads the latter.  The t-set-star of a box B is
-    ``postings(u, set-intersecting:t)[0][B]``, but `box_star_bits` reads it
-    from the edge postings, so the box index serves graph rows only.  The
-    index is memoised on the universe.
+    `signature_bits` reads one entry off the edge postings,
+    ``postings(u, intersecting:1)``, without the whole index; the star
+    constructions, the weak centre systems and the row of vertex 0 in a
+    transitive graph read their entries that way.  The index is memoised on
+    the universe.
     """
-    k = universe.k
     index = universe.postings_memo.get(pred)
     if index is None:
-        # the empty matching has every component, each without signatures
-        index = tuple({} for _ in signatures((), pred, k))
-        for idx, m in enumerate(universe.items):
-            bit = 1 << idx
-            for comp, sigs in zip(index, signatures(m, pred, k)):
-                for s in sigs:
-                    comp[s] = comp.get(s, 0) | bit
-        universe.postings_memo[pred] = index
+        index = universe.postings_memo[pred] = signature_index(universe, pred, range(len(universe)))
     return index
+
+
+def _units(universe, weak: bool) -> tuple:
+    """Per component, a dict from each unit to the bitset of the matchings holding it.
+
+    A unit is an edge for the plain kinds and a projected pair for the weak
+    ones (pairs (i < j) in order), where a matching holds the pair (a, b) on
+    parts (i, j) when one of its edges has coordinates a and b there.  Both
+    come from the edge postings and are memoised on the universe.
+    """
+    key = ("units", weak)
+    units = universe.postings_memo.get(key)
+    if units is None:
+        edge_stars = postings(universe, Predicate("intersecting", 1))[0]
+        if weak:
+            k = universe.k
+            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+            units = tuple({} for _ in pairs)
+            for (e,), bits in edge_stars.items():
+                for comp, (i, j) in zip(units, pairs):
+                    pair = (e[i], e[j])
+                    comp[pair] = comp.get(pair, 0) | bits
+        else:
+            units = ({e: bits for (e,), bits in edge_stars.items()},)
+        universe.postings_memo[key] = units
+    return units
+
+
+def signature_bits(universe, pred: Predicate, component: int, signature) -> int:
+    """The matchings having `signature` in `component`: ``postings(universe, pred)[component][signature]``.
+
+    It is read off the edge postings alone.  A signature of the intersecting
+    kinds is t distinct units, held together exactly by the matchings in the
+    AND of their postings.  A box of per-part t-sets holds t units of a
+    matching exactly when they form a perfect matching of the box, since t
+    units inside it cover every side; so its entry is the OR, over the box's
+    t!^(k-1) perfect matchings, of the AND of their units.  A matching with
+    fewer than t units holds no signature either way.
+    """
+    units = _units(universe, pred.is_weak and universe.k > 1)[component]
+    everything = (1 << len(universe)) - 1
+    if not pred.is_set:
+        bits = everything
+        for unit in signature:
+            bits &= units.get(unit, 0)
+        return bits
+    first, *rest = (sorted(side) for side in signature)
+    bits = 0
+    for cols in product(*map(permutations, rest)):
+        hit = everything
+        for unit in zip(first, *cols):
+            hit &= units.get(unit, 0)
+        bits |= hit
+    return bits
 
 
 def family_satisfies(fam: Family, pred: Predicate) -> bool:
@@ -248,22 +307,8 @@ def _star_centres(fam: Family, t: int) -> tuple:
 
 
 def box_star_bits(universe, box) -> int:
-    """The matchings of the universe with exactly t edges inside a box of per-part t-sets.
-
-    t edges inside the box cover every side, so they form a perfect matching
-    of the box: the set-star is the OR, over the box's t!^(k-1) perfect
-    matchings, of the AND of their edge postings.
-    """
-    edge_stars = postings(universe, Predicate("intersecting", 1))[0]
-    first, *rest = (sorted(side) for side in box)
-    everything = (1 << len(universe)) - 1
-    bits = 0
-    for cols in product(*map(permutations, rest)):
-        hit = everything
-        for e in zip(first, *cols):
-            hit &= edge_stars.get((e,), 0)
-        bits |= hit
-    return bits
+    """The matchings of the universe with exactly t edges inside a box of per-part t-sets."""
+    return signature_bits(universe, Predicate("set-intersecting", len(box[0])), 0, box)
 
 
 def _set_star_boxes(fam: Family, t: int) -> tuple:

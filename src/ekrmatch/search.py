@@ -29,6 +29,19 @@ root 0.  With a seed clique, nothing beats the seed in either search and the
 seed stays the witness.  Only the node count shrinks.  Graphs built by hand
 and union universes (several edge counts, not transitive) search every root.
 
+The root-0 searches read only the rows of N[0], masked to N[0], so a
+transitive graph builds no other row (`_root_rows`).  Every read of a row
+nadj[v] in `_expand`, `_colour_order`, `_renumber_order` and `_prove` is
+ANDed with a candidate set, and every candidate set lies inside N(0): the
+root's is nadj[0], and each child's is its parent's ANDed with a row.  So
+rows masked to N[0] give the same colourings, the same depth-first tree,
+the same witness and node count, and the same maxima through vertex 0.
+Row 0 is read off the edge postings (`predicates.signature_bits`), and the
+rows of N(0) from a signature index over N[0] alone, or from the whole
+index where the universe holds it already (as for intersecting:1, whose
+index is the edge postings).  Such a graph builds its full rows only when
+they are read, through `CompatGraph.rows`.
+
 All maxima of a transitive graph come the same way: the kernel lists the m0
 maxima through vertex 0 from the root (0, 0, nadj[0]), and a breadth-first
 search closes that list under generators of the group (per part the swap
@@ -98,7 +111,7 @@ from .matchings import (
     enumerate_union_universe,
     relabelling_generators,
 )
-from .predicates import Predicate, classify_star, postings, signatures
+from .predicates import Predicate, classify_star, postings, signature_bits, signature_index, signatures
 
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
@@ -144,17 +157,26 @@ class InternalCheckError(RuntimeError):
 
 
 class CompatGraph:
-    __slots__ = ("universe", "pred", "rows", "symmetric")
+    __slots__ = ("universe", "pred", "symmetric", "_full_rows", "_root_rows")
 
     def __init__(self, universe: Universe, pred: Predicate, rows, symmetric: bool = False):
         self.universe = universe
         self.pred = pred
-        self.rows = rows
         self.symmetric = symmetric  # rows from the whole universe: invariant under the part relabellings
+        self._full_rows = rows  # None: built from the postings on first read of `rows`
+        self._root_rows = None  # the root-0 search's rows of a transitive graph, once built
+
+    @property
+    def rows(self) -> list:
+        """Adjacency bit-rows with the diagonal set."""
+        if self._full_rows is None:
+            universe, pred = self.universe, self.pred
+            self._full_rows = _rows(universe, pred, postings(universe, pred), range(len(universe)))
+        return self._full_rows
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.universe) if self._full_rows is None else len(self._full_rows)
 
     @property
     def transitive(self) -> bool:
@@ -169,11 +191,11 @@ class CompatGraph:
 # graph construction
 
 
-def _rows(universe: Universe, pred: Predicate, index, lo: int, hi: int) -> list:
-    """Rows lo..hi-1: per component the OR of the vertex's postings, ANDed, plus the diagonal."""
+def _rows(universe: Universe, pred: Predicate, index, vertices) -> list:
+    """The vertices' rows: per component the OR of the vertex's postings, ANDed, plus the diagonal."""
     items, k = universe.items, universe.k
     out = []
-    for u in range(lo, hi):
+    for u in vertices:
         row = -1
         for comp, sigs in zip(index, signatures(items[u], pred, k)):
             hit = 0
@@ -194,7 +216,7 @@ def _init_build(universe, pred, index):
 
 def _build_row_block(block):
     lo, hi = block
-    return lo, _rows(*_BUILD_CTX, lo, hi)
+    return lo, _rows(*_BUILD_CTX, range(lo, hi))
 
 
 def build_compat_graph(
@@ -203,12 +225,18 @@ def build_compat_graph(
     cap: int = DEFAULT_GRAPH_CAP,
     workers: int = 1,
 ) -> CompatGraph:
-    """Adjacency bit-rows under the pairwise predicate; diagonal bits are set."""
+    """Adjacency bit-rows under the pairwise predicate; diagonal bits are set.
+
+    A uniform universe gives a transitive graph, whose rows are built on
+    first read: its searches read only the rows of N[0] (`_root_rows`).
+    """
     n = len(universe)
     if n > cap:
         raise GraphTooLargeError(n, cap)
-    index = postings(universe, pred)
-    if workers > 1 and n >= 64:
+    if len(universe.sizes) == 1:
+        rows = None
+    elif workers > 1 and n >= 64:
+        index = postings(universe, pred)
         step = -(-n // (workers * 4))
         blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         rows = [0] * n
@@ -217,7 +245,7 @@ def build_compat_graph(
             for lo, block_rows in pool.map(_build_row_block, blocks):
                 rows[lo : lo + len(block_rows)] = block_rows
     else:
-        rows = _rows(universe, pred, index, 0, n)
+        rows = _rows(universe, pred, postings(universe, pred), range(n))
     return CompatGraph(universe, pred, rows, symmetric=True)
 
 
@@ -245,6 +273,39 @@ def _neighbour_rows(graph: CompatGraph) -> list:
     n = graph.n
     sys.setrecursionlimit(max(sys.getrecursionlimit(), n + 512))
     return [graph.rows[v] & ~(1 << v) for v in range(n)]
+
+
+def _root_rows(graph: CompatGraph) -> list:
+    """The neighbour rows of a transitive graph that the root-0 search reads, masked to N[0].
+
+    Row 0 is read off the edge postings, then a signature index over N[0]
+    alone gives the rows of N(0), unless the universe already holds the
+    whole index; every other row is 0.  The search reads these rows only
+    inside N(0), so its bits are those of the full rows (module docstring).
+    Built once per graph.
+    """
+    if graph._root_rows is None:
+        universe, pred = graph.universe, graph.pred
+        row0 = -1
+        for component, sigs in enumerate(signatures(universe.items[0], pred, universe.k)):
+            hit = 0
+            for s in sigs:
+                hit |= signature_bits(universe, pred, component, s)
+            row0 &= hit
+        closed = row0 | 1
+        members, rest = [], closed
+        while rest:
+            low = rest & -rest
+            members.append(low.bit_length() - 1)
+            rest ^= low
+        # row 0 built the edge postings, the whole index of intersecting:1
+        index = universe.postings_memo.get(pred) or signature_index(universe, pred, members)
+        nadj = [0] * len(universe)
+        for v, row in zip(members, _rows(universe, pred, index, members)):
+            nadj[v] = row & closed & ~(1 << v)
+        sys.setrecursionlimit(max(sys.getrecursionlimit(), len(members) + 512))
+        graph._root_rows = nadj
+    return graph._root_rows
 
 
 def _colour_order(pmask: int, nadj):
@@ -490,15 +551,16 @@ def max_clique(
     and a transitive one searches root 0 alone, serially (module docstring).
     The node count is the sum over all phases.
     """
-    nadj = _neighbour_rows(graph)
     state = _SearchState(budget=node_budget)
     if seed is not None:
         if seed.universe.key != graph.universe.key:
             raise ValueError("seed family lives in a different universe")
         state.best, state.witness = len(seed), seed.bits
     if graph.transitive:
+        nadj = _root_rows(graph)
         roots, workers = [(0, 0, nadj[0])], 1
     else:
+        nadj = _neighbour_rows(graph)
         roots = _root_subproblems(nadj, graph.n)
     universe = graph.universe
     star = star_formula_value(universe.parts, universe.sizes, graph.pred) if graph.symmetric else 0
@@ -572,9 +634,9 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
     """
     if size < 1:
         raise ValueError("clique size must be positive")
-    nadj = _neighbour_rows(graph)
     state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
     if graph.transitive:
+        nadj = _root_rows(graph)
         _search_roots(nadj, [(0, 0, nadj[0])], state)
         generators = [g for part in relabelling_generators(graph.universe) for g in part]
         found = _orbit_closure(state.found, generators, cap)
@@ -585,6 +647,7 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
                 f"{graph.n * len(state.found) / size}"
             )
     else:
+        nadj = _neighbour_rows(graph)
         _search_roots(nadj, _root_subproblems(nadj, graph.n), state)
         found = state.found
     return sorted((Family(graph.universe, bits) for bits in found), key=Family.indices)

@@ -228,6 +228,20 @@ def test_bound_campaign_uniqueness_and_twins():
     assert rep.rows[1]["max_size"] == rep.rows[0]["max_size"]
 
 
+def test_weak_twin_at_k2_reads_the_universe_extremal_built(monkeypatch):
+    from ekrmatch import harness
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("the universe was enumerated again")
+
+    monkeypatch.setattr(harness, "enumerate_union_universe", no_enumeration)
+    cells = [BoundCell((3, 3), (2,), Predicate("intersecting", 1), "assert-uniqueness", weak_twin=True),
+             BoundCell((3, 3), (1, 2), Predicate("intersecting", 1), "assert-uniqueness", weak_twin=True)]
+    rep = run_bound_campaign("demo", cells)
+    assert [row["case"].endswith("weak-twin") for row in rep.rows] == [False, True, False, True]
+    assert rep.ok
+
+
 def test_bound_campaign_records_cap_errors_per_row():
     cells = [BoundCell((3, 3), (2,), Predicate("intersecting", 1))]
     rep = run_bound_campaign("demo", cells, caps={"universe_cap": 5})

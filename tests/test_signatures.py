@@ -13,6 +13,7 @@ from ekrmatch.predicates import (
     edges_in_box,
     pair_checker,
     postings,
+    signature_bits,
     signatures,
 )
 from ekrmatch.search import build_compat_graph
@@ -120,6 +121,20 @@ def test_box_star_bits_equal_brute_scan(parts, sizes, t):
         want = sum(1 << idx for idx, m in enumerate(universe.items)
                    if len(m) >= t and edges_in_box(m, box) == t)
         assert box_star_bits(universe, box) == want
+
+
+@pytest.mark.parametrize("parts,sizes", BOX_UNIVERSES)
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+def test_signature_bits_equal_posting_entries(parts, sizes, t, kind):
+    universe = enumerate_union_universe(parts, sizes)
+    pred = Predicate(kind, t)
+    index = postings(universe, pred)
+    assert len(index) == (3 if pred.is_weak and len(parts) == 3 else 1)
+    assert any(index) == (t <= max(sizes))
+    for component, entries in enumerate(index):
+        for signature, bits in entries.items():
+            assert signature_bits(universe, pred, component, signature) == bits
 
 
 def test_t_set_star_errors_unchanged():

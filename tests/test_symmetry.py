@@ -226,3 +226,82 @@ def test_kind_tally_catches_a_kind_that_depends_on_vertex_zero(monkeypatch):
     monkeypatch.setattr(search, "classify_star", fake)
     with pytest.raises(InternalCheckError, match="kind"):
         extremal((3, 3), (2,), Predicate("intersecting", 1), all_maxima=True)
+
+
+# cells where t > r: item 0 has no signature, so N[0] = {0}
+LONE_CELLS = [
+    ((4, 4), 2, Predicate("intersecting", 3)),
+    ((4, 4, 4), 2, Predicate("weakly-set-intersecting", 3)),
+]
+ROOT_ROW_CELLS = CLOSURE_CELLS + LONE_CELLS
+
+
+@pytest.mark.parametrize("parts,r,pred", ROOT_ROW_CELLS,
+                         ids=[f"{p}-r{r}-{pred}" for p, r, pred in ROOT_ROW_CELLS])
+def test_root_rows_are_full_rows_masked_to_the_closed_neighbourhood(parts, r, pred):
+    graph = build_compat_graph(enumerate_universe(parts, r), pred)
+    got = search._root_rows(graph)
+    rows = graph.rows
+    assert len(got) == graph.n == len(rows)
+    for v in range(graph.n):
+        assert got[v] == (rows[v] & rows[0] & ~(1 << v) if rows[0] >> v & 1 else 0)
+    if pred.t > r:
+        assert rows[0] == 1 and not any(got)
+
+
+@pytest.mark.parametrize("parts,r,pred", ROOT_ROW_CELLS,
+                         ids=[f"{p}-r{r}-{pred}" for p, r, pred in ROOT_ROW_CELLS])
+def test_searches_on_root_rows_equal_searches_on_full_rows(parts, r, pred, monkeypatch):
+    universe = enumerate_universe(parts, r)
+    seeds = [None] + ([star_seed(universe, pred)] if pred.t <= r else [])
+
+    def answers():
+        graph = build_compat_graph(universe, pred)
+        out = []
+        for seed in seeds:
+            for workers in (1, 2):
+                size, witness, nodes = max_clique(graph, workers=workers, seed=seed)
+                out.append((size, witness.bits, nodes))
+        out.append([f.bits for f in all_max_cliques(graph, out[0][0])])
+        return out
+
+    got = answers()
+    # the same marked graph, searched on its full rows as before the root rows existed
+    monkeypatch.setattr(search, "_root_rows", _neighbour_rows)
+    assert got == answers()
+
+
+def test_transitive_cell_builds_no_full_rows_weak_index_or_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    built, real_build = [], search.build_compat_graph
+
+    def recording(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(search, "get_context", no_pool)
+    monkeypatch.setattr(search, "build_compat_graph", recording)
+    universe = enumerate_universe((4, 4, 4), 3)
+    pred = Predicate("weakly-intersecting", 1)
+    rep = extremal((4, 4, 4), (3,), pred, workers=2, universe=universe)
+    assert rep.max_size == 108
+    assert pred not in universe.postings_memo
+    [graph] = built
+    assert graph._full_rows is None and graph.n == 2304
+    assert search._root_rows(graph) is search._root_rows(graph)
+
+
+def test_union_universe_builds_rows_eagerly(monkeypatch):
+    universe = enumerate_union_universe((3, 3, 3), (1, 2))
+    pred = Predicate("weakly-intersecting", 1)
+    graph = build_compat_graph(universe, pred)
+    assert graph._full_rows is not None and graph.n == len(universe) == 135
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(search, "get_context", no_pool)
+    with pytest.raises(AssertionError, match="worker pool"):
+        build_compat_graph(universe, pred, workers=2)
