@@ -9,6 +9,7 @@ one or more edge counts; a Family is a bit-vector over one Universe.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
+from operator import getitem
 
 from .counts import count_matchings, validate_parts
 
@@ -144,6 +145,58 @@ def relabelling_generators(universe: Universe) -> tuple:
                 perms.append([index[tuple(map(image, m))] for m in items])
         out.append(tuple(perms))
     return tuple(out)
+
+
+def clique_atoms(universe: Universe, members: int) -> tuple | None:
+    """Per part, each vertex's atom, named by its lowest vertex, under the members (a bitset of indices).
+
+    Vertices x and y of part i share an atom when every member either misses
+    both or has edges through both that agree outside part i.  Permuting a
+    part's vertices inside their atoms fixes every member, and these
+    permutations form the clique's atom group: at k = 1 the Venn-atom group,
+    at k >= 2, where an edge's other coordinates tell its vertices apart, the
+    symmetric group on each part's vertices that no member uses.  Returns
+    None when every atom is a singleton, that is, when the group is trivial.
+    """
+    items = universe.items
+    ms = []
+    while members:
+        low = members & -members
+        ms.append(items[low.bit_length() - 1])
+        members ^= low
+    out, trivial = [], True
+    for i, n in enumerate(universe.parts):
+        through = [{e[i]: e[:i] + e[i + 1 :] for e in m} for m in ms]
+        first, atom = {}, [0] * (n + 1)
+        for x in range(1, n + 1):
+            atom[x] = first.setdefault(tuple(t.get(x) for t in through), x)
+        trivial = trivial and len(first) == n
+        out.append(atom)
+    return None if trivial else tuple(out)
+
+
+def atom_orbits(universe: Universe, atoms: tuple, candidates: int) -> dict:
+    """Each candidate index's orbit under the atom group of `clique_atoms`, as a bitset of candidates.
+
+    Two matchings share an orbit exactly when their sorted tuples of per-edge
+    atom labels are equal: matching the edges label by label gives, per part,
+    an injection inside the atoms, which extends to a permutation of each atom.
+    """
+    items = universe.items
+    if len(atoms) == 1:  # k = 1: an edge's label is its vertex's atom
+        atom = atoms[0]
+        labels = lambda m: [atom[x] for (x,) in m]
+    else:
+        labels = lambda m: [tuple(map(getitem, atoms, e)) for e in m]
+    keys, classes = {}, {}
+    rest = candidates
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        key = keys[v] = tuple(sorted(labels(items[v])))
+        classes[key] = classes.get(key, 0) | low
+    return {v: classes[key] for v, key in keys.items()}
 
 
 def enumerate_union_universe(parts, sizes, cap: int = DEFAULT_UNIVERSE_CAP) -> Universe:

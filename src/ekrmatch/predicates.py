@@ -302,8 +302,9 @@ def _star_centres(fam: Family, t: int) -> tuple:
         common &= set(m)
         if len(common) < t:
             return ()
-    stars = postings(fam.universe, Predicate("intersecting", t))[0]
-    return tuple(c for c in combinations(sorted(common), t) if stars[c] == fam.bits)
+    # each centre's star is read off the edge postings, without the intersecting:t index
+    pred, u = Predicate("intersecting", t), fam.universe
+    return tuple(c for c in combinations(sorted(common), t) if signature_bits(u, pred, 0, c) == fam.bits)
 
 
 def box_star_bits(universe, box) -> int:

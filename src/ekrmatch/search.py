@@ -94,6 +94,29 @@ sum.  With workers on a union universe the witness phase gives each chunk of
 roots the same stop; a chunk runs the serial search of its roots until it
 stops, so the earliest root position to reach the stop holds the serial
 witness.  The proof runs serially.
+
+The proof branches on orbits (Ostrowski, Linderoth, Rossi and Smriglio,
+*Orbital branching*, Math. Prog. 2011).  At a node whose clique C has at
+most ORBIT_DEPTH members, once the search under a candidate v returns, v's
+whole orbit under G_C leaves the candidate set, not v alone, and a later
+candidate that has already left is skipped.  G_C is the clique's atom group
+(`matchings.clique_atoms`): the per-part relabellings that permute each
+part's vertices only inside the atoms of C, where two vertices of a part
+share an atom when every member of C misses both or has edges through both
+that agree in the other parts.  Every element of G_C fixes each member of C
+and, the graph being symmetric, preserves its rows.  G_C also maps the
+candidate set onto itself, by induction: a root's set, its later neighbours,
+is kept by every relabelling that fixes the root; the atoms of C + v refine
+those of C, so G_{C+v} lies inside G_C, fixes v and keeps the child's set,
+the parent's ANDed with v's row; and only whole orbits ever leave a set.  So
+a clique through an orbit-mate u of v has an image through v, of the same
+size, inside the set that the search under v covered.  The Re-NUMBER colours
+stay upper bounds, since candidates only leave.  The orbits are keyed by the
+sorted tuples of per-edge atom labels (`matchings.atom_orbits`).  They are
+computed once per node, only when a second branch is due, and not at all
+when every atom is a singleton, as for perfect matchings at k >= 2.  The
+proof keeps no witness and proves the same size, so only its node count
+changes.
 """
 
 from __future__ import annotations
@@ -108,6 +131,8 @@ from .matchings import (
     DEFAULT_UNIVERSE_CAP,
     Family,
     Universe,
+    atom_orbits,
+    clique_atoms,
     enumerate_union_universe,
     relabelling_generators,
 )
@@ -116,6 +141,7 @@ from .predicates import Predicate, classify_star, postings, signature_bits, sign
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_MAXIMA_CAP = 10**5
+ORBIT_DEPTH = 4  # the proof branches on whole orbits at nodes of at most this many clique members
 
 
 class GraphTooLargeError(ValueError):
@@ -262,6 +288,7 @@ class _SearchState:
     found: list | None = None
     cap: int = 0
     stop: int | None = None  # the witness phase ends at its first clique this large
+    relabel: Universe | None = None  # the proof's universe, whose part relabellings fix the graph
 
 
 class _Stopped(Exception):
@@ -506,32 +533,52 @@ def _renumber_order(pmask: int, nadj, kmin: int):
     return order, [c + kmin for c in colours]
 
 
-def _prove(nadj, pmask: int, rsize: int, state: _SearchState):
-    """Raise state.best to the largest clique size under this node; no witness is kept."""
+def _prove(nadj, pmask: int, rsize: int, state: _SearchState, rbits: int = 0):
+    """Raise state.best to the largest clique size under this node; no witness is kept.
+
+    With state.relabel set, rbits holds the node's clique, and at nodes of at
+    most ORBIT_DEPTH members each branched vertex takes its whole orbit under
+    the clique's atom group out of the candidates (module docstring).
+    """
     state.nodes += 1
     if state.nodes > state.budget:
         raise NodeBudgetExceeded(state.nodes, state.budget)
     order, colours = _renumber_order(pmask, nadj, max(state.best - rsize, 0))
+    universe = state.relabel if rsize <= ORBIT_DEPTH else None
+    # each candidate's orbit once a second branch is due, {} for a trivial group; till then the first branch
+    orbit = first = None
     for idx in range(len(order) - 1, -1, -1):
         if rsize + colours[idx] <= state.best:
             return
         v = order[idx]
+        if first is not None:
+            atoms = clique_atoms(universe, rbits)
+            orbit = atom_orbits(universe, atoms, pmask | 1 << first) if atoms else {}
+            pmask &= ~orbit.get(first, 0)
+            first = None
+        if not pmask >> v & 1:  # an earlier branch's orbit took it
+            continue
+        vbit = 1 << v
         newp = pmask & nadj[v]
         if newp:
-            _prove(nadj, newp, rsize + 1, state)
+            _prove(nadj, newp, rsize + 1, state, rbits | vbit)
         elif rsize + 1 > state.best:
             state.best = rsize + 1
-        pmask ^= 1 << v
+        pmask ^= vbit
+        if orbit:
+            pmask &= ~orbit[v]
+        elif orbit is None and universe is not None:
+            first = v
 
 
 def _proof_roots(graph: CompatGraph, nadj):
-    """Candidates of one root per edge-count level: its lowest index v and v's later neighbours.
+    """One root per edge-count level, its lowest index v, with v's later neighbours as candidates.
 
     The part relabellings act transitively on each level, and a clique whose
     lowest level is i has an image through root i that avoids earlier levels.
     A transitive graph has the single root 0, with candidates nadj[0].
     """
-    return [nadj[v] >> v << v for v in sorted(graph.universe.level_offsets.values())]
+    return [(v, nadj[v] >> v << v) for v in sorted(graph.universe.level_offsets.values())]
 
 
 def max_clique(
@@ -571,9 +618,10 @@ def max_clique(
     if state.best < star:  # a star is a clique of size star
         _witness_phase(nadj, roots, state, workers, star)
     size, witness = state.best, state.witness
-    for pmask in _proof_roots(graph, nadj):
+    state.relabel = universe
+    for v, pmask in _proof_roots(graph, nadj):
         if pmask:
-            _prove(nadj, pmask, 1, state)
+            _prove(nadj, pmask, 1, state, 1 << v)
         elif state.best < 1:
             state.best = 1
     if state.best > size:  # EXCEEDS: the first clique of the proof's size is the witness

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from ekrmatch.predicates import (
     weakly_intersects_t,
     weakly_set_intersects_t,
 )
+from ekrmatch.search import extremal
 from helpers import oracle_set_intersects
 
 PAPER_P = ((1, 1, 1), (2, 2, 2), (3, 3, 3))
@@ -266,3 +268,37 @@ def test_full_size_setintersecting_projection_check():
     fam = t_set_star(u, ((1, 2), (1, 2)))
     assert len(fam) == t_set_star_size((4, 4), 3, 2)
     assert classify_star(fam, 2).kind == "t-set-star"
+
+
+def brute_star_centres(fam, t):
+    """Every t-edge set whose star, found by scanning the universe, is the family."""
+    items = fam.universe.items
+    edges = sorted(set.intersection(*(set(m) for m in fam.members())))  # a centre lies in every member
+    return tuple(c for c in combinations(edges, t)
+                 if sum(1 << v for v, m in enumerate(items) if set(c) <= set(m)) == fam.bits)
+
+
+STAR_CELLS = [((5, 5), (4,), 2), ((2, 2), (2,), 1), ((6,), (3,), 2), ((3, 3), (1, 2, 3), 1),
+              ((3, 3, 3), (2,), 1)]
+
+
+@pytest.mark.parametrize("parts,sizes,t", STAR_CELLS, ids=[f"{p}-R{s}-t{t}" for p, s, t in STAR_CELLS])
+def test_star_centres_equal_a_universe_scan(parts, sizes, t):
+    u = enumerate_union_universe(parts, sizes)
+    edges = sorted({e for m in u.items for e in m})
+    centres = [c for c in combinations(edges, t)
+               if all(len({e[i] for e in c}) == t for i in range(len(parts)))]
+    fams = [t_star(u, c) for c in centres]
+    fams += [Family.from_indices(u, f.indices()[:-1]) for f in fams if len(f) > 1]
+    for fam in fams:
+        cls = classify_star(fam, t)
+        assert (cls.centres if cls.kind == "t-star" else ()) == brute_star_centres(fam, t)
+
+
+def test_all_maxima_build_no_t_intersecting_index():
+    u = enumerate_universe((5, 5), 4)
+    rep = extremal((5, 5), (4,), Predicate("intersecting", 2), all_maxima=True, universe=u)
+    assert rep.maxima_kinds == {"t-star": rep.maxima_count}
+    assert Predicate("intersecting", 2) not in u.postings_memo
+    for fam, cls in zip(rep.maxima, rep.classifications):
+        assert cls.centres == brute_star_centres(fam, 2)

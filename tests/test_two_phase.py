@@ -212,4 +212,11 @@ def test_frontier_cell_closes_in_few_nodes():
     graph = build_compat_graph(enumerate_universe((9,), 4), Predicate("intersecting", 1))
     size, _, nodes = max_clique(graph)
     assert size == 56
-    assert nodes < 2_000
+    assert nodes < 400  # 879 without orbital branching in the proof
+
+
+def test_deep_cell_closes_in_few_nodes():
+    graph = build_compat_graph(enumerate_universe((10,), 4), Predicate("intersecting", 1))
+    size, _, nodes = max_clique(graph)
+    assert size == 84
+    assert nodes < 150  # 380 without orbital branching in the proof
