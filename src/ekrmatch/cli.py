@@ -239,10 +239,7 @@ def cmd_verify(args, record_only: bool = False) -> int:
         print(f"[{row['outcome']:>9}] {row['campaign']}/{row['case']}: {row['detail']}")
     print(report.summary())
     if args.out:
-        rows = report.rows
-        if not args.timings:
-            rows = [{k: v for k, v in row.items() if k != "elapsed_s"} for row in rows]
-        write_report_csv(rows, args.out + ".csv", include_timings=args.timings)
+        write_report_csv(report.rows, args.out + ".csv", include_timings=args.timings)
         write_report_json(doc, args.out + ".json")
     if not report.ok and not record_only:
         return EXIT_ASSERTION

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice, product
 from multiprocessing import get_context
 
@@ -68,6 +68,7 @@ from .predicates import (
     weakly_intersects_t,
 )
 from .search import (
+    DEFAULT_GRAPH_CAP,
     DEFAULT_MAXIMA_CAP,
     DEFAULT_NODE_BUDGET,
     GraphTooLargeError,
@@ -173,16 +174,7 @@ def _run_bound_cell(args):
     case = f"{idx:02d}:{cell.parts}|r={','.join(map(str, cell.sizes))}|{cell.pred}"
     rows, witnesses = [], {}
     try:
-        rep = extremal(
-            cell.parts,
-            cell.sizes,
-            cell.pred,
-            universe_cap=caps["universe_cap"],
-            graph_cap=caps["graph_cap"],
-            node_budget=caps["node_budget"],
-            all_maxima=cell.all_maxima,
-            maxima_cap=caps["maxima_cap"],
-        )
+        rep = extremal(cell.parts, cell.sizes, cell.pred, all_maxima=cell.all_maxima, **caps)
     except (UniverseTooLargeError, GraphTooLargeError, NodeBudgetExceeded) as exc:
         rows.append(_row(name, case, "skip", detail=f"cap: {exc}", parts=cell.parts,
                          sizes=cell.sizes, predicate=str(cell.pred), expect=cell.expect))
@@ -236,8 +228,7 @@ def _run_bound_cell(args):
                 twin["detail"] = "weak adjacency differs from plain at k<=2"
             rows.append(twin)
         else:
-            twin_cell = BoundCell(cell.parts, cell.sizes, weak_pred, cell.expect,
-                                  cell.all_maxima, False, cell.expect_max, cell.note)
+            twin_cell = replace(cell, pred=weak_pred, weak_twin=False)
             twin_rows, twin_wit, _ = _run_bound_cell((name, idx, twin_cell, caps, False))
             for tr in twin_rows:
                 tr["case"] = tr["case"] + "|weak"
@@ -268,7 +259,7 @@ def run_bound_campaign(name: str, cells, caps=None, workers: int = 1, keep=()) -
 def _default_caps(caps=None) -> dict:
     out = {
         "universe_cap": DEFAULT_UNIVERSE_CAP,
-        "graph_cap": 20_000,
+        "graph_cap": DEFAULT_GRAPH_CAP,
         "node_budget": DEFAULT_NODE_BUDGET,
         "maxima_cap": DEFAULT_MAXIMA_CAP,
     }
@@ -577,8 +568,7 @@ def run_katona_campaign(ns=(4, 5, 6), ts=(1, 2), include_empty: bool = False,
             case = f"n={n}|t={t}"
             bound = katona_bound(n, t)
             pred = Predicate("intersecting", t)
-            rep = extremal((n,), sizes, pred, all_maxima=(t >= 2), node_budget=caps["node_budget"],
-                           maxima_cap=caps["maxima_cap"], universe=universe)
+            rep = extremal((n,), sizes, pred, all_maxima=(t >= 2), universe=universe, **caps)
             value_ok = rep.max_size == bound
             detail = f"parity bound {bound}; star bound {rep.formula_value}"
             outcome = "pass" if value_ok else "fail"
@@ -622,9 +612,7 @@ def run_ak_regime(ns=(5, 6, 7, 8, 9), r: int = 3, t: int = 2, caps=None) -> Camp
         case = f"n={n}|r={r}|t={t}"
         frame_sizes = [ak_family_size(n, r, t, i) for i in range((n - t) // 2 + 1)]
         best_frame = max(frame_sizes)
-        rep = extremal((n,), (r,), Predicate("intersecting", t), all_maxima=True,
-                       universe_cap=caps["universe_cap"], node_budget=caps["node_budget"],
-                       maxima_cap=caps["maxima_cap"])
+        rep = extremal((n,), (r,), Predicate("intersecting", t), all_maxima=True, **caps)
         expect_status = "EXCEEDS_STAR_BOUND" if n < boundary else "MATCHES_STAR_BOUND"
         ok = rep.max_size == best_frame and rep.status == expect_status
         report.rows.append(_row(
@@ -654,8 +642,8 @@ def run_frame_scan(cells=(((3, 3), 2, 1), ((4, 4), 2, 1), ((4, 4), 3, 1),
         n = min(parts)
         frames = [frame_family(universe, t, i) for i in range((n - t) // 2 + 1)]
         frame_sizes = [len(f) for f in frames]
-        rep = extremal(parts, (r,), Predicate("intersecting", t), all_maxima=True,
-                       node_budget=caps["node_budget"], maxima_cap=caps["maxima_cap"], universe=universe)
+        rep = extremal(parts, (r,), Predicate("intersecting", t), all_maxima=True, universe=universe,
+                       **caps)
         consistent = rep.max_size == max(frame_sizes)
         report.rows.append(_row(
             name, case, "record" if consistent else "attention",
@@ -700,8 +688,8 @@ def run_threshold_scan(cells=((4, 5, 2), (4, 6, 2), (4, 6, 1)), caps=None) -> Ca
         depths = range((r - t) // 2 + 1)
         frame_sizes = [len(frame_family(universe, t, i)) for i in depths]
         best_depth = max(depths, key=lambda i: frame_sizes[i])
-        rep = extremal((r, n), (r,), Predicate("intersecting", t), all_maxima=False,
-                       universe=universe, node_budget=caps["node_budget"])
+        rep = extremal((r, n), (r,), Predicate("intersecting", t), all_maxima=False, universe=universe,
+                       **caps)
         agree = frame_sizes[l_star] == max(frame_sizes) and rep.max_size == max(frame_sizes)
         report.rows.append(_row(
             name, case, "record" if agree else "attention",
@@ -915,9 +903,7 @@ def run_nonuniform_campaign(caps=None, workers: int = 1) -> CampaignReport:
     cell = cells[0]
     rep = report.kept.get(0)
     if rep is None:  # the cell hit a cap: solving it again raises that cap's error
-        rep = extremal(cell.parts, cell.sizes, cell.pred, universe_cap=caps["universe_cap"],
-                       graph_cap=caps["graph_cap"], node_budget=caps["node_budget"],
-                       all_maxima=True, maxima_cap=caps["maxima_cap"])
+        rep = extremal(cell.parts, cell.sizes, cell.pred, all_maxima=True, **caps)
     closed = rep.maxima is not None and all(is_upward_closed(f) for f in rep.maxima)
     report.rows.append(_row(
         "nonuniform", f"upward-closure|{cell.parts}|R={cell.sizes}", "pass" if closed else "fail",

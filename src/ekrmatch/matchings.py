@@ -367,9 +367,6 @@ class Family:
     def same_universe(self, other: "Family") -> bool:
         return self.universe is other.universe or self.universe.key == other.universe.key
 
-    def with_annotations(self, *notes: str) -> "Family":
-        return Family(self.universe, self.bits, self.annotations + tuple(notes))
-
     def __eq__(self, other):
         return (
             isinstance(other, Family)

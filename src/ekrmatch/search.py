@@ -61,39 +61,37 @@ the whole list, so it overflows exactly when the full listing would.
 
 A graph from `build_compat_graph` is marked symmetric: its rows come from a
 whole (union) universe, so the part relabellings map them onto themselves.
-Its maximum comes in two phases; a graph built by hand is unmarked and gets
-the single search above.  The witness phase runs that search with the
-incumbent at max(seed size, s - 1), where s is the star bound
-(`star_formula_value`), and stops at the first clique of size at least s.
-A star is a clique of size s, so ending below s is an engine bug.  The
-witness is the full search's.  The colour order depends only on the
-candidate set, so the depth-first tree is fixed, and a branch is pruned only
-when its colour bound is at most the incumbent, that is, when it holds no
-clique larger than the incumbent.  While the incumbent is below the maximum
-w, no branch holding a w-clique is pruned, so every such search reaches the
-same first leaf of size w; that is the full search's witness, which only a
-strictly larger clique could replace.  A seed of size at least s skips the
-phase and stays the witness, as it does in the full search.
+Its maximum comes in two phases, the proof first; a graph built by hand is
+unmarked and gets the single search above.  The proof phase (`_prove`)
+starts from the incumbent max(seed size, s), where s is the star bound
+(`star_formula_value`).  A star is a clique of size s, so nothing is lost
+below it, and the proof ends at the maximum w.  It branches as the kernel
+does but keeps no witness, and it colours by MCS Re-NUMBER (Tomita et al.,
+WALCOM 2010): with kmin = incumbent - depth, the first kmin greedy classes
+are never branched on, and a vertex past them first tries to join one of
+them, directly or by moving its single conflicting neighbour there to a
+later class up to kmin.  It starts from one root per orbit of the
+relabelling group.  The group acts transitively on each edge-count level, so
+the orbits are the levels, and root i is the lowest index of level i with
+its neighbours outside the earlier levels: a clique whose lowest level is i
+has an image through root i, and that image avoids the earlier levels too.
+A transitive graph has the one root (0, nadj[0]).
 
-The proof phase (`_prove`) shows that nothing beats the witness size.  It
-branches as the kernel does but keeps no witness, and it colours by MCS
-Re-NUMBER (Tomita et al., WALCOM 2010): with kmin = incumbent - depth, the
-first kmin greedy classes are never branched on, and a vertex past them
-first tries to join one of them, directly or by moving its single
-conflicting neighbour there to a later class up to kmin.  It starts from one
-root per orbit of the relabelling group.  The group acts transitively on
-each edge-count level, so the orbits are the levels, and root i is the
-lowest index of level i with its neighbours outside the earlier levels: a
-clique whose lowest level is i has an image through root i, and that image
-avoids the earlier levels too.  A transitive graph has the one root
-(0, nadj[0]).  If the proof ends at w' above the witness size (status
-EXCEEDS), the witness phase runs once more, with the incumbent at w' - 1 and
-the stop at w', and by the argument above returns the full search's
-witness.  One node budget bounds all phases, and the node count is their
-sum.  With workers on a union universe the witness phase gives each chunk of
-roots the same stop; a chunk runs the serial search of its roots until it
-stops, so the earliest root position to reach the stop holds the serial
-witness.  The proof runs serially.
+The witness phase then runs the single search once, with the incumbent at
+w - 1, and stops at its first clique of size w; ending below w is an engine
+bug, and so is a star bound above the maximum.  The witness is the full
+search's.  The colour order depends only on the candidate set, so the
+depth-first tree is fixed, and a branch is pruned only when its colour bound
+is at most the incumbent, that is, when it holds no clique larger than the
+incumbent.  While the incumbent is below w, no branch holding a w-clique is
+pruned, so every such search reaches the same first leaf of size w; that is
+the full search's witness, which only a strictly larger clique could
+replace.  A seed of size w skips the phase and stays the witness, as it does
+in the full search.  One node budget bounds both phases, and the node count
+is their sum.  With workers on a union universe the witness phase gives each
+chunk of roots the same stop; a chunk runs the serial search of its roots
+until it stops, so the earliest root position to reach the stop holds the
+serial witness.  The proof runs serially.
 
 The proof branches on orbits (Ostrowski, Linderoth, Rossi and Smriglio,
 *Orbital branching*, Math. Prog. 2011).  At a node whose clique C has at
@@ -208,9 +206,6 @@ class CompatGraph:
     def transitive(self) -> bool:
         """Vertex-transitive: a symmetric graph of one edge count, where root 0 alone finds the maximum."""
         return self.symmetric and len(self.universe.sizes) == 1
-
-    def degree(self, v: int) -> int:
-        return (self.rows[v] & ~(1 << v)).bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +328,15 @@ def _root_rows(graph: CompatGraph) -> list:
         sys.setrecursionlimit(max(sys.getrecursionlimit(), len(members) + 512))
         graph._root_rows = nadj
     return graph._root_rows
+
+
+def _plan(graph: CompatGraph):
+    """(rows, roots) of the search: root 0 alone on a transitive graph, else every root in degeneracy order."""
+    if graph.transitive:
+        nadj = _root_rows(graph)
+        return nadj, [(0, 0, nadj[0])]
+    nadj = _neighbour_rows(graph)
+    return nadj, _root_subproblems(nadj, graph.n)
 
 
 def _colour_order(pmask: int, nadj):
@@ -461,7 +465,7 @@ def _search_with_workers(nadj, roots, state: _SearchState, workers: int):
     the stop, or without a stop the first position of the largest clique,
     holds the serial witness.
     """
-    if workers <= 1:
+    if workers <= 1 or len(roots) == 1:
         _search_roots(nadj, roots, state)
         return
     # strided chunks balance load (early roots carry the larger subtrees)
@@ -593,41 +597,34 @@ def max_clique(
     initial lower bound; when nothing larger exists the seed itself is the
     witness.  Exceeding the node budget raises, never degrades to a wrong
     answer; with workers, the budget bounds the nodes of all workers together.
-    A graph from `build_compat_graph` is solved in two phases, a witness
-    search that stops at the star bound and a proof that nothing is larger,
-    and a transitive one searches root 0 alone, serially (module docstring).
-    The node count is the sum over all phases.
+    A graph from `build_compat_graph` is solved in two phases, a proof of the
+    maximum from the star bound and one witness search that stops at it, and
+    a transitive one searches root 0 alone, serially (module docstring).
+    The node count is the sum over both phases.
     """
     state = _SearchState(budget=node_budget)
     if seed is not None:
         if seed.universe.key != graph.universe.key:
             raise ValueError("seed family lives in a different universe")
         state.best, state.witness = len(seed), seed.bits
-    if graph.transitive:
-        nadj = _root_rows(graph)
-        roots, workers = [(0, 0, nadj[0])], 1
-    else:
-        nadj = _neighbour_rows(graph)
-        roots = _root_subproblems(nadj, graph.n)
+    nadj, roots = _plan(graph)
     universe = graph.universe
-    star = star_formula_value(universe.parts, universe.sizes, graph.pred) if graph.symmetric else 0
-    if star == 0:
+    if not graph.symmetric:
         _search_with_workers(nadj, roots, state, workers)
         return state.best, Family(universe, state.witness), state.nodes
 
-    if state.best < star:  # a star is a clique of size star
-        _witness_phase(nadj, roots, state, workers, star)
-    size, witness = state.best, state.witness
+    seeded = state.best
+    # a star is a clique of the star bound's size
+    state.best = max(seeded, star_formula_value(universe.parts, universe.sizes, graph.pred))
     state.relabel = universe
     for v, pmask in _proof_roots(graph, nadj):
         if pmask:
             _prove(nadj, pmask, 1, state, 1 << v)
         elif state.best < 1:
             state.best = 1
-    if state.best > size:  # EXCEEDS: the first clique of the proof's size is the witness
+    if state.best > seeded:
         _witness_phase(nadj, roots, state, workers, state.best)
-        size, witness = state.best, state.witness
-    return size, Family(universe, witness), state.nodes
+    return state.best, Family(universe, state.witness), state.nodes
 
 
 def max_clique_naive(graph: CompatGraph):
@@ -683,9 +680,10 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
     if size < 1:
         raise ValueError("clique size must be positive")
     state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
+    nadj, roots = _plan(graph)
+    _search_roots(nadj, roots, state)
+    found = state.found
     if graph.transitive:
-        nadj = _root_rows(graph)
-        _search_roots(nadj, [(0, 0, nadj[0])], state)
         generators = [g for part in relabelling_generators(graph.universe) for g in part]
         found = _orbit_closure(state.found, generators, cap)
         if len(found) * size != graph.n * len(state.found):
@@ -694,10 +692,6 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
                 f"through vertex 0 over {graph.n} vertices at size {size} gives "
                 f"{graph.n * len(state.found) / size}"
             )
-    else:
-        nadj = _neighbour_rows(graph)
-        _search_roots(nadj, _root_subproblems(nadj, graph.n), state)
-        found = state.found
     return sorted((Family(graph.universe, bits) for bits in found), key=Family.indices)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -186,3 +187,26 @@ def test_timings_flag_adds_columns(capsys, tmp_path):
     run_cli(capsys, "verify", "--campaign", "builtin:examples", "--out", str(base), "--timings")
     csv_header = (tmp_path / "rep.csv").read_text().splitlines()[0]
     assert csv_header.endswith("elapsed_s")
+
+
+def test_builtin_reports_match_the_benchmark_reference(capsys, monkeypatch, tmp_path):
+    # the reports embed the relative --out path, so their bytes do not depend on the directory
+    reference = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text())
+    for name in ("EKRMATCH_UNIVERSE_CAP", "EKRMATCH_NODE_BUDGET", "EKRMATCH_MAXIMA_CAP"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / ".bench_out" / "sweep").mkdir(parents=True)
+    mismatches = []
+    for campaign in reference["campaigns"]:
+        out = f".bench_out/sweep/{campaign}"
+        argv = ["verify", "--campaign", f"builtin:{campaign}", "--out", out]
+        if campaign == "lemma1":
+            argv += ["--seed", "0"]
+        code, _, _ = run_cli(capsys, *argv)
+        want = reference["sweep"][campaign]
+        got = {"exit": code}
+        for ext in ("csv", "json"):
+            got[ext] = hashlib.sha256((tmp_path / f"{out}.{ext}").read_bytes()).hexdigest()
+        if got != want:
+            mismatches.append(campaign)
+    assert len(reference["campaigns"]) == 16 and mismatches == []

@@ -1,4 +1,4 @@
-"""The two-phase maximum: a witness search stopped at the star bound, then a Re-NUMBER proof.
+"""The two-phase maximum: a Re-NUMBER proof from the star bound, then one witness search.
 
 The proof kernel is checked against `max_clique_naive` from several
 incumbents.  The two-phase size, witness and status are checked against the
@@ -141,9 +141,8 @@ def test_deep_cell_witness_equals_root_zero_search():
 EXCEEDS_CELLS = [((8,), (4,), 2), ((4,), (1, 2, 3, 4), 2), ((6,), (1, 2, 3, 4, 5, 6), 2)]
 
 
-@pytest.mark.parametrize("parts,sizes,t", EXCEEDS_CELLS)
-def test_exceeds_cells_rerun_the_witness_search(parts, sizes, t, monkeypatch):
-    graph = build_compat_graph(enumerate_union_universe(parts, sizes), Predicate("intersecting", t))
+def witness_stops(monkeypatch):
+    """Spy on `_witness_phase`: the list of its stops, one per run."""
     stops = []
     real = search._witness_phase
 
@@ -152,12 +151,46 @@ def test_exceeds_cells_rerun_the_witness_search(parts, sizes, t, monkeypatch):
         return real(nadj, roots, state, workers, stop)
 
     monkeypatch.setattr(search, "_witness_phase", spy)
+    return stops
+
+
+@pytest.mark.parametrize("parts,sizes,t", EXCEEDS_CELLS)
+def test_exceeds_cells_search_for_the_witness_once(parts, sizes, t, monkeypatch):
+    graph = build_compat_graph(enumerate_union_universe(parts, sizes), Predicate("intersecting", t))
+    stops = witness_stops(monkeypatch)
     size, witness, _ = max_clique(graph)
     star = star_formula_value(parts, sizes, graph.pred)
-    assert stops == [star, size] and size > star
+    assert stops == [size] and size > star
     monkeypatch.undo()
     full = max_clique(unmarked(graph))
     assert (size, witness.bits) == (full[0], full[1].bits)
+
+
+def test_witness_search_runs_at_most_once_on_every_builtin_cell(monkeypatch):
+    graphs = builtin_graphs()
+    stops = witness_stops(monkeypatch)
+    for graph in graphs:
+        for seed in seeds(graph):
+            stops.clear()
+            size = max_clique(graph, seed=seed)[0]
+            assert stops in ([], [size])
+
+
+@pytest.mark.parametrize("parts,sizes", [((10,), (4,)), ((3, 3), (1, 2))])
+def test_star_seeded_matches_cell_keeps_the_seed_without_a_witness_search(parts, sizes, monkeypatch):
+    graph = build_compat_graph(enumerate_union_universe(parts, sizes), Predicate("intersecting", 1))
+    seed = star_seed(graph.universe, graph.pred)
+    stops = witness_stops(monkeypatch)
+    size, witness, _ = max_clique(graph, seed=seed)
+    assert size == len(seed) == star_formula_value(parts, sizes, graph.pred)
+    assert witness.bits == seed.bits and stops == []
+
+
+def test_exceeds_cell_closes_in_few_nodes():
+    graph = build_compat_graph(enumerate_universe((8,), 4), Predicate("intersecting", 2))
+    size, _, nodes = max_clique(graph)
+    assert size == 17
+    assert nodes < 60  # 60 when the witness search stopped at the star bound before the proof
 
 
 def test_only_build_compat_graph_sets_the_mark():
@@ -185,17 +218,17 @@ def test_unmarked_graph_keeps_the_single_search():
 
 def test_one_budget_bounds_both_phases(monkeypatch):
     graph = build_compat_graph(enumerate_universe((10,), 4), Predicate("intersecting", 1))
-    witness_nodes = []
+    proof_nodes = []
     real = search._witness_phase
 
     def spy(nadj, roots, state, workers, stop):
+        proof_nodes.append(state.nodes)
         real(nadj, roots, state, workers, stop)
-        witness_nodes.append(state.nodes)
 
     monkeypatch.setattr(search, "_witness_phase", spy)
     size, witness, total = max_clique(graph)
-    assert witness_nodes and 0 < witness_nodes[0] < total
-    for budget in (witness_nodes[0], (witness_nodes[0] + total) // 2, total - 1):
+    assert proof_nodes and 0 < proof_nodes[0] < total
+    for budget in (proof_nodes[0] // 2, proof_nodes[0], (proof_nodes[0] + total) // 2, total - 1):
         with pytest.raises(NodeBudgetExceeded):
             max_clique(graph, node_budget=budget)
     assert max_clique(graph, node_budget=total)[:2] == (size, witness)
