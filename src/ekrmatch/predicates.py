@@ -137,6 +137,24 @@ def pair_checker(pred: Predicate, k: int):
     return lambda p, q: len(p) >= t and len(q) >= t and test(p, q, t)
 
 
+def _signature_rule(pred: Predicate, k: int):
+    """`signatures` resolved once per predicate: (views, of_view).
+
+    views maps a matching to its components' views, its pair projections,
+    or is None for the one component, the matching itself; of_view iterates
+    over one view's signatures.
+    """
+    t = pred.t
+    if pred.is_set:
+        of_view = lambda view: box_signatures(view, t)
+    else:
+        of_view = lambda view: combinations(view, t)
+    if pred.is_weak and k > 1:
+        pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        return (lambda m: [project_pair(m, i, j) for i, j in pairs]), of_view
+    return None, of_view
+
+
 def signatures(m, pred: Predicate, k: int) -> tuple:
     """The t-signatures of an arity-k matching, one collection per component.
 
@@ -145,26 +163,29 @@ def signatures(m, pred: Predicate, k: int) -> tuple:
     the weak kinds have one per pair projection (weak equals plain at k = 1).
     The signatures are the t-edge subsets for the intersecting kinds and the
     box signatures for the set kinds, so a matching with fewer than t edges
-    has none and meets nothing.
+    has none and meets nothing.  The loops over many matchings resolve the
+    predicate once, through `_signature_rule`.
     """
-    if pred.is_weak and k > 1:
-        views = [project_pair(m, i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    else:
-        views = [m]
-    if pred.is_set:
-        return tuple(box_signatures(view, pred.t) for view in views)
-    return tuple(tuple(combinations(view, pred.t)) for view in views)
+    views, of_view = _signature_rule(pred, k)
+    return tuple(tuple(of_view(view)) for view in ([m] if views is None else views(m)))
 
 
-def signature_index(universe, pred: Predicate, indices) -> tuple:
-    """Per component, a dict from each signature to the bitset of the listed items having it."""
-    items, k = universe.items, universe.k
+def signature_index(items, pred: Predicate, k: int) -> tuple:
+    """Per component, a dict from each signature to the bitset of the items having it, bit i for items[i]."""
+    views, of_view = _signature_rule(pred, k)
+    if views is None:
+        comp = {}
+        for i, m in enumerate(items):
+            bit = 1 << i
+            for s in of_view(m):
+                comp[s] = comp.get(s, 0) | bit
+        return (comp,)
     # the empty matching has every component, each without signatures
-    index = tuple({} for _ in signatures((), pred, k))
-    for idx in indices:
-        bit = 1 << idx
-        for comp, sigs in zip(index, signatures(items[idx], pred, k)):
-            for s in sigs:
+    index = tuple({} for _ in views(()))
+    for i, m in enumerate(items):
+        bit = 1 << i
+        for comp, view in zip(index, views(m)):
+            for s in of_view(view):
                 comp[s] = comp.get(s, 0) | bit
     return index
 
@@ -180,7 +201,7 @@ def postings(universe, pred: Predicate) -> tuple:
     """
     index = universe.postings_memo.get(pred)
     if index is None:
-        index = universe.postings_memo[pred] = signature_index(universe, pred, range(len(universe)))
+        index = universe.postings_memo[pred] = signature_index(universe.items, pred, universe.k)
     return index
 
 

@@ -29,18 +29,24 @@ root 0.  With a seed clique, nothing beats the seed in either search and the
 seed stays the witness.  Only the node count shrinks.  Graphs built by hand
 and union universes (several edge counts, not transitive) search every root.
 
-The root-0 searches read only the rows of N[0], masked to N[0], so a
-transitive graph builds no other row (`_root_rows`).  Every read of a row
+The root-0 searches read only the rows of N[0], masked to N[0] and
+renumbered to it, so a transitive graph builds no other row and every AND
+works on |N[0]| bits rather than |V| (`_root_rows`; San Segundo,
+Rodriguez-Losada and Jimenez, Comput. Oper. Res. 2011).  Every read of a row
 nadj[v] in `_expand`, `_colour_order`, `_renumber_order` and `_prove` is
 ANDed with a candidate set, and every candidate set lies inside N(0): the
 root's is nadj[0], and each child's is its parent's ANDed with a row.  So
-rows masked to N[0] give the same colourings, the same depth-first tree,
-the same witness and node count, and the same maxima through vertex 0.
-Row 0 is read off the edge postings (`predicates.signature_bits`), and the
-rows of N(0) from a signature index over N[0] alone, or from the whole
-index where the universe holds it already (as for intersecting:1, whose
-index is the edge postings).  Such a graph builds its full rows only when
-they are read, through `CompatGraph.rows`.
+rows masked to N[0] give the same search.  Bit i of a local row stands for
+members[i], the i-th vertex of N[0] in ascending order (members[0] = 0).
+That map is monotone, so every lowest-index tie-break picks the same vertex:
+the colourings, the depth-first tree, the node count and, mapped back
+through members, the witness and the maxima through vertex 0 are those of
+the full rows.  The proof's atom groups read the matchings of N[0] at their
+local positions, so its orbits, mapped back, are the same too.  Row 0 is
+read off the edge postings (`predicates.signature_bits`), and the rows of
+N(0) come from a signature index over the items of N[0] alone, which sets
+bit i for the i-th item as the whole-universe `postings` do.  Such a graph
+builds its full rows only when they are read, through `CompatGraph.rows`.
 
 All maxima of a transitive graph come the same way: the kernel lists the m0
 maxima through vertex 0 from the root (0, 0, nadj[0]), and a breadth-first
@@ -195,7 +201,7 @@ class CompatGraph:
         """Adjacency bit-rows with the diagonal set."""
         if self._full_rows is None:
             universe, pred = self.universe, self.pred
-            self._full_rows = _rows(universe, pred, postings(universe, pred), range(len(universe)))
+            self._full_rows = _rows(universe.items, pred, universe.k, postings(universe, pred))
         return self._full_rows
 
     @property
@@ -212,13 +218,12 @@ class CompatGraph:
 # graph construction
 
 
-def _rows(universe: Universe, pred: Predicate, index, vertices) -> list:
-    """The vertices' rows: per component the OR of the vertex's postings, ANDed, plus the diagonal."""
-    items, k = universe.items, universe.k
+def _rows(items, pred: Predicate, k: int, index, first: int = 0) -> list:
+    """The items' rows, the i-th with its diagonal at bit first + i: per component the OR of its postings, ANDed."""
     out = []
-    for u in vertices:
+    for u, m in enumerate(items, first):
         row = -1
-        for comp, sigs in zip(index, signatures(items[u], pred, k)):
+        for comp, sigs in zip(index, signatures(m, pred, k)):
             hit = 0
             for s in sigs:
                 hit |= comp[s]
@@ -237,7 +242,8 @@ def _init_build(universe, pred, index):
 
 def _build_row_block(block):
     lo, hi = block
-    return lo, _rows(*_BUILD_CTX, range(lo, hi))
+    universe, pred, index = _BUILD_CTX
+    return lo, _rows(universe.items[lo:hi], pred, universe.k, index, lo)
 
 
 def build_compat_graph(
@@ -266,7 +272,7 @@ def build_compat_graph(
             for lo, block_rows in pool.map(_build_row_block, blocks):
                 rows[lo : lo + len(block_rows)] = block_rows
     else:
-        rows = _rows(universe, pred, postings(universe, pred), range(n))
+        rows = _rows(universe.items, pred, universe.k, postings(universe, pred))
     return CompatGraph(universe, pred, rows, symmetric=True)
 
 
@@ -283,7 +289,7 @@ class _SearchState:
     found: list | None = None
     cap: int = 0
     stop: int | None = None  # the witness phase ends at its first clique this large
-    relabel: Universe | None = None  # the proof's universe, whose part relabellings fix the graph
+    relabel: Universe | None = None  # the proof's matchings at the rows' bit positions, for the atom groups
 
 
 class _Stopped(Exception):
@@ -297,14 +303,15 @@ def _neighbour_rows(graph: CompatGraph) -> list:
     return [graph.rows[v] & ~(1 << v) for v in range(n)]
 
 
-def _root_rows(graph: CompatGraph) -> list:
-    """The neighbour rows of a transitive graph that the root-0 search reads, masked to N[0].
+def _root_rows(graph: CompatGraph):
+    """(nadj, members): the neighbour rows of N[0] in a transitive graph, at N[0]-local bit positions.
 
-    Row 0 is read off the edge postings, then a signature index over N[0]
-    alone gives the rows of N(0), unless the universe already holds the
-    whole index; every other row is 0.  The search reads these rows only
-    inside N(0), so its bits are those of the full rows (module docstring).
-    Built once per graph.
+    members is N[0] in ascending vertex order, so members[0] = 0, and bit i
+    of a local row stands for vertex members[i].  Row 0 is read off the edge
+    postings, then a signature index over the items of N[0] alone gives
+    their rows, already masked to N[0].  The search reads rows only inside
+    N(0), so its bits, mapped back through members, are those of the full
+    rows (module docstring).  Built once per graph.
     """
     if graph._root_rows is None:
         universe, pred = graph.universe, graph.pred
@@ -314,29 +321,36 @@ def _root_rows(graph: CompatGraph) -> list:
             for s in sigs:
                 hit |= signature_bits(universe, pred, component, s)
             row0 &= hit
-        closed = row0 | 1
-        members, rest = [], closed
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        # row 0 built the edge postings, the whole index of intersecting:1
-        index = universe.postings_memo.get(pred) or signature_index(universe, pred, members)
-        nadj = [0] * len(universe)
-        for v, row in zip(members, _rows(universe, pred, index, members)):
-            nadj[v] = row & closed & ~(1 << v)
+        members = Family(universe, row0 | 1).indices()
+        items = [universe.items[v] for v in members]
+        rows = _rows(items, pred, universe.k, signature_index(items, pred, universe.k))
+        nadj = [row & ~(1 << i) for i, row in enumerate(rows)]
         sys.setrecursionlimit(max(sys.getrecursionlimit(), len(members) + 512))
-        graph._root_rows = nadj
+        graph._root_rows = nadj, members
     return graph._root_rows
 
 
+def _to_vertices(bits: int, members) -> int:
+    """A bitset over local positions, mapped to the vertices members[i]."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << members[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
 def _plan(graph: CompatGraph):
-    """(rows, roots) of the search: root 0 alone on a transitive graph, else every root in degeneracy order."""
+    """(rows, roots, members) of the search, where bit i of a row stands for vertex members[i].
+
+    A transitive graph has root 0 alone, on its N[0]-local rows; any other
+    graph has every root in degeneracy order, on its full rows.
+    """
     if graph.transitive:
-        nadj = _root_rows(graph)
-        return nadj, [(0, 0, nadj[0])]
+        nadj, members = _root_rows(graph)
+        return nadj, [(0, 0, nadj[0])], members
     nadj = _neighbour_rows(graph)
-    return nadj, _root_subproblems(nadj, graph.n)
+    return nadj, _root_subproblems(nadj, graph.n), range(graph.n)
 
 
 def _colour_order(pmask: int, nadj):
@@ -580,7 +594,8 @@ def _proof_roots(graph: CompatGraph, nadj):
 
     The part relabellings act transitively on each level, and a clique whose
     lowest level is i has an image through root i that avoids earlier levels.
-    A transitive graph has the single root 0, with candidates nadj[0].
+    A transitive graph has the single root 0, with candidates nadj[0], at
+    local positions too, since members[0] = 0.
     """
     return [(v, nadj[v] >> v << v) for v in sorted(graph.universe.level_offsets.values())]
 
@@ -607,7 +622,7 @@ def max_clique(
         if seed.universe.key != graph.universe.key:
             raise ValueError("seed family lives in a different universe")
         state.best, state.witness = len(seed), seed.bits
-    nadj, roots = _plan(graph)
+    nadj, roots, members = _plan(graph)
     universe = graph.universe
     if not graph.symmetric:
         _search_with_workers(nadj, roots, state, workers)
@@ -617,6 +632,8 @@ def max_clique(
     # a star is a clique of the star bound's size
     state.best = max(seeded, star_formula_value(universe.parts, universe.sizes, graph.pred))
     state.relabel = universe
+    if graph.transitive:  # the atom helpers read the matchings at the rows' bit positions, those of N[0]
+        state.relabel = Universe(universe.parts, universe.sizes, [universe.items[v] for v in members])
     for v, pmask in _proof_roots(graph, nadj):
         if pmask:
             _prove(nadj, pmask, 1, state, 1 << v)
@@ -624,6 +641,7 @@ def max_clique(
             state.best = 1
     if state.best > seeded:
         _witness_phase(nadj, roots, state, workers, state.best)
+        state.witness = _to_vertices(state.witness, members)
     return state.best, Family(universe, state.witness), state.nodes
 
 
@@ -680,12 +698,12 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
     if size < 1:
         raise ValueError("clique size must be positive")
     state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
-    nadj, roots = _plan(graph)
+    nadj, roots, members = _plan(graph)
     _search_roots(nadj, roots, state)
     found = state.found
     if graph.transitive:
         generators = [g for part in relabelling_generators(graph.universe) for g in part]
-        found = _orbit_closure(state.found, generators, cap)
+        found = _orbit_closure([_to_vertices(bits, members) for bits in state.found], generators, cap)
         if len(found) * size != graph.n * len(state.found):
             raise InternalCheckError(
                 f"orbit closure holds {len(found)} maxima, but double counting {len(state.found)} "

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from ekrmatch import matchings
 from ekrmatch.harness import (
     BoundCell,
     BUILTIN_CAMPAIGNS,
@@ -342,3 +343,19 @@ def test_campaign_file_bad_kind(tmp_path):
     path.write_text(json.dumps({"kind": "mystery", "cells": []}))
     with pytest.raises(ValueError):
         load_campaign_file(str(path))
+
+
+def test_examples_campaign_enumerates_no_large_universe(monkeypatch):
+    # the n = 8 fixed-point family is counted over permutations, not over a 40,320-matching universe
+    sizes, real = [], matchings.enumerate_union_universe
+
+    def recording(*args, **kwargs):
+        sizes.append(len(real(*args, **kwargs)))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(matchings, "enumerate_union_universe", recording)
+    report = run_example_suite()
+    assert sizes and max(sizes) <= 5_000
+    assert all(row["outcome"] == "pass" for row in report.rows)
+    [row] = [row for row in report.rows if row["case"] == "fixed-point-window-n8"]
+    assert row["universe_size"] == 40_320 and "enumeration 26" in row["detail"]

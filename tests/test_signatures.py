@@ -5,15 +5,17 @@ from itertools import combinations, product
 import pytest
 
 from ekrmatch.constructions import t_set_star, t_star
-from ekrmatch.matchings import enumerate_union_universe, enumerate_universe
+from ekrmatch.matchings import enumerate_union_universe, enumerate_universe, project_pair
 from ekrmatch.predicates import (
     PREDICATE_KINDS,
     Predicate,
+    box_signatures,
     box_star_bits,
     edges_in_box,
     pair_checker,
     postings,
     signature_bits,
+    signature_index,
     signatures,
 )
 from ekrmatch.search import build_compat_graph
@@ -151,3 +153,36 @@ def test_t_set_star_errors_unchanged():
         with pytest.raises(ValueError) as err:
             t_set_star(u, box)
         assert str(err.value) == message
+
+
+def per_universe_index(universe, pred, indices):
+    """The signature index as a loop over universe indices, bit idx for items[idx], each item dispatched alone."""
+    k, t = universe.k, pred.t
+    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+    index = tuple({} for _ in (pairs if pred.is_weak and k > 1 else [()]))
+    for idx in indices:
+        m = universe.items[idx]
+        views = [project_pair(m, i, j) for i, j in pairs] if pred.is_weak and k > 1 else [m]
+        for comp, view in zip(index, views):
+            for s in (box_signatures(view, t) if pred.is_set else combinations(view, t)):
+                comp[s] = comp.get(s, 0) | 1 << idx
+    return index
+
+
+INDEX_UNIVERSES = sorted(set(UNIVERSES + BOX_UNIVERSES))
+
+
+@pytest.mark.parametrize("parts,sizes", INDEX_UNIVERSES)
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+def test_signature_index_over_item_lists_equals_the_per_universe_index(parts, sizes, t, kind):
+    universe = enumerate_union_universe(parts, sizes)
+    pred, k = Predicate(kind, t), len(parts)
+    n = len(universe)
+    assert signature_index(universe.items, pred, k) == per_universe_index(universe, pred, range(n))
+    # a sub-list sets bit i for its i-th item: the per-universe entries, compressed to the sub-list
+    sub = list(range(0, n, 3)) + list(range(1, n, 3))[::2]
+    sub.sort()
+    want = tuple({s: sum(1 << i for i, v in enumerate(sub) if bits >> v & 1) for s, bits in comp.items()}
+                 for comp in per_universe_index(universe, pred, sub))
+    assert signature_index([universe.items[v] for v in sub], pred, k) == want

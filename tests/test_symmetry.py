@@ -240,13 +240,21 @@ ROOT_ROW_CELLS = CLOSURE_CELLS + LONE_CELLS
                          ids=[f"{p}-r{r}-{pred}" for p, r, pred in ROOT_ROW_CELLS])
 def test_root_rows_are_full_rows_masked_to_the_closed_neighbourhood(parts, r, pred):
     graph = build_compat_graph(enumerate_universe(parts, r), pred)
-    got = search._root_rows(graph)
+    nadj, members = search._root_rows(graph)
     rows = graph.rows
-    assert len(got) == graph.n == len(rows)
-    for v in range(graph.n):
-        assert got[v] == (rows[v] & rows[0] & ~(1 << v) if rows[0] >> v & 1 else 0)
+    assert graph.n == len(rows)
+    assert members == [v for v in range(graph.n) if rows[0] >> v & 1]
+    assert len(nadj) == len(members) and members[0] == 0
+    for i, v in enumerate(members):
+        local = sum(1 << members[j] for j in range(len(members)) if nadj[i] >> j & 1)
+        assert local == rows[v] & rows[0] & ~(1 << v)
     if pred.t > r:
-        assert rows[0] == 1 and not any(got)
+        assert rows[0] == 1 and nadj == [0] and members == [0]
+
+
+def universe_position_rows(graph):
+    """The full neighbour rows, at universe positions: N[0]-local rows as before they existed."""
+    return _neighbour_rows(graph), range(graph.n)
 
 
 @pytest.mark.parametrize("parts,r,pred", ROOT_ROW_CELLS,
@@ -266,9 +274,50 @@ def test_searches_on_root_rows_equal_searches_on_full_rows(parts, r, pred, monke
         return out
 
     got = answers()
-    # the same marked graph, searched on its full rows as before the root rows existed
-    monkeypatch.setattr(search, "_root_rows", _neighbour_rows)
+    # the same marked graph, searched on its full rows at universe positions
+    monkeypatch.setattr(search, "_root_rows", universe_position_rows)
     assert got == answers()
+
+
+# (9,) r=4 intersecting:1: its orbital proof takes 314 nodes and runs the key pass, but N[0] is a
+# prefix of the universe there; at t = 2, N[0] is not, so the local positions move
+LOCAL_CELLS = CLOSURE_CELLS + [
+    ((9,), 4, Predicate("intersecting", 1)),
+    ((8,), 4, Predicate("intersecting", 2)),
+    ((9,), 4, Predicate("intersecting", 2)),
+]
+
+
+@pytest.mark.parametrize("parts,r,pred", LOCAL_CELLS,
+                         ids=[f"{p}-r{r}-{pred}" for p, r, pred in LOCAL_CELLS])
+def test_local_positions_give_the_universe_position_search(parts, r, pred, monkeypatch):
+    universe = enumerate_universe(parts, r)
+    real = search.atom_orbits
+    # listing the 9 maxima of (9,) r=4 intersecting:1 takes about 18 s, so that cell checks the maximum alone
+    deep = (parts, pred) == ((9,), Predicate("intersecting", 1))
+
+    def answers():
+        orbits = []
+
+        def recording(local, atoms, candidates):
+            # each orbit the proof takes out, mapped to universe vertices through the local items
+            keyed = real(local, atoms, candidates)
+            vertex = [universe.index[m] for m in local.items]
+            orbits.append(sorted((vertex[v], sum(1 << vertex[w] for w in keyed if bits >> w & 1))
+                                 for v, bits in keyed.items()))
+            return keyed
+
+        monkeypatch.setattr(search, "atom_orbits", recording)
+        graph = build_compat_graph(universe, pred)
+        size, witness, nodes = max_clique(graph)
+        maxima = None if deep else [f.bits for f in all_max_cliques(graph, size)]
+        return size, witness.bits, nodes, maxima, orbits
+
+    got = answers()
+    monkeypatch.setattr(search, "_root_rows", universe_position_rows)
+    assert got == answers()
+    if deep:
+        assert got[2] == 314 and got[4]
 
 
 def test_transitive_cell_builds_no_full_rows_weak_index_or_pool(monkeypatch):
