@@ -23,7 +23,7 @@ from .harness import (
     run_bound_campaign,
     run_builtin,
 )
-from .matchings import DEFAULT_UNIVERSE_CAP, UniverseTooLargeError, enumerate_union_universe
+from .matchings import DEFAULT_UNIVERSE_CAP, enumerate_union_universe
 from .predicates import Predicate
 from .search import (
     DEFAULT_MAXIMA_CAP,
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--campaign", required=True,
                        help="builtin:<name> or a campaign JSON file; "
                             f"builtins: {', '.join(sorted(BUILTIN_CAMPAIGNS))}")
-        p.add_argument("--samples", type=int, default=1000, help="sample count (lemma1)")
+        p.add_argument("--samples", type=_positive_int, default=1000, help="sample count (lemma1)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--workers", type=_positive_int, default=1)
         p.add_argument("--out", help="write <out>.csv and <out>.json reports")
@@ -133,7 +133,7 @@ def cmd_enumerate(args) -> int:
     cap = args.cap if args.cap is not None else _env_int("EKRMATCH_UNIVERSE_CAP", DEFAULT_UNIVERSE_CAP)
     try:
         universe = enumerate_union_universe(args.parts, sizes, cap)
-    except UniverseTooLargeError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
@@ -155,16 +155,20 @@ def cmd_search(args) -> int:
     maxima_cap = (args.maxima_cap if args.maxima_cap is not None
                   else _env_int("EKRMATCH_MAXIMA_CAP", DEFAULT_MAXIMA_CAP))
     try:
+        universe = enumerate_union_universe(args.parts, sizes, cap)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    try:
         rep = extremal(
-            args.parts, sizes, pred,
-            universe_cap=cap, node_budget=budget,
+            args.parts, sizes, pred, node_budget=budget,
             all_maxima=args.all_maxima, maxima_cap=maxima_cap,
-            workers=args.workers, seed_star=args.seed_star,
+            workers=args.workers, seed_star=args.seed_star, universe=universe,
         )
     except NodeBudgetExceeded as exc:
         print(f"aborted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (UniverseTooLargeError, GraphTooLargeError) as exc:
+    except GraphTooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,8 +1,10 @@
 """Concrete extremal families over enumerated universes.
 
-Permutation families are represented through their 2-part matching encoding
-{(x, sigma(x))}, so the fixed-point and Klein-group families run through the
-same machinery as every other family.
+Each family is either read off the edge postings (`predicates.signature_bits`)
+or found by `_at_least`, the one scan over the universe's items: the matchings
+holding at least m of some edges.  Permutation families are represented
+through their 2-part matching encoding {(x, sigma(x))}, so the fixed-point
+and Klein-group families run through the same machinery as every other family.
 """
 
 from __future__ import annotations
@@ -11,16 +13,14 @@ from itertools import product
 
 from .counts import validate_parts
 from .matchings import (
-    DEFAULT_UNIVERSE_CAP,
     Family,
     Universe,
     canonical_matching,
-    enumerate_union_universe,
-    project_pair,
     validate_matching,
 )
 from .predicates import (
     Predicate,
+    _part_pairs,
     ambiguous_box_params,
     box_star_bits,
     degenerate_star_params,
@@ -85,7 +85,7 @@ def semi_star(universe: Universe, centres, set_variant: bool = False) -> Family:
         raise ValueError(f"need one centre per part 1..{k - 1}, got {len(centres)}")
 
     last_shadow = set()
-    tests = []
+    signatures = []
     t = None
     for j, centre in enumerate(centres, start=1):
         pin_parts = (parts[-1], parts[j - 1])
@@ -98,35 +98,36 @@ def semi_star(universe: Universe, centres, set_variant: bool = False) -> Family:
                 raise ValueError(f"box for part {j} outside its parts")
             tj = len(a)
             last_shadow |= a
-            tests.append((j, ("box", (a, b), tj)))
+            signatures.append((j, (b, a)))
         else:
             pins = validate_matching(pin_parts, centre)
             tj = len(pins)
             last_shadow |= {e[0] for e in pins}
-            tests.append((j, ("pairs", set(pins), tj)))
+            signatures.append((j, [(y, x) for x, y in pins]))
         if t is None:
             t = tj
         elif t != tj:
             raise ValueError(f"centres have mixed sizes {t} and {tj}")
 
+    # each centre is one signature of the weak kind, on the component of parts (j, k),
+    # whose units are pairs (x_j, x_k): the pins transposed, or the box (B_j, A_k)
+    pred = Predicate("weakly-set-intersecting" if set_variant else "weakly-intersecting", t)
+    components = _part_pairs(k)
+    bits = (1 << len(universe)) - 1
+    for j, signature in signatures:
+        bits &= signature_bits(universe, pred, components.index((j, k)), signature)
     u = len(last_shadow)
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        ok = True
-        for j, (mode, payload, tj) in tests:
-            proj = set(project_pair(m, k, j))
-            if mode == "pairs":
-                if not payload <= proj:
-                    ok = False
-                    break
-            else:
-                a, b = payload
-                if sum(1 for (x, y) in proj if x in a and y in b) != tj:
-                    ok = False
-                    break
-        if ok:
-            bits |= 1 << idx
     return Family(universe, bits, (f"semi-star:u={u}",) + _param_notes(universe, t))
+
+
+def _at_least(universe: Universe, edges, m: int) -> int:
+    """The matchings of the universe holding at least m of the given edges, as bits."""
+    edges = frozenset(edges)
+    bits = 0
+    for idx, item in enumerate(universe.items):
+        if len(edges.intersection(item)) >= m:
+            bits |= 1 << idx
+    return bits
 
 
 def ak_family(universe: Universe, t: int, i: int) -> Family:
@@ -136,11 +137,7 @@ def ak_family(universe: Universe, t: int, i: int) -> Family:
     w = t + 2 * i
     if t < 1 or i < 0 or w > universe.parts[0]:
         raise ValueError(f"bad frame parameters t={t}, i={i} for n={universe.parts[0]}")
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        if sum(1 for e in m if e[0] <= w) >= t + i:
-            bits |= 1 << idx
-    return Family(universe, bits)
+    return Family(universe, _at_least(universe, ((x,) for x in range(1, w + 1)), t + i))
 
 
 def fixed_point_family(universe: Universe, t: int, i: int) -> Family:
@@ -151,11 +148,7 @@ def fixed_point_family(universe: Universe, t: int, i: int) -> Family:
     w = t + 2 * i
     if t < 1 or i < 0 or w > n:
         raise ValueError(f"bad window parameters t={t}, i={i} for n={n}")
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        if sum(1 for (x, y) in m if x == y and x <= w) >= t + i:
-            bits |= 1 << idx
-    return Family(universe, bits)
+    return Family(universe, _at_least(universe, ((x, x) for x in range(1, w + 1)), t + i))
 
 
 def diagonal_matching(parts, m: int | None = None) -> tuple:
@@ -182,12 +175,7 @@ def frame_family(universe: Universe, t: int, i: int, base=None) -> Family:
     w = t + 2 * i
     if t < 1 or i < 0 or w > len(base):
         raise ValueError(f"frame window t+2i={w} exceeds base matching of size {len(base)}")
-    frame = set(base[:w])
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        if len(frame & set(m)) >= t + i:
-            bits |= 1 << idx
-    return Family(universe, bits)
+    return Family(universe, _at_least(universe, base[:w], t + i))
 
 
 def katona_family(universe: Universe, l: int, x: int | None = None) -> Family:
@@ -199,12 +187,7 @@ def katona_family(universe: Universe, l: int, x: int | None = None) -> Family:
         raise ValueError(f"need 0 <= l <= n; got l={l}, n={n}")
     if x is not None and not 1 <= x <= n:
         raise ValueError(f"marked element {x} outside [n]")
-    bits = 0
-    for idx, m in enumerate(universe.items):
-        sz = len(m) - (1 if x is not None and (x,) in m else 0)
-        if sz >= l:
-            bits |= 1 << idx
-    return Family(universe, bits)
+    return Family(universe, _at_least(universe, ((y,) for y in range(1, n + 1) if y != x), l))
 
 
 KLEIN_GROUP = (
@@ -231,20 +214,16 @@ def klein_family(universe: Universe) -> Family:
     return Family.from_matchings(universe, ms)
 
 
-def non_uniform_star(parts, sizes, centre, cap: int = DEFAULT_UNIVERSE_CAP) -> Family:
-    """The union over the given edge counts of the stars with a common centre."""
-    universe = enumerate_union_universe(parts, sizes, cap)
-    return t_star(universe, centre)
-
-
 def is_upward_closed(fam: Family) -> bool:
-    """Whether every universe matching extending a member is itself a member."""
+    """Whether every universe matching extending a member is itself a member.
+
+    That is, whether each member's star, the matchings holding all its edges,
+    lies inside the family; the empty matching's star is the whole universe.
+    """
     u = fam.universe
-    member_sets = [set(m) for m in fam.members()]
-    for idx, q in enumerate(u.items):
-        if fam.bits >> idx & 1:
-            continue
-        qset = set(q)
-        if any(ms < qset for ms in member_sets):
+    outside = ~fam.bits
+    for m in fam.members():
+        star = signature_bits(u, Predicate("intersecting", len(m)), 0, m) if m else (1 << len(u)) - 1
+        if star & outside:
             return False
     return True

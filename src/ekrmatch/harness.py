@@ -384,10 +384,10 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
             report.rows.append(_row(name, f"{case}|full-universe", "fail", "; ".join(full_bad),
                                     parts=parts, sizes=(r,)))
         outcome = "pass" if violations == 0 else "fail"
+        size_range = f"sizes {min(sizes_seen)}..{max(sizes_seen)}, " if sizes_seen else ""
         report.rows.append(
             _row(name, case, outcome,
-                 detail=f"{checked} sampled families, sizes {min(sizes_seen)}..{max(sizes_seen)}, "
-                        f"{violations} violations",
+                 detail=f"{checked} sampled families, {size_range}{violations} violations",
                  parts=parts, sizes=(r,), predicate=f"weakly-intersecting:{t}",
                  expect=ASSERT_EQUALITY, universe_size=len(universe))
         )

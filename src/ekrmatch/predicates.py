@@ -137,6 +137,11 @@ def pair_checker(pred: Predicate, k: int):
     return lambda p, q: len(p) >= t and len(q) >= t and test(p, q, t)
 
 
+def _part_pairs(k: int) -> list:
+    """The part pairs (i < j), 1-based, in order: the weak kinds' components, one pair each."""
+    return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+
+
 def _signature_rule(pred: Predicate, k: int):
     """`signatures` resolved once per predicate: (views, of_view).
 
@@ -150,7 +155,7 @@ def _signature_rule(pred: Predicate, k: int):
     else:
         of_view = lambda view: combinations(view, t)
     if pred.is_weak and k > 1:
-        pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
+        pairs = _part_pairs(k)
         return (lambda m: [project_pair(m, i, j) for i, j in pairs]), of_view
     return None, of_view
 
@@ -209,21 +214,20 @@ def _units(universe, weak: bool) -> tuple:
     """Per component, a dict from each unit to the bitset of the matchings holding it.
 
     A unit is an edge for the plain kinds and a projected pair for the weak
-    ones (pairs (i < j) in order), where a matching holds the pair (a, b) on
-    parts (i, j) when one of its edges has coordinates a and b there.  Both
-    come from the edge postings and are memoised on the universe.
+    ones (components as in `_part_pairs`), where a matching holds the pair
+    (a, b) on parts (i, j) when one of its edges has coordinates a and b
+    there.  Both come from the edge postings and are memoised on the universe.
     """
     key = ("units", weak)
     units = universe.postings_memo.get(key)
     if units is None:
         edge_stars = postings(universe, Predicate("intersecting", 1))[0]
         if weak:
-            k = universe.k
-            pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+            pairs = _part_pairs(universe.k)
             units = tuple({} for _ in pairs)
             for (e,), bits in edge_stars.items():
                 for comp, (i, j) in zip(units, pairs):
-                    pair = (e[i], e[j])
+                    pair = (e[i - 1], e[j - 1])
                     comp[pair] = comp.get(pair, 0) | bits
         else:
             units = ({e: bits for (e,), bits in edge_stars.items()},)
@@ -414,7 +418,7 @@ def classify_star(fam: Family, t: int) -> StarClassification:
     if u.k >= 3 and len(u.sizes) == 1 and t <= u.r:
         members = fam.members()
         r, parts = u.r, u.parts
-        pairs = [(i, j) for i in range(1, u.k + 1) for j in range(i + 1, u.k + 1)]
+        pairs = _part_pairs(u.k)
         projs = {(i, j): projection_family(members, i, j) for i, j in pairs}
         if all(is_full_pair_star(projs[(i, j)], parts[i - 1], parts[j - 1], r, t) for i, j in pairs):
             return StarClassification("weak-t-star", t, annotations=tuple(notes))

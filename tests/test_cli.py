@@ -182,6 +182,32 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0 and proc.stdout.strip() == "18"
 
 
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--parts", "3,3", "--r", "4"],
+    ["enumerate", "--parts", "0,3", "--r", "1"],
+    ["search", "--parts", "3,3", "--r", "5", "--pred", "intersecting:1"],
+    ["search", "--parts", "0,3", "--r", "1", "--pred", "intersecting:1"],
+    ["search", "--parts", "3,3", "--sizes", "1,9", "--pred", "intersecting:1"],
+    ["verify", "--campaign", "builtin:lemma1", "--samples", "0"],
+    ["verify", "--campaign", "builtin:lemma1", "--samples", "-3"],
+], ids=" ".join)
+def test_configuration_errors_exit_2_with_one_error_line(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "ekrmatch.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+
+
+def test_lemma1_cells_without_samples_report_no_size_range(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--campaign", "builtin:lemma1", "--samples", "5")
+    assert code == 0
+    assert "(3, 3)|r=3|t=2: 1 sampled families, sizes 1..1, 0 violations" in out
+    assert "(3, 3, 3)|r=3|t=2: 0 sampled families, 0 violations" in out
+
+
 def test_timings_flag_adds_columns(capsys, tmp_path):
     base = tmp_path / "rep"
     run_cli(capsys, "verify", "--campaign", "builtin:examples", "--out", str(base), "--timings")

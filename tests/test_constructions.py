@@ -1,4 +1,6 @@
 import math
+import random
+import sys
 
 import pytest
 
@@ -11,7 +13,6 @@ from ekrmatch.constructions import (
     is_upward_closed,
     katona_family,
     klein_family,
-    non_uniform_star,
     semi_star,
     t_set_star,
     t_star,
@@ -24,7 +25,12 @@ from ekrmatch.counts import (
     t_set_star_size,
     t_star_size,
 )
-from ekrmatch.matchings import enumerate_union_universe, enumerate_universe
+from ekrmatch.matchings import (
+    Family,
+    enumerate_union_universe,
+    enumerate_universe,
+    project_pair,
+)
 from ekrmatch.predicates import Predicate, classify_star, family_satisfies
 
 
@@ -222,9 +228,9 @@ def test_klein_family_k3_witnesses():
 
 
 def test_non_uniform_star():
-    fam = non_uniform_star((3, 3), (1, 2), ((1, 1),))
+    fam = t_star(enumerate_union_universe((3, 3), (1, 2)), ((1, 1),))
     assert len(fam) == 5
-    fam3 = non_uniform_star((3, 3, 3), (1, 2), ((1, 1, 1),))
+    fam3 = t_star(enumerate_union_universe((3, 3, 3), (1, 2)), ((1, 1, 1),))
     assert len(fam3) == 1 + 8
     assert is_upward_closed(fam)
     assert is_upward_closed(fam3)
@@ -232,9 +238,158 @@ def test_non_uniform_star():
 
 def test_upward_closure_detects_gaps():
     u = enumerate_union_universe((3, 3), (1, 2))
-    fam = non_uniform_star((3, 3), (1, 2), ((1, 1),))
-    from ekrmatch.matchings import Family
+    fam = t_star(u, ((1, 1),))
 
     # dropping a 2-edge member leaves the 1-edge centre with a missing extension
     gappy = Family.from_indices(u, fam.indices()[:-1])
     assert not is_upward_closed(gappy)
+
+
+# ---------------------------------------------------------------------------
+# the per-item scans the constructions replaced, kept as oracles
+
+
+def scan_oracle(universe, keep):
+    return sum(1 << idx for idx, m in enumerate(universe.items) if keep(m))
+
+
+def semi_star_oracle(universe, centres, set_variant):
+    def holds(proj, centre):
+        if set_variant:
+            a, b = centre
+            return sum(1 for (x, y) in proj if x in a and y in b) == len(a)
+        return set(centre) <= proj
+
+    k = universe.k
+    return scan_oracle(universe, lambda m: all(
+        holds(set(project_pair(m, k, j)), centre) for j, centre in enumerate(centres, start=1)))
+
+
+def upward_closed_oracle(fam):
+    member_sets = [set(m) for m in fam.members()]
+    return not any(
+        not fam.bits >> idx & 1 and any(ms < set(q) for ms in member_sets)
+        for idx, q in enumerate(fam.universe.items)
+    )
+
+
+def random_centre(rng, n_last, n_j, t, set_variant):
+    xs, ys = rng.sample(range(1, n_last + 1), t), rng.sample(range(1, n_j + 1), t)
+    return (xs, ys) if set_variant else tuple(zip(xs, ys))
+
+
+SEMI_STAR_UNIVERSES = [
+    ((3, 3), (2,)),
+    ((4, 4), (3,)),
+    ((3, 3, 3), (2,)),
+    ((3, 3, 3), (1, 2)),
+    ((4, 4, 4), (3,)),
+    ((3, 3, 3, 3), (2,)),
+]
+
+
+@pytest.mark.parametrize("set_variant", [False, True])
+@pytest.mark.parametrize("parts,sizes", SEMI_STAR_UNIVERSES)
+def test_semi_star_equals_the_per_item_scan(parts, sizes, set_variant):
+    u = enumerate_union_universe(parts, sizes)
+    rng = random.Random(f"{parts}{sizes}{set_variant}")
+    for t in (1, 2):
+        for _ in range(12):
+            centres = [random_centre(rng, parts[-1], n, t, set_variant) for n in parts[:-1]]
+            fam = semi_star(u, centres, set_variant)
+            assert fam.bits == semi_star_oracle(u, centres, set_variant), (t, centres)
+            shadow = {x for c in centres for x in (c[0] if set_variant else [e[0] for e in c])}
+            assert fam.annotations[0] == f"semi-star:u={len(shadow)}"
+
+
+def test_semi_star_reads_postings_without_projecting_items(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a semi-star projected a matching")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ekrmatch" and hasattr(module, "project_pair"):
+            monkeypatch.setattr(module, "project_pair", refuse)
+    u = enumerate_universe((4, 4, 4), 3)
+    pins = semi_star(u, [((1, 1), (2, 2)), ((3, 1), (1, 2))])
+    assert len(pins) == semi_star_size((4, 4, 4), 3, 2, 3)
+    boxes = semi_star(u, [((1, 2), (1, 2)), ((1, 3), (1, 2))], set_variant=True)
+    assert len(boxes) == semi_star_size((4, 4, 4), 3, 2, 3, set_variant=True)
+
+
+@pytest.mark.parametrize("n,sizes", [(6, (3,)), (6, tuple(range(0, 7))), (7, (4,))])
+def test_ak_family_equals_the_per_item_scan(n, sizes):
+    u = enumerate_union_universe((n,), sizes)
+    for t in range(1, n + 1):
+        for i in range(0, (n - t) // 2 + 1):
+            w = t + 2 * i
+            want = scan_oracle(u, lambda m: sum(1 for e in m if e[0] <= w) >= t + i)
+            assert ak_family(u, t, i).bits == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fixed_point_family_equals_the_per_item_scan(n):
+    u = enumerate_universe((n, n), n)
+    for t in range(1, n + 1):
+        for i in range(0, (n - t) // 2 + 1):
+            w = t + 2 * i
+            want = scan_oracle(u, lambda m: sum(1 for (x, y) in m if x == y and x <= w) >= t + i)
+            assert fixed_point_family(u, t, i).bits == want
+
+
+@pytest.mark.parametrize("parts,sizes", [
+    ((3, 3), (2,)),
+    ((3, 3), (0, 1, 2, 3)),
+    ((4, 4), (3,)),
+    ((3, 3, 3), (2,)),
+    ((3, 3, 3), (0, 1, 2)),
+])
+def test_frame_family_equals_the_per_item_scan(parts, sizes):
+    u = enumerate_union_universe(parts, sizes)
+    rng = random.Random(len(u))
+    size = min(parts)
+    bases = [None]
+    for _ in range(4):
+        cols = [rng.sample(range(1, n + 1), size) for n in parts]
+        base = list(zip(*cols))
+        rng.shuffle(base)
+        bases.append(tuple(base))
+    for base in bases:
+        frame_base = diagonal_matching(parts) if base is None else base
+        for t in range(1, size + 1):
+            for i in range(0, (size - t) // 2 + 1):
+                frame = set(frame_base[:t + 2 * i])
+                want = scan_oracle(u, lambda m: len(frame & set(m)) >= t + i)
+                assert frame_family(u, t, i, base).bits == want, (base, t, i)
+
+
+@pytest.mark.parametrize("n,sizes", [(5, (3,)), (5, tuple(range(0, 6))), (6, tuple(range(1, 7)))])
+def test_katona_family_equals_the_per_item_scan(n, sizes):
+    u = enumerate_union_universe((n,), sizes)
+    for l in range(0, n + 1):
+        for x in [None, *range(1, n + 1)]:
+            want = scan_oracle(u, lambda m: len(m) - (1 if x is not None and (x,) in m else 0) >= l)
+            assert katona_family(u, l, x).bits == want, (l, x)
+
+
+@pytest.mark.parametrize("parts,sizes", [
+    ((3, 3), (0, 1, 2)),
+    ((3, 3), (1, 2, 3)),
+    ((4,), (0, 1, 2, 3, 4)),
+    ((3, 3, 3), (1, 2)),
+    ((4, 4), (2,)),
+])
+def test_is_upward_closed_equals_the_pairwise_subset_test(parts, sizes):
+    u = enumerate_union_universe(parts, sizes)
+    rng = random.Random(len(u))
+    for _ in range(40):
+        generators = rng.sample(u.items, rng.randint(1, 3))
+        closure = scan_oracle(u, lambda m: any(set(g) <= set(m) for g in generators))
+        fam = Family(u, closure)
+        assert is_upward_closed(fam) and upward_closed_oracle(fam)
+        # dropping or adding random matchings mostly breaks the closure
+        for _ in range(3):
+            bits = closure ^ (1 << rng.randrange(len(u)))
+            assert is_upward_closed(Family(u, bits)) == upward_closed_oracle(Family(u, bits))
+        noise = Family(u, rng.getrandbits(len(u)))
+        assert is_upward_closed(noise) == upward_closed_oracle(noise)
+    assert is_upward_closed(Family.empty(u)) and is_upward_closed(Family.full(u))
