@@ -24,7 +24,7 @@ from .harness import (
     run_builtin,
 )
 from .matchings import DEFAULT_UNIVERSE_CAP, enumerate_union_universe
-from .predicates import Predicate
+from .predicates import Predicate, check_strength
 from .search import (
     DEFAULT_MAXIMA_CAP,
     DEFAULT_NODE_BUDGET,
@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--parts", type=_parts, required=True, help="part sizes, e.g. 3,3")
     p_enum.add_argument("--r", type=int, help="edge count")
     p_enum.add_argument("--sizes", type=_parts, help="several edge counts, e.g. 1,2")
-    p_enum.add_argument("--cap", type=int, default=None, help="universe size cap")
+    p_enum.add_argument("--cap", type=_positive_int, default=None, help="universe size cap")
     p_enum.add_argument("--out", help="write the universe to this path (JSON lines)")
 
     p_search = sub.add_parser("search", help="exact maximum family for a predicate")
@@ -93,9 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--sizes", type=_parts)
     p_search.add_argument("--pred", required=True, help="predicate spec, e.g. set-intersecting:2")
     p_search.add_argument("--all-maxima", action="store_true", help="enumerate every maximum family")
-    p_search.add_argument("--maxima-cap", type=int, default=None)
-    p_search.add_argument("--node-budget", type=int, default=None)
-    p_search.add_argument("--cap", type=int, default=None, help="universe size cap")
+    p_search.add_argument("--maxima-cap", type=_positive_int, default=None)
+    p_search.add_argument("--node-budget", type=_positive_int, default=None)
+    p_search.add_argument("--cap", type=_positive_int, default=None, help="universe size cap")
     p_search.add_argument("--workers", type=_positive_int, default=1)
     p_search.add_argument("--seed-star", action="store_true",
                           help="seed the lower bound with a star construction")
@@ -146,6 +146,7 @@ def cmd_search(args) -> int:
     sizes = _resolve_sizes(args)
     try:
         pred = Predicate.parse(args.pred)
+        check_strength(pred, sizes)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -256,6 +257,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # a report path is checked before the run, not after it
+        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise UsageError(f"--out: no directory {os.path.dirname(args.out)!r}")
         if args.command == "enumerate":
             return cmd_enumerate(args)
         if args.command == "search":

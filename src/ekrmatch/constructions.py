@@ -21,22 +21,10 @@ from .matchings import (
 from .predicates import (
     Predicate,
     _part_pairs,
-    ambiguous_box_params,
     box_star_bits,
-    degenerate_star_params,
     signature_bits,
+    star_param_notes,
 )
-
-
-def _param_notes(universe: Universe, t: int) -> tuple:
-    if len(universe.sizes) != 1:
-        return ()
-    notes = []
-    if degenerate_star_params(universe.parts, universe.r, t):
-        notes.append("degenerate-star-centre")
-    if ambiguous_box_params(universe.parts, universe.r, t):
-        notes.append("ambiguous-box-centre")
-    return tuple(notes)
 
 
 def t_star(universe: Universe, centre) -> Family:
@@ -46,7 +34,7 @@ def t_star(universe: Universe, centre) -> Family:
     if t < 1 or t > max(universe.sizes):
         raise ValueError(f"centre of {t} edges cannot sit inside matchings of sizes {universe.sizes}")
     bits = signature_bits(universe, Predicate("intersecting", t), 0, centre)
-    return Family(universe, bits, _param_notes(universe, t))
+    return Family(universe, bits, star_param_notes(universe, t))
 
 
 def t_set_star(universe: Universe, box) -> Family:
@@ -64,7 +52,7 @@ def t_set_star(universe: Universe, box) -> Family:
     for i, side in enumerate(box):
         if not side <= set(range(1, parts[i] + 1)):
             raise ValueError(f"box side {sorted(side)} not inside part {i + 1} of size {parts[i]}")
-    return Family(universe, box_star_bits(universe, box), _param_notes(universe, t))
+    return Family(universe, box_star_bits(universe, box), star_param_notes(universe, t))
 
 
 def semi_star(universe: Universe, centres, set_variant: bool = False) -> Family:
@@ -117,7 +105,7 @@ def semi_star(universe: Universe, centres, set_variant: bool = False) -> Family:
     for j, signature in signatures:
         bits &= signature_bits(universe, pred, components.index((j, k)), signature)
     u = len(last_shadow)
-    return Family(universe, bits, (f"semi-star:u={u}",) + _param_notes(universe, t))
+    return Family(universe, bits, (f"semi-star:u={u}",) + star_param_notes(universe, t))
 
 
 def _at_least(universe: Universe, edges, m: int) -> int:

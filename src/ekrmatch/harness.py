@@ -57,15 +57,16 @@ from .matchings import (
 )
 from .predicates import (
     Predicate,
+    check_strength,
     classify_star,
     cross_set_intersecting,
     degenerate_star_params,
     family_satisfies,
+    holders,
     intersects_t,
     is_full_pair_star,
     projection_family,
     set_intersects_t,
-    signature_bits,
     weakly_intersects_t,
 )
 from .search import (
@@ -398,15 +399,6 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
 # weak stars collapse to stars (constructive sweep)
 
 
-def centre_system_bits(universe, t: int, system) -> int:
-    """The matchings whose pair projections contain the system's centres, pairs (i < j) in order."""
-    pred = Predicate("weakly-intersecting", t)
-    bits = (1 << len(universe)) - 1
-    for component, centre in enumerate(system):
-        bits &= signature_bits(universe, pred, component, centre)
-    return bits
-
-
 def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
                         system_cap: int = 10**5) -> CampaignReport:
     name = "weak-stars"
@@ -429,10 +421,12 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
     truncated = total_systems > system_cap
 
     systems = islice(product(*pools), system_cap)
+    pred = Predicate("weakly-intersecting", t)
     n_checked = n_nonempty = n_weak = n_confirmed = 0
     for system in systems:
         n_checked += 1
-        bits = centre_system_bits(universe, t, system)
+        # one signature per pair component, the system's centre there
+        bits = holders(universe, pred, [(centre,) for centre in system])
         if bits == 0:
             continue
         n_nonempty += 1
@@ -957,10 +951,13 @@ def load_campaign_file(path: str):
         raise ValueError(f"campaign file {path} has unsupported kind {doc.get('kind')!r}")
     cells = []
     for cell in doc["cells"]:
+        sizes = tuple(cell["sizes"] if "sizes" in cell else [cell["r"]])
+        pred = Predicate.parse(cell["pred"])
+        check_strength(pred, sizes)
         cells.append(BoundCell(
             parts=tuple(cell["parts"]),
-            sizes=tuple(cell["sizes"] if "sizes" in cell else [cell["r"]]),
-            pred=Predicate.parse(cell["pred"]),
+            sizes=sizes,
+            pred=pred,
             expect=cell.get("expect", ASSERT_EQUALITY),
             all_maxima=cell.get("all_maxima", True),
             weak_twin=cell.get("weak_twin", False),

@@ -74,8 +74,8 @@ class Universe:
 
     Items are ordered by edge count, then lexicographically on the canonical
     edge list, so indices are stable across runs.  Instances are immutable
-    after construction, apart from the memos that `predicates.postings` and
-    `item_projections` fill.
+    after construction, apart from the memos that `predicates.unit_postings`
+    and `item_projections` fill.
     """
 
     __slots__ = ("parts", "sizes", "items", "index", "level_offsets", "postings_memo", "projections_memo")

@@ -16,11 +16,11 @@ coincide as well, which the test suite checks by comparing whole adjacency
 rows.
 
 Every notion asks the same thing of two matchings: a common t-signature in
-every component.  `signatures` states this once for the fast paths (graph
-rows, star recognition and the star constructions), through the per-universe
-index that `postings` builds or one entry of it that `signature_bits` reads
-off the edge postings; the pairwise functions below stay as the independent
-oracle.
+every component.  `signatures` states this once, and only this module turns
+signatures into bits: graph rows through `signature_index` and
+`signature_rows`, and the holders of given signatures (stars, weak centre
+systems, row 0 of a transitive graph) through `holders` and `signature_bits`,
+read off the edge postings.  The pairwise functions stay as the oracle.
 """
 
 from __future__ import annotations
@@ -70,6 +70,12 @@ class Predicate:
 
     def __str__(self):
         return f"{self.kind}:{self.t}"
+
+
+def check_strength(pred: Predicate, sizes):
+    """Reject t above every edge count: no two matchings could meet, so the cell says nothing."""
+    if pred.t > max(sizes):
+        raise ValueError(f"{pred} needs t at most the largest edge count, {max(sizes)}")
 
 
 # ---------------------------------------------------------------------------
@@ -143,21 +149,20 @@ def _part_pairs(k: int) -> list:
 
 
 def _signature_rule(pred: Predicate, k: int):
-    """`signatures` resolved once per predicate: (views, of_view).
+    """`signatures` resolved once per predicate: a function from a matching to its signatures.
 
-    views maps a matching to its components' views, its pair projections,
-    or is None for the one component, the matching itself; of_view iterates
-    over one view's signatures.
+    A component's view is the matching itself for the plain kinds, or one of
+    its pair projections for the weak kinds at k >= 2.
     """
     t = pred.t
     if pred.is_set:
-        of_view = lambda view: box_signatures(view, t)
+        of_view = lambda view: tuple(box_signatures(view, t))
     else:
-        of_view = lambda view: combinations(view, t)
+        of_view = lambda view: tuple(combinations(view, t))
     if pred.is_weak and k > 1:
         pairs = _part_pairs(k)
-        return (lambda m: [project_pair(m, i, j) for i, j in pairs]), of_view
-    return None, of_view
+        return lambda m: tuple(of_view(project_pair(m, i, j)) for i, j in pairs)
+    return lambda m: (of_view(m),)
 
 
 def signatures(m, pred: Predicate, k: int) -> tuple:
@@ -171,72 +176,68 @@ def signatures(m, pred: Predicate, k: int) -> tuple:
     has none and meets nothing.  The loops over many matchings resolve the
     predicate once, through `_signature_rule`.
     """
-    views, of_view = _signature_rule(pred, k)
-    return tuple(tuple(of_view(view)) for view in ([m] if views is None else views(m)))
+    return _signature_rule(pred, k)(m)
 
 
 def signature_index(items, pred: Predicate, k: int) -> tuple:
-    """Per component, a dict from each signature to the bitset of the items having it, bit i for items[i]."""
-    views, of_view = _signature_rule(pred, k)
-    if views is None:
-        comp = {}
-        for i, m in enumerate(items):
-            bit = 1 << i
-            for s in of_view(m):
-                comp[s] = comp.get(s, 0) | bit
-        return (comp,)
+    """(index, sigs): per component, a dict from each signature to the bitset of the items having it,
+    bit i for items[i]; and sigs[i] = ``signatures(items[i], pred, k)``, computed once for the rows."""
+    rule = _signature_rule(pred, k)
+    sigs = list(map(rule, items))
     # the empty matching has every component, each without signatures
-    index = tuple({} for _ in views(()))
-    for i, m in enumerate(items):
+    index = tuple({} for _ in rule(()))
+    for i, own in enumerate(sigs):
         bit = 1 << i
-        for comp, view in zip(index, views(m)):
-            for s in of_view(view):
+        for comp, ss in zip(index, own):
+            for s in ss:
                 comp[s] = comp.get(s, 0) | bit
-    return index
+    return index, sigs
 
 
-def postings(universe, pred: Predicate) -> tuple:
-    """Per component, a dict from each signature to the bitset of the matchings having it.
+def signature_rows(index, sigs, first: int = 0) -> list:
+    """The items' rows, the i-th with its diagonal at bit first + i: per component the OR of its entries, ANDed."""
+    out = []
+    for u, own in enumerate(sigs, first):
+        row = -1
+        for comp, ss in zip(index, own):
+            hit = 0
+            for s in ss:
+                hit |= comp[s]
+            row &= hit
+        out.append(row | (1 << u))
+    return out
 
-    `signature_bits` reads one entry off the edge postings,
-    ``postings(u, intersecting:1)``, without the whole index; the star
-    constructions, the weak centre systems and the row of vertex 0 in a
-    transitive graph read their entries that way.  The index is memoised on
-    the universe.
-    """
-    index = universe.postings_memo.get(pred)
-    if index is None:
-        index = universe.postings_memo[pred] = signature_index(universe.items, pred, universe.k)
-    return index
 
-
-def _units(universe, weak: bool) -> tuple:
+def unit_postings(universe, weak: bool = False) -> tuple:
     """Per component, a dict from each unit to the bitset of the matchings holding it.
 
-    A unit is an edge for the plain kinds and a projected pair for the weak
-    ones (components as in `_part_pairs`), where a matching holds the pair
-    (a, b) on parts (i, j) when one of its edges has coordinates a and b
-    there.  Both come from the edge postings and are memoised on the universe.
+    A unit is an edge for the plain kinds (the edge postings) and a projected
+    pair for the weak ones (components as in `_part_pairs`), where a matching
+    holds the pair (a, b) on parts (i, j) when one of its edges has
+    coordinates a and b there.  Both are memoised on the universe.
     """
     key = ("units", weak)
     units = universe.postings_memo.get(key)
     if units is None:
-        edge_stars = postings(universe, Predicate("intersecting", 1))[0]
         if weak:
             pairs = _part_pairs(universe.k)
             units = tuple({} for _ in pairs)
-            for (e,), bits in edge_stars.items():
+            for e, bits in unit_postings(universe)[0].items():
                 for comp, (i, j) in zip(units, pairs):
                     pair = (e[i - 1], e[j - 1])
                     comp[pair] = comp.get(pair, 0) | bits
         else:
-            units = ({e: bits for (e,), bits in edge_stars.items()},)
+            edges = {}
+            for i, m in enumerate(universe.items):
+                for e in m:
+                    edges[e] = edges.get(e, 0) | 1 << i
+            units = (edges,)
         universe.postings_memo[key] = units
     return units
 
 
 def signature_bits(universe, pred: Predicate, component: int, signature) -> int:
-    """The matchings having `signature` in `component`: ``postings(universe, pred)[component][signature]``.
+    """The matchings of the universe having `signature` in `component`.
 
     It is read off the edge postings alone.  A signature of the intersecting
     kinds is t distinct units, held together exactly by the matchings in the
@@ -246,7 +247,7 @@ def signature_bits(universe, pred: Predicate, component: int, signature) -> int:
     t!^(k-1) perfect matchings, of the AND of their units.  A matching with
     fewer than t units holds no signature either way.
     """
-    units = _units(universe, pred.is_weak and universe.k > 1)[component]
+    units = unit_postings(universe, pred.is_weak and universe.k > 1)[component]
     everything = (1 << len(universe)) - 1
     if not pred.is_set:
         bits = everything
@@ -260,6 +261,17 @@ def signature_bits(universe, pred: Predicate, component: int, signature) -> int:
         for unit in zip(first, *cols):
             hit &= units.get(unit, 0)
         bits |= hit
+    return bits
+
+
+def holders(universe, pred: Predicate, sigs) -> int:
+    """The matchings holding one of sigs[c] in every component c; for ``signatures(m, pred, k)``, m's row."""
+    bits = (1 << len(universe)) - 1
+    for component, ss in enumerate(sigs):
+        hit = 0
+        for s in ss:
+            hit |= signature_bits(universe, pred, component, s)
+        bits &= hit
     return bits
 
 
@@ -310,9 +322,20 @@ def degenerate_star_params(parts, r: int, t: int) -> bool:
     return r == t or (r == t + 1 and all(n == t + 1 for n in parts))
 
 
-def ambiguous_box_params(parts, r: int, t: int) -> bool:
-    """Parameter sets where a t-set-star has both a box and its complement as centre."""
-    return r == 2 * t and all(n == 2 * t for n in parts)
+def star_param_notes(universe, t: int) -> tuple:
+    """The annotations of a uniform universe whose t-(set-)star centres are not unique; () otherwise.
+
+    A t-set-star is ambiguous when a box and its complement are both centres.
+    """
+    if len(universe.sizes) != 1:
+        return ()
+    parts, r = universe.parts, universe.r
+    notes = []
+    if degenerate_star_params(parts, r, t):
+        notes.append("degenerate-star-centre")
+    if r == 2 * t and all(n == 2 * t for n in parts):
+        notes.append("ambiguous-box-centre")
+    return tuple(notes)
 
 
 def edges_in_box(m, box) -> int:
@@ -397,23 +420,18 @@ def classify_star(fam: Family, t: int) -> StarClassification:
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
     u = fam.universe
-    notes = []
     if len(fam) == 0:
         return StarClassification("none", t, annotations=("empty",))
-    if len(u.sizes) == 1:
-        if degenerate_star_params(u.parts, u.r, t):
-            notes.append("degenerate-star-centre")
-        if ambiguous_box_params(u.parts, u.r, t):
-            notes.append("ambiguous-box-centre")
+    notes = star_param_notes(u, t)
 
     centres = _star_centres(fam, t)
     if centres:
-        return StarClassification("t-star", t, centres, annotations=tuple(notes))
+        return StarClassification("t-star", t, centres, annotations=notes)
 
     if u.k >= 2:
         boxes = _set_star_boxes(fam, t)
         if boxes:
-            return StarClassification("t-set-star", t, boxes, annotations=tuple(notes))
+            return StarClassification("t-set-star", t, boxes, annotations=notes)
 
     if u.k >= 3 and len(u.sizes) == 1 and t <= u.r:
         members = fam.members()
@@ -421,7 +439,7 @@ def classify_star(fam: Family, t: int) -> StarClassification:
         pairs = _part_pairs(u.k)
         projs = {(i, j): projection_family(members, i, j) for i, j in pairs}
         if all(is_full_pair_star(projs[(i, j)], parts[i - 1], parts[j - 1], r, t) for i, j in pairs):
-            return StarClassification("weak-t-star", t, annotations=tuple(notes))
+            return StarClassification("weak-t-star", t, annotations=notes)
         if all(
             is_max_size_pair_set_intersecting(projs[(i, j)], parts[i - 1], parts[j - 1], r, t)
             for i, j in pairs
@@ -431,7 +449,7 @@ def classify_star(fam: Family, t: int) -> StarClassification:
                 for i, j in pairs
             )
             return StarClassification(
-                "weak-t-set-star", t, projections_are_box_stars=genuine, annotations=tuple(notes)
+                "weak-t-set-star", t, projections_are_box_stars=genuine, annotations=notes
             )
 
-    return StarClassification("none", t, annotations=tuple(notes))
+    return StarClassification("none", t, annotations=notes)

@@ -5,8 +5,8 @@ the pairwise predicate holds, so maximum predicate-satisfying families are
 exactly maximum cliques.  Two matchings satisfy any of the four predicates
 exactly when they share a t-signature in every component
 (`predicates.signatures`), so a vertex's row is the AND over components of
-the OR of its signatures' posting bitsets (`predicates.postings`); no pair of
-matchings is compared directly.  One branch-and-bound kernel over bit-rows
+the OR of its signatures' index entries (`predicates.signature_rows`); no
+pair of matchings is compared.  One branch-and-bound kernel over bit-rows
 (Python ints), with a greedy-colouring bound and degeneracy root ordering,
 finds the maximum clique and, holding its incumbent one below the maximum,
 lists all maximum cliques; both searches run under a node budget.  Workers
@@ -43,10 +43,10 @@ the colourings, the depth-first tree, the node count and, mapped back
 through members, the witness and the maxima through vertex 0 are those of
 the full rows.  The proof's atom groups read the matchings of N[0] at their
 local positions, so its orbits, mapped back, are the same too.  Row 0 is
-read off the edge postings (`predicates.signature_bits`), and the rows of
-N(0) come from a signature index over the items of N[0] alone, which sets
-bit i for the i-th item as the whole-universe `postings` do.  Such a graph
-builds its full rows only when they are read, through `CompatGraph.rows`.
+read off the edge postings (`predicates.holders`), and the rows of N(0) come
+from a signature index over the items of N[0] alone, which sets bit i for
+the i-th item.  Such a graph builds its full rows only when they are read,
+through `CompatGraph.rows`.
 
 All maxima of a transitive graph come the same way: the kernel lists the m0
 maxima through vertex 0 from the root (0, 0, nadj[0]), and a breadth-first
@@ -140,7 +140,7 @@ from .matchings import (
     enumerate_union_universe,
     relabelling_generators,
 )
-from .predicates import Predicate, classify_star, postings, signature_bits, signature_index, signatures
+from .predicates import Predicate, classify_star, holders, signature_index, signature_rows, signatures
 
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
@@ -193,15 +193,15 @@ class CompatGraph:
         self.universe = universe
         self.pred = pred
         self.symmetric = symmetric  # rows from the whole universe: invariant under the part relabellings
-        self._full_rows = rows  # None: built from the postings on first read of `rows`
+        self._full_rows = rows  # None: built from the signature index on first read of `rows`
         self._root_rows = None  # the root-0 search's rows of a transitive graph, once built
 
     @property
     def rows(self) -> list:
         """Adjacency bit-rows with the diagonal set."""
         if self._full_rows is None:
-            universe, pred = self.universe, self.pred
-            self._full_rows = _rows(universe.items, pred, universe.k, postings(universe, pred))
+            u = self.universe
+            self._full_rows = signature_rows(*signature_index(u.items, self.pred, u.k))
         return self._full_rows
 
     @property
@@ -218,32 +218,18 @@ class CompatGraph:
 # graph construction
 
 
-def _rows(items, pred: Predicate, k: int, index, first: int = 0) -> list:
-    """The items' rows, the i-th with its diagonal at bit first + i: per component the OR of its postings, ANDed."""
-    out = []
-    for u, m in enumerate(items, first):
-        row = -1
-        for comp, sigs in zip(index, signatures(m, pred, k)):
-            hit = 0
-            for s in sigs:
-                hit |= comp[s]
-            row &= hit
-        out.append(row | (1 << u))
-    return out
-
-
 _BUILD_CTX = None
 
 
-def _init_build(universe, pred, index):
+def _init_build(index, sigs):
     global _BUILD_CTX
-    _BUILD_CTX = (universe, pred, index)
+    _BUILD_CTX = (index, sigs)
 
 
 def _build_row_block(block):
     lo, hi = block
-    universe, pred, index = _BUILD_CTX
-    return lo, _rows(universe.items[lo:hi], pred, universe.k, index, lo)
+    index, sigs = _BUILD_CTX
+    return lo, signature_rows(index, sigs[lo:hi], lo)
 
 
 def build_compat_graph(
@@ -263,16 +249,16 @@ def build_compat_graph(
     if len(universe.sizes) == 1:
         rows = None
     elif workers > 1 and n >= 64:
-        index = postings(universe, pred)
+        index, sigs = signature_index(universe.items, pred, universe.k)
         step = -(-n // (workers * 4))
         blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         rows = [0] * n
         ctx = get_context("fork")
-        with ctx.Pool(workers, initializer=_init_build, initargs=(universe, pred, index)) as pool:
+        with ctx.Pool(workers, initializer=_init_build, initargs=(index, sigs)) as pool:
             for lo, block_rows in pool.map(_build_row_block, blocks):
                 rows[lo : lo + len(block_rows)] = block_rows
     else:
-        rows = _rows(universe.items, pred, universe.k, postings(universe, pred))
+        rows = signature_rows(*signature_index(universe.items, pred, universe.k))
     return CompatGraph(universe, pred, rows, symmetric=True)
 
 
@@ -314,16 +300,10 @@ def _root_rows(graph: CompatGraph):
     rows (module docstring).  Built once per graph.
     """
     if graph._root_rows is None:
-        universe, pred = graph.universe, graph.pred
-        row0 = -1
-        for component, sigs in enumerate(signatures(universe.items[0], pred, universe.k)):
-            hit = 0
-            for s in sigs:
-                hit |= signature_bits(universe, pred, component, s)
-            row0 &= hit
+        universe, pred, k = graph.universe, graph.pred, graph.universe.k
+        row0 = holders(universe, pred, signatures(universe.items[0], pred, k))
         members = Family(universe, row0 | 1).indices()
-        items = [universe.items[v] for v in members]
-        rows = _rows(items, pred, universe.k, signature_index(items, pred, universe.k))
+        rows = signature_rows(*signature_index([universe.items[v] for v in members], pred, k))
         nadj = [row & ~(1 << i) for i, row in enumerate(rows)]
         sys.setrecursionlimit(max(sys.getrecursionlimit(), len(members) + 512))
         graph._root_rows = nadj, members

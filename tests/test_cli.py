@@ -190,8 +190,23 @@ def test_console_script_end_to_end():
     ["search", "--parts", "3,3", "--sizes", "1,9", "--pred", "intersecting:1"],
     ["verify", "--campaign", "builtin:lemma1", "--samples", "0"],
     ["verify", "--campaign", "builtin:lemma1", "--samples", "-3"],
+    # t above every edge count: no two matchings could meet
+    ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:5"],
+    ["search", "--parts", "3,3", "--sizes", "0", "--pred", "intersecting:1"],
+    ["verify", "--campaign", "CAMPAIGN"],
+    ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--maxima-cap", "0", "--all-maxima"],
+    ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--node-budget", "0"],
+    ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--cap", "0"],
+    ["enumerate", "--parts", "3,3", "--r", "2", "--cap", "-1"],
+    # a report directory that does not exist, found before the run
+    ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--out", "MISSING/rep"],
+    ["verify", "--campaign", "builtin:semi-stars", "--out", "MISSING/rep"],
+    ["enumerate", "--parts", "3,3", "--r", "2", "--out", "MISSING/u.jsonl"],
 ], ids=" ".join)
-def test_configuration_errors_exit_2_with_one_error_line(argv):
+def test_configuration_errors_exit_2_with_one_error_line(argv, tmp_path):
+    campaign = tmp_path / "campaign.json"
+    campaign.write_text(json.dumps({"cells": [{"parts": [3, 3], "r": 2, "pred": "set-intersecting:3"}]}))
+    argv = [str(campaign) if a == "CAMPAIGN" else a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ekrmatch.cli", *argv],
@@ -199,6 +214,13 @@ def test_configuration_errors_exit_2_with_one_error_line(argv):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+
+
+def test_t_at_the_largest_edge_count_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:2")
+    assert code == 0 and out.startswith("max=1 formula=1 status=MATCHES_STAR_BOUND")
+    code, out, _ = run_cli(capsys, "search", "--parts", "3,3", "--sizes", "0,1", "--pred", "intersecting:1")
+    assert code == 0 and out.startswith("max=1 formula=1 ")
 
 
 def test_lemma1_cells_without_samples_report_no_size_range(capsys):

@@ -9,7 +9,6 @@ from ekrmatch.harness import (
     BoundCell,
     BUILTIN_CAMPAIGNS,
     LEMMA_CELLS,
-    centre_system_bits,
     closure_violations,
     force_record,
     load_campaign_file,
@@ -35,6 +34,7 @@ from ekrmatch.matchings import (
 from ekrmatch.predicates import (
     Predicate,
     family_satisfies,
+    holders,
     intersects_t,
     pair_checker,
     weakly_intersects_t,
@@ -203,15 +203,16 @@ def test_weak_star_suite_confirms_collapse():
 
 
 @pytest.mark.parametrize("parts,r,t", [((3, 3, 3), 2, 1), ((2, 3, 3), 2, 2), ((3, 4), 2, 1)])
-def test_centre_system_bits_equal_projection_scan(parts, r, t):
+def test_centre_system_holders_equal_projection_scan(parts, r, t):
     universe = enumerate_universe(parts, r)
+    pred = Predicate("weakly-intersecting", t)
     k = len(parts)
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
     pools = [enumerate_universe((parts[i - 1], parts[j - 1]), t).items for i, j in pairs]
     for system in product(*pools):
         scan = sum(1 << idx for idx, m in enumerate(universe.items)
                    if all(set(c) <= set(project_pair(m, i, j)) for (i, j), c in zip(pairs, system)))
-        assert centre_system_bits(universe, t, system) == scan
+        assert holders(universe, pred, [(c,) for c in system]) == scan
 
 
 def test_weak_star_suite_skips_degenerate_parameters():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from ekrmatch import search
 from ekrmatch.constructions import klein_family, semi_star, t_set_star, t_star
 from ekrmatch.counts import t_set_star_size
 from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_universe
@@ -295,10 +296,15 @@ def test_star_centres_equal_a_universe_scan(parts, sizes, t):
         assert (cls.centres if cls.kind == "t-star" else ()) == brute_star_centres(fam, t)
 
 
-def test_all_maxima_build_no_t_intersecting_index():
+def test_all_maxima_build_no_t_intersecting_index(monkeypatch):
+    indexed, real = [], search.signature_index
+    monkeypatch.setattr(search, "signature_index",
+                        lambda items, *rest: indexed.append(len(items)) or real(items, *rest))
     u = enumerate_universe((5, 5), 4)
     rep = extremal((5, 5), (4,), Predicate("intersecting", 2), all_maxima=True, universe=u)
     assert rep.maxima_kinds == {"t-star": rep.maxima_count}
-    assert Predicate("intersecting", 2) not in u.postings_memo
+    # the only index is the one over N[0]; the universe keeps nothing but its unit postings
+    assert indexed and max(indexed) < len(u)
+    assert set(u.postings_memo) <= {("units", False), ("units", True)}
     for fam, cls in zip(rep.maxima, rep.classifications):
         assert cls.centres == brute_star_centres(fam, 2)

@@ -13,10 +13,10 @@ from ekrmatch.predicates import (
     box_star_bits,
     edges_in_box,
     pair_checker,
-    postings,
     signature_bits,
     signature_index,
     signatures,
+    unit_postings,
 )
 from ekrmatch.search import build_compat_graph
 
@@ -67,18 +67,25 @@ def test_small_matchings_have_no_signatures():
 
 def test_weak_equals_plain_at_k1():
     universe = enumerate_union_universe((5,), (1, 2, 3))
-    for plain in ("intersecting", "set-intersecting"):
-        weak = Predicate("weakly-" + plain, 2)
-        assert postings(universe, weak) == postings(universe, Predicate(plain, 2))
+    for kind in ("intersecting", "set-intersecting"):
+        weak, plain = Predicate("weakly-" + kind, 2), Predicate(kind, 2)
+        assert signature_index(universe.items, weak, 1) == signature_index(universe.items, plain, 1)
 
 
 def test_postings_are_memoised_per_universe():
-    pred = Predicate("set-intersecting", 1)
     a = enumerate_union_universe((3, 3), (2,))
     b = enumerate_union_universe((3, 3), (2,))
-    assert postings(a, pred) is postings(a, pred)
-    assert postings(a, pred) is not postings(b, pred)
-    assert postings(a, pred) == postings(b, pred)
+    for weak in (False, True):
+        assert unit_postings(a, weak) is unit_postings(a, weak)
+        assert unit_postings(a, weak) is not unit_postings(b, weak)
+        assert unit_postings(a, weak) == unit_postings(b, weak)
+    # the edge postings against a scan, and nothing else is kept on the universe
+    want = {}
+    for idx, m in enumerate(a.items):
+        for e in m:
+            want[e] = want.get(e, 0) | 1 << idx
+    assert unit_postings(a) == (want,)
+    assert set(a.postings_memo) == {("units", False), ("units", True)}
 
 
 @pytest.mark.parametrize("parts,sizes", [((4, 4), (0, 1, 2, 3)), ((3, 3, 3), (1, 2, 3))])
@@ -131,7 +138,7 @@ def test_box_star_bits_equal_brute_scan(parts, sizes, t):
 def test_signature_bits_equal_posting_entries(parts, sizes, t, kind):
     universe = enumerate_union_universe(parts, sizes)
     pred = Predicate(kind, t)
-    index = postings(universe, pred)
+    index, _ = signature_index(universe.items, pred, universe.k)
     assert len(index) == (3 if pred.is_weak and len(parts) == 3 else 1)
     assert any(index) == (t <= max(sizes))
     for component, entries in enumerate(index):
@@ -155,16 +162,20 @@ def test_t_set_star_errors_unchanged():
         assert str(err.value) == message
 
 
-def per_universe_index(universe, pred, indices):
-    """The signature index as a loop over universe indices, bit idx for items[idx], each item dispatched alone."""
-    k, t = universe.k, pred.t
+def item_signatures(m, pred, k):
+    """One matching's signatures, a set per component, each item dispatched alone."""
     pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    index = tuple({} for _ in (pairs if pred.is_weak and k > 1 else [()]))
+    views = [project_pair(m, i, j) for i, j in pairs] if pred.is_weak and k > 1 else [m]
+    return [set(box_signatures(view, pred.t) if pred.is_set else combinations(view, pred.t)) for view in views]
+
+
+def per_universe_index(universe, pred, indices):
+    """The signature index as a loop over universe indices, bit idx for items[idx]."""
+    k = universe.k
+    index = tuple({} for _ in item_signatures((), pred, k))
     for idx in indices:
-        m = universe.items[idx]
-        views = [project_pair(m, i, j) for i, j in pairs] if pred.is_weak and k > 1 else [m]
-        for comp, view in zip(index, views):
-            for s in (box_signatures(view, t) if pred.is_set else combinations(view, t)):
+        for comp, sigs in zip(index, item_signatures(universe.items[idx], pred, k)):
+            for s in sigs:
                 comp[s] = comp.get(s, 0) | 1 << idx
     return index
 
@@ -179,10 +190,12 @@ def test_signature_index_over_item_lists_equals_the_per_universe_index(parts, si
     universe = enumerate_union_universe(parts, sizes)
     pred, k = Predicate(kind, t), len(parts)
     n = len(universe)
-    assert signature_index(universe.items, pred, k) == per_universe_index(universe, pred, range(n))
+    index, sigs = signature_index(universe.items, pred, k)
+    assert index == per_universe_index(universe, pred, range(n))
+    assert [list(map(set, own)) for own in sigs] == [item_signatures(m, pred, k) for m in universe.items]
     # a sub-list sets bit i for its i-th item: the per-universe entries, compressed to the sub-list
     sub = list(range(0, n, 3)) + list(range(1, n, 3))[::2]
     sub.sort()
     want = tuple({s: sum(1 << i for i, v in enumerate(sub) if bits >> v & 1) for s, bits in comp.items()}
                  for comp in per_universe_index(universe, pred, sub))
-    assert signature_index([universe.items[v] for v in sub], pred, k) == want
+    assert signature_index([universe.items[v] for v in sub], pred, k)[0] == want

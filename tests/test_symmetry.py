@@ -8,10 +8,11 @@ loop on an unmarked copy of the same graph.
 """
 
 import inspect
+from collections import Counter
 
 import pytest
 
-from ekrmatch import search
+from ekrmatch import predicates, search
 from ekrmatch.constructions import diagonal_matching, t_set_star, t_star
 from ekrmatch.harness import (
     intersecting_cells,
@@ -330,16 +331,47 @@ def test_transitive_cell_builds_no_full_rows_weak_index_or_pool(monkeypatch):
         built.append(real_build(*args, **kwargs))
         return built[-1]
 
+    indexed, real_index = [], search.signature_index
     monkeypatch.setattr(search, "get_context", no_pool)
     monkeypatch.setattr(search, "build_compat_graph", recording)
+    monkeypatch.setattr(search, "signature_index",
+                        lambda items, *rest: indexed.append(len(items)) or real_index(items, *rest))
     universe = enumerate_universe((4, 4, 4), 3)
     pred = Predicate("weakly-intersecting", 1)
     rep = extremal((4, 4, 4), (3,), pred, workers=2, universe=universe)
     assert rep.max_size == 108
-    assert pred not in universe.postings_memo
+    # one index, over N[0]; the universe keeps nothing but its unit postings
+    assert indexed == [307]
+    assert set(universe.postings_memo) <= {("units", False), ("units", True)}
     [graph] = built
     assert graph._full_rows is None and graph.n == 2304
     assert search._root_rows(graph) is search._root_rows(graph)
+
+
+def test_row_builds_compute_each_item_signatures_once(monkeypatch):
+    calls, real = Counter(), predicates.project_pair
+
+    def counting(m, i, j):
+        if m:  # not the empty matching, which no universe here holds, projected to count the components
+            calls[m] += 1
+        return real(m, i, j)
+
+    monkeypatch.setattr(predicates, "project_pair", counting)
+    graph = build_compat_graph(enumerate_universe((4, 4, 4), 3), Predicate("weakly-intersecting", 1))
+    items = graph.universe.items
+    _, members = search._root_rows(graph)
+    # three pair projections per item of N[0], for the index that also gives its row; item 0's once more, for row 0
+    assert len(members) == 307
+    assert calls == Counter({items[v]: 6 if v == 0 else 3 for v in members})
+    calls.clear()
+    graph.rows
+    assert calls == Counter({m: 3 for m in items})
+    calls.clear()
+    union = enumerate_union_universe((3, 3, 3), (1, 2))
+    for workers in (1, 2):
+        build_compat_graph(union, Predicate("weakly-set-intersecting", 1), workers=workers)
+        assert calls == Counter({m: 3 for m in union.items})
+        calls.clear()
 
 
 def test_union_universe_builds_rows_eagerly(monkeypatch):
