@@ -7,13 +7,15 @@ exactly when they share a t-signature in every component
 (`predicates.signatures`), so a vertex's row is the AND over components of
 the OR of its signatures' index entries (`predicates.signature_rows`); no
 pair of matchings is compared.  One branch-and-bound kernel over bit-rows
-(Python ints), with a greedy-colouring bound and degeneracy root ordering,
-finds the maximum clique and, holding its incumbent one below the maximum,
-lists all maximum cliques; both searches run under a node budget.  Workers
-each search a strided chunk of the roots under one incumbent, and the budget
-bounds their summed nodes.  All tie-breaking is by lowest vertex index, so
-results are deterministic; the reported witness is the first maximum clique
-in the fixed depth-first order, which is also independent of the worker count.
+(Python ints), `_branch`, runs every search under a node budget.  With a
+greedy-colouring bound and degeneracy root ordering it finds the maximum
+clique and, holding its incumbent one below the maximum, lists all maximum
+cliques; with the Re-NUMBER bound and orbital branching it proves the
+maximum of a graph marked symmetric (below).  Workers each search a strided
+chunk of the roots under one incumbent, and the budget bounds their summed
+nodes.  All tie-breaking is by lowest vertex index, so results are
+deterministic; the reported witness is the first maximum clique in the fixed
+depth-first order, which is also independent of the worker count.
 
 A graph built from a uniform universe (one edge count) is searched from the
 root at vertex 0 alone, serially.  The group S_{n_1} x ... x S_{n_k} of
@@ -33,8 +35,8 @@ The root-0 searches read only the rows of N[0], masked to N[0] and
 renumbered to it, so a transitive graph builds no other row and every AND
 works on |N[0]| bits rather than |V| (`_root_rows`; San Segundo,
 Rodriguez-Losada and Jimenez, Comput. Oper. Res. 2011).  Every read of a row
-nadj[v] in `_expand`, `_colour_order`, `_renumber_order` and `_prove` is
-ANDed with a candidate set, and every candidate set lies inside N(0): the
+nadj[v] in `_branch`, `_colour_order` and `_renumber_order` is ANDed with a
+candidate set, and every candidate set lies inside N(0): the
 root's is nadj[0], and each child's is its parent's ANDed with a row.  So
 rows masked to N[0] give the same search.  Bit i of a local row stands for
 members[i], the i-th vertex of N[0] in ascending order (members[0] = 0).
@@ -68,20 +70,21 @@ the whole list, so it overflows exactly when the full listing would.
 A graph from `build_compat_graph` is marked symmetric: its rows come from a
 whole (union) universe, so the part relabellings map them onto themselves.
 Its maximum comes in two phases, the proof first; a graph built by hand is
-unmarked and gets the single search above.  The proof phase (`_prove`)
-starts from the incumbent max(seed size, s), where s is the star bound
-(`star_formula_value`).  A star is a clique of size s, so nothing is lost
-below it, and the proof ends at the maximum w.  It branches as the kernel
-does but keeps no witness, and it colours by MCS Re-NUMBER (Tomita et al.,
-WALCOM 2010): with kmin = incumbent - depth, the first kmin greedy classes
-are never branched on, and a vertex past them first tries to join one of
-them, directly or by moving its single conflicting neighbour there to a
-later class up to kmin.  It starts from one root per orbit of the
-relabelling group.  The group acts transitively on each edge-count level, so
-the orbits are the levels, and root i is the lowest index of level i with
+unmarked and gets the single search above.  The proof phase is the kernel
+with `_SearchState.renumber` and `relabel` set, from the incumbent
+max(seed size, s), where s is the star bound (`star_formula_value`).  A star
+is a clique of size s, so nothing is lost below it, and the proof ends at the
+maximum w.  It colours by MCS Re-NUMBER (Tomita et al., WALCOM 2010): with
+kmin = incumbent - depth, the first kmin greedy classes are never branched
+on, and a vertex past them first tries to join one of them, directly or by
+moving its single conflicting neighbour there to a later class up to kmin.
+The listing keeps the greedy bound, which costs less at its incumbent.  The
+proof's roots, one per orbit of the relabelling group, go through
+`_search_roots` too.  The group acts transitively on each edge-count level,
+so the orbits are the levels, and root i is the lowest index of level i with
 its neighbours outside the earlier levels: a clique whose lowest level is i
-has an image through root i, and that image avoids the earlier levels too.
-A transitive graph has the one root (0, nadj[0]).
+has an image through root i, and that image avoids the earlier levels too.  A
+transitive graph has the one root (0, nadj[0]).
 
 The witness phase then runs the single search once, with the incumbent at
 w - 1, and stops at its first clique of size w; ending below w is an engine
@@ -119,8 +122,8 @@ stay upper bounds, since candidates only leave.  The orbits are keyed by the
 sorted tuples of per-edge atom labels (`matchings.atom_orbits`).  They are
 computed once per node, only when a second branch is due, and not at all
 when every atom is a singleton, as for perfect matchings at k >= 2.  The
-proof keeps no witness and proves the same size, so only its node count
-changes.
+proof proves the same size, and the witness phase replaces any witness it
+records, so only its node count changes.
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ from .matchings import (
     enumerate_union_universe,
     relabelling_generators,
 )
-from .predicates import Predicate, classify_star, holders, signature_index, signature_rows, signatures
+from .predicates import (Predicate, check_strength, classify_star, holders, signature_index,
+                         signature_rows, signatures)
 
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
@@ -275,6 +279,7 @@ class _SearchState:
     found: list | None = None
     cap: int = 0
     stop: int | None = None  # the witness phase ends at its first clique this large
+    renumber: bool = False  # the proof's Re-NUMBER bound in place of the greedy colouring
     relabel: Universe | None = None  # the proof's matchings at the rows' bit positions, for the atom groups
 
 
@@ -364,24 +369,6 @@ def _record(state: _SearchState, bits: int, size: int):
         raise MaximaOverflowError(state.cap)
 
 
-def _expand(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
-    state.nodes += 1
-    if state.nodes > state.budget:
-        raise NodeBudgetExceeded(state.nodes, state.budget)
-    order, colours = _colour_order(pmask, nadj)
-    for idx in range(len(order) - 1, -1, -1):
-        if rsize + colours[idx] <= state.best:
-            return
-        v = order[idx]
-        vbit = 1 << v
-        newp = pmask & nadj[v] & ~vbit
-        if newp:
-            _expand(nadj, newp, rbits | vbit, rsize + 1, state)
-        elif rsize + 1 > state.best:
-            _record(state, rbits | vbit, rsize + 1)
-        pmask ^= vbit
-
-
 def _degeneracy_order(nadj, n: int):
     """Repeatedly remove a minimum-degree vertex, lowest index first on ties."""
     import heapq
@@ -425,7 +412,7 @@ def _search_roots(nadj, roots, state: _SearchState):
         before = state.best
         try:
             if pmask:
-                _expand(nadj, pmask, 1 << v, 1, state)
+                _branch(nadj, pmask, 1 << v, 1, state)
             elif state.best < 1:
                 _record(state, 1 << v, 1)
         except _Stopped:
@@ -494,8 +481,10 @@ def _renumber_order(pmask: int, nadj, kmin: int):
     Each leftover vertex p then joins one of them if it has no neighbour
     there, or if its one neighbour q there can move to a later class up to
     kmin that holds no neighbour of q.  Only the vertices still left are
-    coloured greedily from kmin + 1.
+    coloured greedily from kmin + 1.  At kmin <= 0 that is `_colour_order`.
     """
+    if kmin <= 0:
+        return _colour_order(pmask, nadj)
     classes = []
     while pmask and len(classes) < kmin:
         cls, avail = 0, pmask
@@ -531,17 +520,21 @@ def _renumber_order(pmask: int, nadj, kmin: int):
     return order, [c + kmin for c in colours]
 
 
-def _prove(nadj, pmask: int, rsize: int, state: _SearchState, rbits: int = 0):
-    """Raise state.best to the largest clique size under this node; no witness is kept.
+def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
+    """Search the cliques rbits + some of pmask, recording each larger one, or listing each maximum.
 
-    With state.relabel set, rbits holds the node's clique, and at nodes of at
-    most ORBIT_DEPTH members each branched vertex takes its whole orbit under
-    the clique's atom group out of the candidates (module docstring).
+    The bound is the greedy colouring, or with state.renumber Re-NUMBER's.
+    With state.relabel set, at nodes of at most ORBIT_DEPTH members each
+    branched vertex takes its whole orbit under the clique's atom group out of
+    the candidates (module docstring).
     """
     state.nodes += 1
     if state.nodes > state.budget:
         raise NodeBudgetExceeded(state.nodes, state.budget)
-    order, colours = _renumber_order(pmask, nadj, max(state.best - rsize, 0))
+    if state.renumber:
+        order, colours = _renumber_order(pmask, nadj, state.best - rsize)
+    else:
+        order, colours = _colour_order(pmask, nadj)
     universe = state.relabel if rsize <= ORBIT_DEPTH else None
     # each candidate's orbit once a second branch is due, {} for a trivial group; till then the first branch
     orbit = first = None
@@ -549,35 +542,38 @@ def _prove(nadj, pmask: int, rsize: int, state: _SearchState, rbits: int = 0):
         if rsize + colours[idx] <= state.best:
             return
         v = order[idx]
-        if first is not None:
-            atoms = clique_atoms(universe, rbits)
-            orbit = atom_orbits(universe, atoms, pmask | 1 << first) if atoms else {}
-            pmask &= ~orbit.get(first, 0)
-            first = None
-        if not pmask >> v & 1:  # an earlier branch's orbit took it
-            continue
+        if universe is not None:
+            if first is not None:
+                atoms = clique_atoms(universe, rbits)
+                orbit = atom_orbits(universe, atoms, pmask | 1 << first) if atoms else {}
+                pmask &= ~orbit.get(first, 0)
+                first = None
+            if not pmask >> v & 1:  # an earlier branch's orbit took it
+                continue
         vbit = 1 << v
         newp = pmask & nadj[v]
         if newp:
-            _prove(nadj, newp, rsize + 1, state, rbits | vbit)
+            _branch(nadj, newp, rbits | vbit, rsize + 1, state)
         elif rsize + 1 > state.best:
-            state.best = rsize + 1
+            _record(state, rbits | vbit, rsize + 1)
         pmask ^= vbit
-        if orbit:
-            pmask &= ~orbit[v]
-        elif orbit is None and universe is not None:
-            first = v
+        if universe is not None:
+            if orbit:
+                pmask &= ~orbit[v]
+            elif orbit is None:
+                first = v
 
 
 def _proof_roots(graph: CompatGraph, nadj):
-    """One root per edge-count level, its lowest index v, with v's later neighbours as candidates.
+    """(position, v, v's later neighbours) per edge-count level, v its lowest index.
 
     The part relabellings act transitively on each level, and a clique whose
     lowest level is i has an image through root i that avoids earlier levels.
     A transitive graph has the single root 0, with candidates nadj[0], at
     local positions too, since members[0] = 0.
     """
-    return [(v, nadj[v] >> v << v) for v in sorted(graph.universe.level_offsets.values())]
+    levels = sorted(graph.universe.level_offsets.values())
+    return [(pos, v, nadj[v] >> v << v) for pos, v in enumerate(levels)]
 
 
 def max_clique(
@@ -611,14 +607,11 @@ def max_clique(
     seeded = state.best
     # a star is a clique of the star bound's size
     state.best = max(seeded, star_formula_value(universe.parts, universe.sizes, graph.pred))
-    state.relabel = universe
+    state.renumber, state.relabel = True, universe
     if graph.transitive:  # the atom helpers read the matchings at the rows' bit positions, those of N[0]
         state.relabel = Universe(universe.parts, universe.sizes, [universe.items[v] for v in members])
-    for v, pmask in _proof_roots(graph, nadj):
-        if pmask:
-            _prove(nadj, pmask, 1, state, 1 << v)
-        elif state.best < 1:
-            state.best = 1
+    _search_roots(nadj, _proof_roots(graph, nadj), state)
+    state.renumber, state.relabel = False, None
     if state.best > seeded:
         _witness_phase(nadj, roots, state, workers, state.best)
         state.witness = _to_vertices(state.witness, members)
@@ -770,7 +763,10 @@ def extremal(
     seed_star: bool = False,
     universe: Universe | None = None,
 ) -> ExtremalReport:
-    """Enumerate, build the graph, solve, optionally enumerate and classify all maxima."""
+    """Enumerate, build the graph, solve, optionally enumerate and classify all maxima.
+
+    A t above every edge count raises ValueError (`check_strength`).
+    """
     from .constructions import diagonal_matching, t_set_star, t_star
 
     start = time.perf_counter()
@@ -780,6 +776,7 @@ def extremal(
         universe = enumerate_union_universe(parts, sizes, universe_cap)
     parts = universe.parts
     sizes = universe.sizes
+    check_strength(pred, sizes)
     graph = build_compat_graph(universe, pred, graph_cap, workers)
 
     seed = None

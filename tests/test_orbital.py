@@ -28,7 +28,7 @@ from ekrmatch.search import (
     CompatGraph,
     _neighbour_rows,
     _proof_roots,
-    _prove,
+    _search_roots,
     _SearchState,
     build_compat_graph,
     max_clique,
@@ -184,13 +184,13 @@ def test_orbital_kernel_on_random_invariant_graphs(monkeypatch):
             graph = CompatGraph(universe, Predicate("intersecting", 1), rows)
             nadj = _neighbour_rows(graph)
             best = 0
-            for v, pmask in _proof_roots(graph, nadj):
-                plain = _SearchState(budget=10**7)
-                orbital = _SearchState(budget=10**7, relabel=universe)
-                _prove(nadj, pmask, 1, plain, 1 << v)
-                _prove(nadj, pmask, 1, orbital, 1 << v)
+            for root in _proof_roots(graph, nadj):
+                plain = _SearchState(budget=10**7, renumber=True)
+                orbital = _SearchState(budget=10**7, renumber=True, relabel=universe)
+                _search_roots(nadj, [root], plain)
+                _search_roots(nadj, [root], orbital)
                 assert orbital.best == plain.best
-                best = max(best, orbital.best, 1)
+                best = max(best, orbital.best)
                 nodes[0] += orbital.nodes
                 nodes[1] += plain.nodes
             assert best == max_clique(graph)[0]  # the unmarked graph's single search

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from ekrmatch.constructions import klein_family, t_star
-from ekrmatch.matchings import enumerate_universe
+from ekrmatch.matchings import enumerate_union_universe, enumerate_universe
 from ekrmatch.predicates import Predicate, classify_star, family_satisfies, intersects_t
 from ekrmatch.search import (
     CompatGraph,
@@ -246,6 +246,15 @@ def test_extremal_pipeline_statuses():
 
     rep = extremal((3, 3), (1, 2), Predicate("intersecting", 1), all_maxima=True)
     assert rep.max_size == 5 and rep.maxima_kinds == {"t-star": 9}
+
+
+@pytest.mark.parametrize("parts,sizes,t", [((3, 3), (2,), 5), ((3, 3), (0,), 1), ((4,), (0, 1, 2), 3)])
+def test_extremal_rejects_t_above_every_edge_count(parts, sizes, t):
+    # no two matchings could meet, so a single matching would read as beating the star bound
+    with pytest.raises(ValueError, match="t at most the largest edge count"):
+        extremal(parts, sizes, Predicate("intersecting", t))
+    with pytest.raises(ValueError, match="t at most the largest edge count"):
+        extremal(parts, sizes, Predicate("intersecting", t), universe=enumerate_union_universe(parts, sizes))
 
 
 def test_extremal_seed_star_witness():

@@ -1,7 +1,7 @@
 """The two-phase maximum: a Re-NUMBER proof from the star bound, then one witness search.
 
-The proof kernel is checked against `max_clique_naive` from several
-incumbents.  The two-phase size, witness and status are checked against the
+The kernel under the proof's bound is checked against `max_clique_naive`
+from several incumbents.  The two-phase size, witness and status are checked against the
 single search of an unmarked copy of the same graph on every cell that the
 builtin campaigns solve, on the benchmark cells and on the Katona union
 cells, seeded and unseeded, at one and two workers.
@@ -15,14 +15,14 @@ import pytest
 
 from ekrmatch import search
 from ekrmatch.harness import BUILTIN_CAMPAIGNS
-from ekrmatch.matchings import enumerate_union_universe, enumerate_universe
+from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_universe
 from ekrmatch.predicates import Predicate
 from ekrmatch.search import (
     CompatGraph,
     InternalCheckError,
     NodeBudgetExceeded,
+    _branch,
     _neighbour_rows,
-    _prove,
     _search_roots,
     _SearchState,
     build_compat_graph,
@@ -42,9 +42,13 @@ def test_proof_kernel_equals_naive_from_every_incumbent():
         omega = max_clique_naive(g)[0]
         nadj = _neighbour_rows(g)
         for best in sorted({0, max(omega - 2, 0), max(omega - 1, 0), omega, omega + 1}):
-            state = _SearchState(budget=10**9, best=best)
-            _prove(nadj, (1 << g.n) - 1, 0, state)
+            state = _SearchState(budget=10**9, best=best, renumber=True)
+            _branch(nadj, (1 << g.n) - 1, 0, 0, state)
             assert state.best == max(best, omega)
+            if omega > best:  # the proof's last leaf is a maximum clique
+                members = Family(g.universe, state.witness).indices()
+                assert len(members) == omega
+                assert all(nadj[a] >> b & 1 for a in members for b in members if a != b)
 
 
 def unmarked(graph):
