@@ -32,7 +32,7 @@ from .search import (
     NodeBudgetExceeded,
     extremal,
 )
-from .storage import save_universe, write_report_csv, write_report_json
+from .storage import report_row, save_universe, write_report_csv, write_report_json
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -184,15 +184,7 @@ def cmd_search(args) -> int:
         config = _run_config(args, pred=str(pred), sizes=sizes)
         doc = {"engine_version": __version__, "config": config,
                "report": rep.to_dict(include_timings=args.timings)}
-        row = {
-            "campaign": "search", "case": "search", "parts": rep.parts, "sizes": rep.sizes,
-            "predicate": rep.predicate, "expect": "", "universe_size": rep.universe_size,
-            "formula": rep.formula_value, "max_size": rep.max_size, "status": rep.status,
-            "maxima_count": rep.maxima_count, "maxima_kinds": rep.maxima_kinds,
-            "outcome": "record", "detail": "",
-        }
-        if args.timings:
-            row["elapsed_s"] = round(rep.elapsed, 3)
+        row = report_row("search", "search", "record", rep=rep, elapsed_s=round(rep.elapsed, 3))
         write_report_csv([row], args.out + ".csv", include_timings=args.timings)
         write_report_json(doc, args.out + ".json")
     return EXIT_OK

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from itertools import islice, permutations, product
+from itertools import combinations, islice, permutations, product
 from operator import eq
 from multiprocessing import get_context
 
@@ -53,6 +53,7 @@ from .matchings import (
     enumerate_union_universe,
     enumerate_universe,
     item_projections,
+    reduction_classes,
     vertex_shadow,
 )
 from .predicates import (
@@ -65,6 +66,7 @@ from .predicates import (
     holders,
     intersects_t,
     is_full_pair_star,
+    pair_checker,
     projection_family,
     set_intersects_t,
     weakly_intersects_t,
@@ -78,6 +80,7 @@ from .search import (
     build_compat_graph,
     extremal,
 )
+from .storage import report_row
 
 ASSERT_EQUALITY = "assert-equality"
 ASSERT_UNIQUENESS = "assert-uniqueness"
@@ -141,32 +144,6 @@ class CampaignReport:
         )
 
 
-def _row(campaign, case, outcome, detail="", **kw):
-    row = {
-        "campaign": campaign,
-        "case": case,
-        "parts": kw.get("parts", ""),
-        "sizes": kw.get("sizes", ""),
-        "predicate": kw.get("predicate", ""),
-        "expect": kw.get("expect", ""),
-        "universe_size": kw.get("universe_size", ""),
-        "formula": kw.get("formula", ""),
-        "max_size": kw.get("max_size", ""),
-        "status": kw.get("status", ""),
-        "maxima_count": kw.get("maxima_count", ""),
-        "maxima_kinds": kw.get("maxima_kinds", ""),
-        "outcome": outcome,
-        "detail": detail,
-    }
-    if "elapsed_s" in kw:
-        row["elapsed_s"] = kw["elapsed_s"]
-    return row
-
-
-def _expected_star_kind(pred: Predicate) -> str:
-    return "t-set-star" if pred.is_set else "t-star"
-
-
 # ---------------------------------------------------------------------------
 # bound / uniqueness campaigns
 
@@ -178,12 +155,12 @@ def _run_bound_cell(args):
     try:
         rep = extremal(cell.parts, cell.sizes, cell.pred, all_maxima=cell.all_maxima, **caps)
     except (UniverseTooLargeError, GraphTooLargeError, NodeBudgetExceeded) as exc:
-        rows.append(_row(name, case, "skip", detail=f"cap: {exc}", parts=cell.parts,
-                         sizes=cell.sizes, predicate=str(cell.pred), expect=cell.expect))
+        rows.append(report_row(name, case, "skip", detail=f"cap: {exc}", parts=cell.parts,
+                               sizes=cell.sizes, predicate=str(cell.pred), expect=cell.expect))
         return rows, witnesses, None
 
     expected = cell.expect_max if cell.expect_max is not None else rep.formula_value
-    star_kind = _expected_star_kind(cell.pred)
+    star_kind = "t-set-star" if cell.pred.is_set else "t-star"
     accepted = {star_kind}
     if cell.pred.is_set and cell.pred.t == 1:
         accepted.add("t-star")  # a 1-set-star is a 1-star; classification prefers the latter
@@ -201,15 +178,8 @@ def _run_bound_cell(args):
     else:
         outcome, detail = "pass", cell.note
 
-    rows.append(
-        _row(
-            name, case, outcome, detail,
-            parts=rep.parts, sizes=rep.sizes, predicate=rep.predicate, expect=cell.expect,
-            universe_size=rep.universe_size, formula=rep.formula_value, max_size=rep.max_size,
-            status=rep.status, maxima_count=rep.maxima_count, maxima_kinds=rep.maxima_kinds,
-            elapsed_s=round(rep.elapsed, 3),
-        )
-    )
+    rows.append(report_row(name, case, outcome, detail, rep, expect=cell.expect,
+                           elapsed_s=round(rep.elapsed, 3)))
     witnesses[case] = rep.to_dict()
 
     if cell.weak_twin and not cell.pred.is_weak:
@@ -220,14 +190,9 @@ def _run_bound_cell(args):
             universe = rep.witness.universe
             g_plain = build_compat_graph(universe, cell.pred, caps["graph_cap"])
             g_weak = build_compat_graph(universe, weak_pred, caps["graph_cap"])
-            same = g_plain.rows == g_weak.rows
-            twin = dict(rows[-1])
-            twin["campaign"] = name
-            twin["case"] = case + "|weak-twin"
-            twin["predicate"] = str(weak_pred)
-            if not same:
-                twin["outcome"] = "fail"
-                twin["detail"] = "weak adjacency differs from plain at k<=2"
+            twin = dict(rows[-1], case=case + "|weak-twin", predicate=str(weak_pred))
+            if g_plain.rows != g_weak.rows:
+                twin.update(outcome="fail", detail="weak adjacency differs from plain at k<=2")
             rows.append(twin)
         else:
             twin_cell = replace(cell, pred=weak_pred, weak_twin=False)
@@ -299,46 +264,33 @@ def closure_violations(fam: Family, t: int) -> list:
     injective, and restriction classes partition the family.
     """
     k = fam.universe.k
-    table = item_projections(fam.universe)
-    rows = [table[v] for v in fam.indices()]
+    rows = item_projections(fam.universe, fam.indices())
     bad = []
 
     for i in range(1, k + 1):
         if len({row.alls[i] for row in rows}) != len(rows):
             bad.append(f"projection from part {i} is not injective")
 
-    for j in range(1, k + 1):
-        if k == 1:
-            break
-        dropped = sorted({row.drops[j] for row in rows})
-        for a in range(len(dropped)):
-            for b in range(a + 1, len(dropped)):
-                if k - 1 == 1:
-                    ok = intersects_t(dropped[a], dropped[b], t)
-                else:
-                    ok = weakly_intersects_t(dropped[a], dropped[b], t)
-                if not ok:
+    if k > 1:
+        weak = pair_checker(Predicate("weakly-intersecting", t), k - 1)
+        for j in range(1, k + 1):
+            for p, q in combinations(sorted({row.drops[j] for row in rows}), 2):
+                if not weak(p, q):
                     bad.append(f"drop of part {j} not weakly {t}-intersecting")
 
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i == j or k < 2:
-                continue
-            grouped: dict = {}
-            for row in rows:
-                grouped.setdefault(row.reduced[i, j], set()).add(row.pairs[i, j])
-            classes = {x: sorted(ps) for x, ps in grouped.items()}
-            if sum(len(ps) for ps in classes.values()) != len(rows):
-                bad.append(f"restriction classes over ({i},{j}) do not partition the family")
-            for x, projs in classes.items():
-                for a in range(len(projs)):
-                    for b in range(a + 1, len(projs)):
-                        if not intersects_t(projs[a], projs[b], t):
-                            bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
-                if k >= 3:
-                    vx = vertex_shadow(x[0], 1)
-                    if any(vertex_shadow(p, 1) != vx for p in projs):
-                        bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
+    plain = pair_checker(Predicate("intersecting", t), 2)
+    for i, j in permutations(range(1, k + 1), 2):
+        classes = reduction_classes(fam, i, j)
+        if sum(len(ps) for ps in classes.values()) != len(rows):
+            bad.append(f"restriction classes over ({i},{j}) do not partition the family")
+        for x, projs in classes.items():
+            for p, q in combinations(projs, 2):
+                if not plain(p, q):
+                    bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
+            if k >= 3:
+                vx = vertex_shadow(x[0], 1)
+                if any(vertex_shadow(p, 1) != vx for p in projs):
+                    bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
     return bad
 
 
@@ -364,34 +316,29 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
         graph = build_compat_graph(universe, Predicate("weakly-intersecting", t))
         case = f"{parts}|r={r}|t={t}"
         violations = 0
-        checked = 0
         sizes_seen = set()
         for _ in range(n_samples):
             fam = random_weak_family(graph, rng)
             sizes_seen.add(len(fam))
             bad = closure_violations(fam, t)
-            checked += 1
             if bad:
                 violations += 1
-                report.rows.append(_row(name, f"{case}|violation", "fail", "; ".join(bad[:4]),
-                                        parts=parts, sizes=(r,), predicate=f"weakly-intersecting:{t}"))
+                report.rows.append(report_row(
+                    name, f"{case}|violation", "fail", "; ".join(bad[:4]),
+                    parts=parts, sizes=(r,), predicate=f"weakly-intersecting:{t}"))
         # identity check on the full universe: restriction classes partition everything
-        full = Family.full(universe)
-        full_bad = [
-            v for v in closure_violations(full, t) if "partition" in v or "injective" in v
-        ]
+        full = closure_violations(Family.full(universe), t)
+        full_bad = [v for v in full if "partition" in v or "injective" in v]
         if full_bad:
             violations += 1
-            report.rows.append(_row(name, f"{case}|full-universe", "fail", "; ".join(full_bad),
-                                    parts=parts, sizes=(r,)))
+            report.rows.append(report_row(name, f"{case}|full-universe", "fail",
+                                          "; ".join(full_bad), parts=parts, sizes=(r,)))
         outcome = "pass" if violations == 0 else "fail"
         size_range = f"sizes {min(sizes_seen)}..{max(sizes_seen)}, " if sizes_seen else ""
-        report.rows.append(
-            _row(name, case, outcome,
-                 detail=f"{checked} sampled families, {size_range}{violations} violations",
-                 parts=parts, sizes=(r,), predicate=f"weakly-intersecting:{t}",
-                 expect=ASSERT_EQUALITY, universe_size=len(universe))
-        )
+        report.rows.append(report_row(
+            name, case, outcome, f"{n_samples} sampled families, {size_range}{violations} violations",
+            parts=parts, sizes=(r,), predicate=f"weakly-intersecting:{t}",
+            expect=ASSERT_EQUALITY, universe_size=len(universe)))
     return report
 
 
@@ -406,9 +353,9 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
     report = CampaignReport(name, {"parts": list(parts), "r": r, "t": t, "system_cap": system_cap})
     case = f"{parts}|r={r}|t={t}"
     if degenerate_star_params(parts, r, t):
-        report.rows.append(_row(name, case, "skip",
-                                detail="degenerate parameters: stars are single matchings with "
-                                       "non-unique centres", parts=parts, sizes=(r,)))
+        report.rows.append(report_row(
+            name, case, "skip", parts=parts, sizes=(r,),
+            detail="degenerate parameters: stars are single matchings with non-unique centres"))
         return report
 
     universe = enumerate_universe(parts, r)
@@ -443,14 +390,14 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
         if cls.kind == "t-star":
             n_confirmed += 1
         else:
-            report.rows.append(_row(name, f"{case}|system{n_checked}", "fail",
-                                    detail=f"weak {t}-star classified as {cls.kind}",
-                                    parts=parts, sizes=(r,)))
+            report.rows.append(report_row(name, f"{case}|system{n_checked}", "fail",
+                                          detail=f"weak {t}-star classified as {cls.kind}",
+                                          parts=parts, sizes=(r,)))
     outcome = "pass" if n_weak == n_confirmed else "fail"
     detail = (f"{n_checked} centre systems ({'truncated' if truncated else 'complete'}), "
               f"{n_nonempty} nonempty, {n_weak} weak {t}-stars, {n_confirmed} confirmed {t}-stars")
-    report.rows.append(_row(name, case, outcome, detail, parts=parts, sizes=(r,),
-                            universe_size=len(universe), expect=ASSERT_EQUALITY))
+    report.rows.append(report_row(name, case, outcome, detail, parts=parts, sizes=(r,),
+                                  universe_size=len(universe), expect=ASSERT_EQUALITY))
 
     # the set analogue: the Klein-group family has star-sized set-intersecting
     # projections yet is itself no box star (labelled weak set star: inferred)
@@ -459,7 +406,7 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
     cls = classify_star(kf, 2)
     genuine = cls.projections_are_box_stars
     evidence_ok = cls.kind == "weak-t-set-star"
-    report.rows.append(_row(
+    report.rows.append(report_row(
         name, "set-analogue|klein-k3", "pass" if evidence_ok else "fail",
         detail=f"classified {cls.kind}; projections are box stars: {genuine}; "
                f"recorded as evidence about the set analogue of the weak-star collapse",
@@ -484,7 +431,7 @@ def run_example_suite() -> CampaignReport:
     plain1 = intersects_t(p, q, 1)
     weak2 = weakly_intersects_t(p, q, 2)
     ok = weak1 and not plain1 and not weak2
-    report.rows.append(_row(
+    report.rows.append(report_row(
         name, "weak-vs-plain-pair", "pass" if ok else "fail",
         detail=f"weakly 1-intersect: {weak1} (expected True); share an edge: {plain1} "
                f"(expected False); weakly 2-intersect: {weak2} (expected False)",
@@ -503,7 +450,7 @@ def run_example_suite() -> CampaignReport:
         visited += 1
         built += sum(map(eq, sigma, window)) >= t + i
     ok = size == 26 and built == 26 and star_t4 == 24 and size > star_t4
-    report.rows.append(_row(
+    report.rows.append(report_row(
         name, "fixed-point-window-n8", "pass" if ok else "fail",
         detail=f"family size {size} (=13*2!, enumeration {built}) exceeds the 4-edge star {star_t4} "
                f"(=4!); literal 2-edge star reading would be {star_t2_literal}",
@@ -517,7 +464,7 @@ def run_example_suite() -> CampaignReport:
     sat = family_satisfies(kf2, Predicate("set-intersecting", 2))
     cls2 = classify_star(kf2, 2)
     ok = len(kf2) == 4 and sat and cls2.kind == "none" and len(kf2) == t_set_star_size((4, 4), 4, 2)
-    report.rows.append(_row(
+    report.rows.append(report_row(
         name, "klein-k2", "pass" if ok else "fail",
         detail=f"size {len(kf2)} (= box-star size {t_set_star_size((4, 4), 4, 2)}), "
                f"2-set-intersecting: {sat}, classified {cls2.kind} (expected none: no box star)",
@@ -542,7 +489,7 @@ def run_example_suite() -> CampaignReport:
         and pair_fails
         and cls3.kind == "weak-t-set-star"
     )
-    report.rows.append(_row(
+    report.rows.append(report_row(
         name, "klein-k3", "pass" if ok else "fail",
         detail=f"size {len(kf3)} (=2^(2k-2)), weakly 2-set-intersecting: {weak_ok}, witness pair "
                f"in family fails 2-set-intersection: {pair_fails}, classified {cls3.kind}",
@@ -590,12 +537,8 @@ def run_katona_campaign(ns=(4, 5, 6), ts=(1, 2), include_empty: bool = False,
                     detail += f"; maxima are exactly the {len(expected)} threshold families"
             if t == 1:
                 detail += "; structure recorded only (many maximum families at t=1)"
-            report.rows.append(_row(
-                name, case, outcome, detail,
-                parts=(n,), sizes=sizes, predicate=str(pred), expect=ASSERT_EQUALITY,
-                universe_size=len(universe), formula=bound, max_size=rep.max_size,
-                status=rep.status, maxima_count=rep.maxima_count, maxima_kinds=rep.maxima_kinds,
-            ))
+            report.rows.append(report_row(name, case, outcome, detail, rep,
+                                          expect=ASSERT_EQUALITY, formula=bound))
     return report
 
 
@@ -615,13 +558,11 @@ def run_ak_regime(ns=(5, 6, 7, 8, 9), r: int = 3, t: int = 2, caps=None) -> Camp
         rep = extremal((n,), (r,), Predicate("intersecting", t), all_maxima=True, **caps)
         expect_status = "EXCEEDS_STAR_BOUND" if n < boundary else "MATCHES_STAR_BOUND"
         ok = rep.max_size == best_frame and rep.status == expect_status
-        report.rows.append(_row(
+        report.rows.append(report_row(
             name, case, "pass" if ok else "fail",
             detail=f"frame sizes {frame_sizes}; best {best_frame}; star {rep.formula_value}; "
                    f"boundary n={boundary}",
-            parts=(n,), sizes=(r,), predicate=f"intersecting:{t}", expect=ASSERT_EQUALITY,
-            universe_size=rep.universe_size, formula=best_frame, max_size=rep.max_size,
-            status=rep.status, maxima_count=rep.maxima_count, maxima_kinds=rep.maxima_kinds,
+            rep=rep, expect=ASSERT_EQUALITY, formula=best_frame,
         ))
     return report
 
@@ -645,13 +586,11 @@ def run_frame_scan(cells=(((3, 3), 2, 1), ((4, 4), 2, 1), ((4, 4), 3, 1),
         rep = extremal(parts, (r,), Predicate("intersecting", t), all_maxima=True, universe=universe,
                        **caps)
         consistent = rep.max_size == max(frame_sizes)
-        report.rows.append(_row(
+        report.rows.append(report_row(
             name, case, "record" if consistent else "attention",
             detail=f"frame sizes {frame_sizes}; conjectured max {max(frame_sizes)}; "
                    f"clique max {rep.max_size}; consistent: {consistent}",
-            parts=parts, sizes=(r,), predicate=f"intersecting:{t}", expect=RECORD_ONLY,
-            universe_size=len(universe), formula=max(frame_sizes), max_size=rep.max_size,
-            status=rep.status, maxima_count=rep.maxima_count, maxima_kinds=rep.maxima_kinds,
+            rep=rep, expect=RECORD_ONLY, formula=max(frame_sizes),
         ))
     return report
 
@@ -691,13 +630,12 @@ def run_threshold_scan(cells=((4, 5, 2), (4, 6, 2), (4, 6, 1)), caps=None) -> Ca
         rep = extremal((r, n), (r,), Predicate("intersecting", t), all_maxima=False, universe=universe,
                        **caps)
         agree = frame_sizes[l_star] == max(frame_sizes) and rep.max_size == max(frame_sizes)
-        report.rows.append(_row(
+        report.rows.append(report_row(
             name, case, "record" if agree else "attention",
             detail=f"threshold depth {l_star}; frame sizes {frame_sizes}; best depth {best_depth}; "
                    f"clique max {rep.max_size}",
-            parts=(r, n), sizes=(r,), predicate=f"intersecting:{t}", expect=RECORD_ONLY,
-            universe_size=len(universe), formula=frame_sizes[l_star], max_size=rep.max_size,
-            status=rep.status,
+            rep=rep, expect=RECORD_ONLY, formula=frame_sizes[l_star],
+            maxima_count="", maxima_kinds="",  # no maxima are listed: the columns stay empty
         ))
     return report
 
@@ -717,7 +655,7 @@ def run_cross_set_campaign(parts=(6, 6), r: int = 4, t: int = 2, caps=None) -> C
     stars = [t_set_star(universe, box) for box in boxes]
 
     self_cross = cross_set_intersecting(stars[0], stars[0], t)
-    report.rows.append(_row(
+    report.rows.append(report_row(
         name, "self-cross", "pass" if self_cross else "fail",
         detail="a box star must cross-intersect itself",
         parts=parts, sizes=(r,), predicate=f"set-intersecting:{t}", expect=ASSERT_EQUALITY,
@@ -725,7 +663,7 @@ def run_cross_set_campaign(parts=(6, 6), r: int = 4, t: int = 2, caps=None) -> C
     ))
     empty = Family.empty(universe)
     vacuous = cross_set_intersecting(empty, stars[0], t)
-    report.rows.append(_row(
+    report.rows.append(report_row(
         name, "empty-cross", "pass" if vacuous else "fail",
         detail="cross-intersection is vacuous for an empty family",
         parts=parts, sizes=(r,), expect=ASSERT_EQUALITY, universe_size=len(universe),
@@ -733,7 +671,7 @@ def run_cross_set_campaign(parts=(6, 6), r: int = 4, t: int = 2, caps=None) -> C
     for a in range(len(boxes)):
         for b in range(a + 1, len(boxes)):
             crossed = cross_set_intersecting(stars[a], stars[b], t)
-            report.rows.append(_row(
+            report.rows.append(report_row(
                 name, f"cross|{boxes[a]}x{boxes[b]}", "attention" if crossed else "record",
                 detail=f"distinct centres cross {t}-set-intersect: {crossed} "
                        f"(claim holds for large r; desk value recorded)",
@@ -754,7 +692,7 @@ def run_formula_campaign() -> CampaignReport:
 
     def check(case, got, want, parts="", sizes="", detail=""):
         ok = got == want
-        report.rows.append(_row(
+        report.rows.append(report_row(
             name, case, "pass" if ok else "fail",
             detail=detail or f"constructed {got}, formula {want}",
             parts=parts, sizes=sizes, formula=want, max_size=got, expect=ASSERT_EQUALITY,
@@ -849,7 +787,7 @@ def run_semi_star_campaign() -> CampaignReport:
         # which every cell here satisfies
         strict = all(a > b for a, b in zip(sizes, sizes[1:]))
         star = (t_set_star_size if set_variant else t_star_size)(parts, r, t)
-        report.rows.append(_row(
+        report.rows.append(report_row(
             name, case, "pass" if (strict and sizes[0] == star) else "fail",
             detail=f"sizes over u={list(range(t, r + 1))}: {sizes}; strictly decreasing: {strict}; "
                    f"u=t value equals star size {star}",
@@ -905,7 +843,7 @@ def run_nonuniform_campaign(caps=None, workers: int = 1) -> CampaignReport:
     if rep is None:  # the cell hit a cap: solving it again raises that cap's error
         rep = extremal(cell.parts, cell.sizes, cell.pred, all_maxima=True, **caps)
     closed = rep.maxima is not None and all(is_upward_closed(f) for f in rep.maxima)
-    report.rows.append(_row(
+    report.rows.append(report_row(
         "nonuniform", f"upward-closure|{cell.parts}|R={cell.sizes}", "pass" if closed else "fail",
         detail=f"all {rep.maxima_count} maxima are upward closed: {closed}",
         parts=cell.parts, sizes=cell.sizes, predicate="intersecting:1", expect=ASSERT_EQUALITY,
@@ -937,33 +875,52 @@ BUILTIN_CAMPAIGNS = {
     "semi-stars": lambda **kw: run_semi_star_campaign(),
 }
 
+# the builtins whose cells run through the cell pool of `run_bound_campaign`
+POOLED_CAMPAIGNS = ("intersecting", "permutations", "t-intersecting", "nonuniform",
+                    "set-intersecting", "nonuniform-t-scan")
+
+
 def run_builtin(name: str, **kwargs) -> CampaignReport:
     if name not in BUILTIN_CAMPAIGNS:
         raise KeyError(f"unknown builtin campaign {name!r}; available: {sorted(BUILTIN_CAMPAIGNS)}")
+    if kwargs.get("workers", 1) > 1 and name not in POOLED_CAMPAIGNS:
+        raise ValueError(f"builtin:{name} runs serially: only {', '.join(POOLED_CAMPAIGNS)} "
+                         f"take more than one worker")
     return BUILTIN_CAMPAIGNS[name](**kwargs)
 
 
+EXPECT_MODES = (ASSERT_EQUALITY, ASSERT_UNIQUENESS, RECORD_ONLY)
+# a campaign-file cell's fields, each with its JSON type
+CELL_FIELDS = {"parts": list, "r": int, "sizes": list, "pred": str, "expect": str,
+               "all_maxima": bool, "weak_twin": bool, "expect_max": int, "note": str}
+
+
 def load_campaign_file(path: str):
-    """Load a bound-campaign definition: name plus a list of cells."""
+    """Load a bound-campaign definition, name and cells; a malformed cell raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict) or "cells" not in doc:
+        raise ValueError(f"campaign file {path} is not a JSON object with 'cells'")
     if doc.get("kind", "bound") != "bound":
         raise ValueError(f"campaign file {path} has unsupported kind {doc.get('kind')!r}")
     cells = []
-    for cell in doc["cells"]:
+    for n, cell in enumerate(doc["cells"]):
+        if not isinstance(cell, dict):
+            raise ValueError(f"campaign file {path}, cell {n}: not a JSON object")
+        problems = [f"unknown field {key!r}" if key not in CELL_FIELDS
+                    else f"{key}: expected {CELL_FIELDS[key].__name__}, got {value!r}"
+                    for key, value in cell.items() if type(value) is not CELL_FIELDS.get(key)]
+        problems += [f"no {key!r}" for key in ("parts", "pred", "sizes" if "sizes" in cell else "r")
+                     if key not in cell]
+        if cell.get("expect", ASSERT_EQUALITY) not in EXPECT_MODES:
+            problems.append(f"expect is not one of {', '.join(EXPECT_MODES)}")
+        if problems:
+            raise ValueError(f"campaign file {path}, cell {n}: {'; '.join(problems)}")
         sizes = tuple(cell["sizes"] if "sizes" in cell else [cell["r"]])
         pred = Predicate.parse(cell["pred"])
         check_strength(pred, sizes)
-        cells.append(BoundCell(
-            parts=tuple(cell["parts"]),
-            sizes=sizes,
-            pred=pred,
-            expect=cell.get("expect", ASSERT_EQUALITY),
-            all_maxima=cell.get("all_maxima", True),
-            weak_twin=cell.get("weak_twin", False),
-            expect_max=cell.get("expect_max"),
-            note=cell.get("note", ""),
-        ))
+        flags = {key: cell[key] for key in cell.keys() - {"parts", "r", "sizes", "pred"}}
+        cells.append(BoundCell(tuple(cell["parts"]), sizes, pred, **flags))
     return doc.get("name", "custom"), cells
 
 

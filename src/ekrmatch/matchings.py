@@ -90,7 +90,7 @@ class Universe:
             offsets.setdefault(len(m), i)
         self.level_offsets = offsets
         self.postings_memo = {}
-        self.projections_memo = None
+        self.projections_memo = {}
 
     @property
     def k(self) -> int:
@@ -301,11 +301,13 @@ class ItemProjections:
         self.reduced = {(i, j): reduce_projection(m, i, j) for i in parts for j in parts if i != j}
 
 
-def item_projections(universe: Universe) -> list:
-    """Every item's `ItemProjections`, in item order, computed once per universe."""
-    if universe.projections_memo is None:
-        universe.projections_memo = [ItemProjections(m, universe.k) for m in universe.items]
-    return universe.projections_memo
+def item_projections(universe: Universe, indices: list) -> list:
+    """The `ItemProjections` of the items at these indices, each computed on its first read."""
+    memo = universe.projections_memo
+    for v in indices:
+        if v not in memo:
+            memo[v] = ItemProjections(universe.items[v], universe.k)
+    return [memo[v] for v in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -386,23 +388,21 @@ def check_same_universe(a: Family, b: Family):
         raise ValueError(f"families live in different universes: {a.universe.key} vs {b.universe.key}")
 
 
-def restrict_family(fam: Family, i: int, j: int, x) -> list:
-    """Pair projections onto (i, j) of the members whose reduced projection equals x.
+def reduction_classes(fam: Family, i: int, j: int) -> dict:
+    """Group the members' pair projections onto (i, j), sorted, by their reduced projection.
 
     The reduced projection keeps the pair projections from part i onto every
-    part except i and j; the returned list is sorted and duplicate-free.
+    part except i and j.  Both are read off `item_projections`.
     """
-    out = {
-        project_pair(m, i, j)
-        for m in fam.members()
-        if reduce_projection(m, i, j) == tuple(x)
-    }
-    return sorted(out)
-
-
-def reduction_classes(fam: Family, i: int, j: int) -> dict:
-    """Group the members' pair projections onto (i, j) by their reduced projection."""
+    k = fam.universe.k
+    if i == j or not (1 <= i <= k and 1 <= j <= k):
+        raise ValueError(f"reduction needs two distinct part indices in 1..{k}, got {i} and {j}")
     classes: dict = {}
-    for m in fam.members():
-        classes.setdefault(reduce_projection(m, i, j), set()).add(project_pair(m, i, j))
+    for row in item_projections(fam.universe, fam.indices()):
+        classes.setdefault(row.reduced[i, j], set()).add(row.pairs[i, j])
     return {x: sorted(ps) for x, ps in classes.items()}
+
+
+def restrict_family(fam: Family, i: int, j: int, x) -> list:
+    """Pair projections onto (i, j) of the members whose reduced projection equals x."""
+    return reduction_classes(fam, i, j).get(tuple(x), [])

@@ -101,6 +101,22 @@ REPORT_COLUMNS = [
 ]
 
 
+def report_row(campaign, case, outcome, detail="", rep=None, **fields) -> dict:
+    """One flat report row: every column "" unless given.
+
+    rep, an `ExtremalReport`, fills the nine columns of a solved cell, and
+    fields override them; `elapsed_s` is present only when it is given.
+    """
+    row = dict.fromkeys(REPORT_COLUMNS, "")
+    if rep is not None:
+        row.update(parts=rep.parts, sizes=rep.sizes, predicate=rep.predicate,
+                   universe_size=rep.universe_size, formula=rep.formula_value,
+                   max_size=rep.max_size, status=rep.status,
+                   maxima_count=rep.maxima_count, maxima_kinds=rep.maxima_kinds)
+    row.update(campaign=campaign, case=case, outcome=outcome, detail=detail, **fields)
+    return row
+
+
 def write_report_csv(rows, path: str, include_timings: bool = False):
     columns = REPORT_COLUMNS + (["elapsed_s"] if include_timings else [])
     with open(path, "w", newline="") as fh:

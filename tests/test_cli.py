@@ -182,6 +182,23 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0 and proc.stdout.strip() == "18"
 
 
+CELL = {"parts": [3, 3], "r": 2, "pred": "intersecting:1"}
+# campaign files by placeholder name; each is rejected before any search
+CAMPAIGN_FILES = {
+    "CAMPAIGN": {"cells": [dict(CELL, pred="set-intersecting:3")]},
+    "CAMPAIGN-MISSPELT-EXPECT": {"cells": [dict(CELL, expect="assert-uniquness")]},
+    "CAMPAIGN-UNKNOWN-FIELD": {"cells": [dict(CELL, **{"weak-twin": True})]},
+    "CAMPAIGN-STRING-ALL-MAXIMA": {"cells": [dict(CELL, all_maxima="yes")]},
+    "CAMPAIGN-NUMBER-WEAK-TWIN": {"cells": [dict(CELL, weak_twin=1)]},
+    "CAMPAIGN-FLOAT-EXPECT-MAX": {"cells": [dict(CELL, expect_max=6.5)]},
+    "CAMPAIGN-NO-CELLS": {"name": "empty"},
+    "CAMPAIGN-NO-PARTS": {"cells": [{"r": 2, "pred": "intersecting:1"}]},
+    "CAMPAIGN-NO-PRED": {"cells": [{"parts": [3, 3], "r": 2}]},
+    "CAMPAIGN-LIST": [CELL],
+    "CAMPAIGN-LIST-CELL": {"cells": [[3, 3]]},
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--parts", "3,3", "--r", "4"],
     ["enumerate", "--parts", "0,3", "--r", "1"],
@@ -194,6 +211,19 @@ def test_console_script_end_to_end():
     ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:5"],
     ["search", "--parts", "3,3", "--sizes", "0", "--pred", "intersecting:1"],
     ["verify", "--campaign", "CAMPAIGN"],
+    ["verify", "--campaign", "CAMPAIGN-MISSPELT-EXPECT"],
+    ["verify", "--campaign", "CAMPAIGN-UNKNOWN-FIELD"],
+    ["verify", "--campaign", "CAMPAIGN-STRING-ALL-MAXIMA"],
+    ["verify", "--campaign", "CAMPAIGN-NUMBER-WEAK-TWIN"],
+    ["verify", "--campaign", "CAMPAIGN-FLOAT-EXPECT-MAX"],
+    ["verify", "--campaign", "CAMPAIGN-NO-CELLS"],
+    ["verify", "--campaign", "CAMPAIGN-NO-PARTS"],
+    ["scan", "--campaign", "CAMPAIGN-NO-PRED"],
+    ["verify", "--campaign", "CAMPAIGN-LIST"],
+    ["verify", "--campaign", "CAMPAIGN-LIST-CELL"],
+    # a builtin without a cell pool takes no workers
+    ["verify", "--campaign", "builtin:katona", "--workers", "2"],
+    ["scan", "--campaign", "builtin:formulas", "--workers", "2"],
     ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--maxima-cap", "0", "--all-maxima"],
     ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--node-budget", "0"],
     ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--cap", "0"],
@@ -204,9 +234,10 @@ def test_console_script_end_to_end():
     ["enumerate", "--parts", "3,3", "--r", "2", "--out", "MISSING/u.jsonl"],
 ], ids=" ".join)
 def test_configuration_errors_exit_2_with_one_error_line(argv, tmp_path):
-    campaign = tmp_path / "campaign.json"
-    campaign.write_text(json.dumps({"cells": [{"parts": [3, 3], "r": 2, "pred": "set-intersecting:3"}]}))
-    argv = [str(campaign) if a == "CAMPAIGN" else a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+    for name, doc in CAMPAIGN_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{a}.json") if a in CAMPAIGN_FILES
+            else a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ekrmatch.cli", *argv],

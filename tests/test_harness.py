@@ -28,7 +28,7 @@ from ekrmatch.matchings import (
     enumerate_universe,
     project_all,
     project_pair,
-    reduction_classes,
+    reduce_projection,
     vertex_shadow,
 )
 from ekrmatch.predicates import (
@@ -120,7 +120,10 @@ def closure_violations_oracle(fam, t):
         for j in range(1, k + 1):
             if i == j or k < 2:
                 continue
-            classes = reduction_classes(fam, i, j)
+            grouped = {}
+            for m in members:
+                grouped.setdefault(reduce_projection(m, i, j), set()).add(project_pair(m, i, j))
+            classes = {x: sorted(ps) for x, ps in grouped.items()}
             if sum(len(ps) for ps in classes.values()) != len(members):
                 bad.append(f"restriction classes over ({i},{j}) do not partition the family")
             for x, projs in classes.items():

@@ -19,7 +19,15 @@ from ekrmatch.matchings import (
     validate_matching,
     vertex_shadow,
 )
-from ekrmatch.storage import load_family, load_universe, save_family, save_universe
+from ekrmatch.search import ExtremalReport
+from ekrmatch.storage import (
+    REPORT_COLUMNS,
+    load_family,
+    load_universe,
+    report_row,
+    save_family,
+    save_universe,
+)
 from helpers import brute_matchings, random_subfamily
 
 PAPER_P = ((1, 1, 1), (2, 2, 2), (3, 3, 3))
@@ -166,6 +174,54 @@ def test_restrict_family_single_member():
     assert restrict_family(fam, 1, 2, ((9, 9),) * 2) == []
 
 
+def reduction_classes_oracle(fam, i, j):
+    """The classes recomputed from every member with `reduce_projection` and `project_pair`."""
+    classes = {}
+    for m in fam.members():
+        classes.setdefault(reduce_projection(m, i, j), set()).add(project_pair(m, i, j))
+    return {x: sorted(ps) for x, ps in classes.items()}
+
+
+@pytest.mark.parametrize("parts,r", [((3, 3, 3), 2), ((4, 4, 4), 3)])
+def test_reduction_classes_and_restrict_family_equal_the_per_member_oracle(parts, r):
+    u = enumerate_universe(parts, r)
+    rng = random.Random(11)
+    pairs = [(i, j) for i in range(1, len(parts) + 1) for j in range(1, len(parts) + 1) if i != j]
+    full = Family.full(u)
+    for i, j in pairs:
+        assert reduction_classes(full, i, j) == reduction_classes_oracle(full, i, j)
+    for _ in range(30):
+        fam = random_subfamily(u, rng, max_size=40)
+        for i, j in pairs:
+            want = reduction_classes_oracle(fam, i, j)
+            assert reduction_classes(fam, i, j) == want
+            for x, projs in want.items():
+                assert restrict_family(fam, i, j, x) == projs
+            x = reduce_projection(u.items[rng.randrange(len(u))], i, j)  # a class the family may miss
+            assert restrict_family(fam, i, j, x) == want.get(x, [])
+
+
+def test_reduction_classes_reject_bad_part_indices():
+    u = enumerate_universe((3, 3, 3), 2)
+    for fam in (Family.full(u), Family.empty(u)):
+        for i, j in [(1, 1), (3, 3), (0, 2), (1, 4), (4, 1)]:
+            with pytest.raises(ValueError):
+                reduction_classes(fam, i, j)
+            with pytest.raises(ValueError):
+                restrict_family(fam, i, j, ())
+
+
+def test_projection_memo_fills_only_for_the_members_read():
+    u = enumerate_universe((6, 6), 6)  # 720 matchings
+    fam = Family.from_indices(u, [0, 359, 719])
+    assert u.projections_memo == {}
+    classes = reduction_classes(fam, 1, 2)
+    assert sorted(u.projections_memo) == [0, 359, 719]
+    assert classes == reduction_classes_oracle(fam, 1, 2)
+    restrict_family(fam, 2, 1, ())
+    assert sorted(u.projections_memo) == [0, 359, 719]
+
+
 def test_restriction_stays_over_the_class_shadow():
     u = enumerate_universe((3, 3, 3), 2)
     fam = Family.from_indices(u, range(0, 108, 7))
@@ -225,3 +281,32 @@ def test_family_storage_round_trip(tmp_path, form):
     loaded = load_family(str(path))
     assert loaded == fam
     assert loaded.annotations == ("demo",)
+
+
+def test_report_row_defaults_every_column_to_empty():
+    row = report_row("demo", "case-1", "pass")
+    assert list(row) == REPORT_COLUMNS
+    assert row["campaign"] == "demo" and row["case"] == "case-1" and row["outcome"] == "pass"
+    assert all(row[key] == "" for key in REPORT_COLUMNS if key not in ("campaign", "case", "outcome"))
+    assert "elapsed_s" not in row
+
+
+def test_report_row_reads_a_report_and_fields_override_it():
+    u = enumerate_universe((3, 3), 2)
+    rep = ExtremalReport(
+        parts=(3, 3), sizes=(2,), predicate="intersecting:1", universe_size=18, formula_value=6,
+        max_size=6, status="MATCHES_STAR_BOUND", witness_indices=[0], witness=Family(u, 1),
+        maxima_count=9, maxima_kinds={"t-star": 9}, elapsed=1.23456,
+    )
+    row = report_row("demo", "c", "pass", "why", rep)
+    assert {key: row[key] for key in REPORT_COLUMNS} == {
+        "campaign": "demo", "case": "c", "parts": (3, 3), "sizes": (2,),
+        "predicate": "intersecting:1", "expect": "", "universe_size": 18, "formula": 6,
+        "max_size": 6, "status": "MATCHES_STAR_BOUND", "maxima_count": 9,
+        "maxima_kinds": {"t-star": 9}, "outcome": "pass", "detail": "why",
+    }
+    assert "elapsed_s" not in row
+    over = report_row("demo", "c", "record", rep=rep, formula=7, maxima_count="",
+                      expect="record-only", elapsed_s=1.235)
+    assert over["formula"] == 7 and over["maxima_count"] == "" and over["expect"] == "record-only"
+    assert over["max_size"] == 6 and over["detail"] == "" and over["elapsed_s"] == 1.235
