@@ -5,6 +5,9 @@ or found by `_at_least`, the one scan over the universe's items: the matchings
 holding at least m of some edges.  Permutation families are represented
 through their 2-part matching encoding {(x, sigma(x))}, so the fixed-point
 and Klein-group families run through the same machinery as every other family.
+The Klein group and the candidate sets of the search's group-averaging bound
+(`averaging_sets`: Katona's cycles, AGL(1, q), PGL(2, p)) are listed member
+by member.
 """
 
 from __future__ import annotations
@@ -128,11 +131,17 @@ def ak_family(universe: Universe, t: int, i: int) -> Family:
     return Family(universe, _at_least(universe, ((x,) for x in range(1, w + 1)), t + i))
 
 
+def _permutation_universe(universe: Universe) -> int:
+    """n for the perfect matchings of K_{n,n}, the permutations of [n]; raises for any other universe."""
+    n = universe.parts[0]
+    if universe.parts != (n, n) or universe.sizes != (n,):
+        raise ValueError(f"need the permutation universe over two equal parts, got {universe.key}")
+    return n
+
+
 def fixed_point_family(universe: Universe, t: int, i: int) -> Family:
     """Permutations with at least t+i fixed points inside the window [t+2i]."""
-    n = universe.parts[0]
-    if universe.k != 2 or universe.parts != (n, n) or universe.sizes != (n,):
-        raise ValueError(f"need the permutation universe over two equal parts, got {universe.key}")
+    n = _permutation_universe(universe)
     w = t + 2 * i
     if t < 1 or i < 0 or w > n:
         raise ValueError(f"bad window parameters t={t}, i={i} for n={n}")
@@ -200,6 +209,108 @@ def klein_family(universe: Universe) -> Family:
         edges = tuple((y,) + tuple(s[y - 1] for s in sigmas) for y in range(1, 5))
         ms.append(canonical_matching(edges))
     return Family.from_matchings(universe, ms)
+
+
+def cyclic_class_intervals(universe: Universe) -> Family:
+    """The cyclic r-intervals of every cyclic class: Katona's cycles, one per class (uniform universe).
+
+    With p the smallest part, of size n, class c in the product of Z_{n_i}
+    over i != p is the perfect matching of part p's vertices sending y in
+    Z_n to (y + c_i mod n_i) in every part i, with c_p = 0.  Distinct classes
+    share no edge.  Each class gives its n intervals {y, ..., y + r - 1 mod
+    n}, a single matching at r = n.
+    """
+    parts, r = universe.parts, universe.r
+    n = min(parts)
+    p = parts.index(n)
+    classes = product(*(range(m) if i != p else (0,) for i, m in enumerate(parts)))
+    return Family.from_matchings(universe, (
+        [tuple((y % n + ci) % m + 1 for ci, m in zip(c, parts)) for y in range(start, start + r)]
+        for c in classes for start in range(n)
+    ))
+
+
+_BINARY_MODULI = {4: 0b111, 8: 0b1011}  # GF(4) and GF(8) from x^2 + x + 1 and x^3 + x + 1 over GF(2)
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def _field_ops(q: int):
+    """(add, mul) of the field on 0..q-1: integers mod q for q prime, else polynomials over GF(2)."""
+    if _is_prime(q):
+        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
+    modulus = _BINARY_MODULI[q]
+
+    def mul(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a & q:
+                a ^= modulus
+        return out
+
+    return (lambda a, b: a ^ b), mul
+
+
+def affine_line_group(universe: Universe) -> Family:
+    """AGL(1, q) on the q field elements, sharply 2-transitive: the maps x -> ax + b with a != 0.
+
+    The universe is that of the permutations of [q], with q prime, 4 or 8;
+    field element x is vertex x + 1.
+    """
+    q = _permutation_universe(universe)
+    if not (_is_prime(q) or q in _BINARY_MODULI):
+        raise ValueError(f"no field of {q} elements here: need a prime, 4 or 8")
+    add, mul = _field_ops(q)
+    return Family.from_matchings(universe, (
+        [(x + 1, add(mul(a, x), b) + 1) for x in range(q)] for a in range(1, q) for b in range(q)
+    ))
+
+
+def projective_line_group(universe: Universe) -> Family:
+    """PGL(2, p) on the p + 1 points of the projective line, sharply 3-transitive.
+
+    The universe is that of the permutations of [p + 1], with p prime; the
+    point x in Z_p is vertex x + 1 and the point at infinity is vertex p + 1.
+    The maps x -> (ax + b)/(cx + d) with ad - bc != 0 are collected as
+    permutations, so scalar multiples of one matrix give one member.
+    """
+    p = _permutation_universe(universe) - 1
+    if not _is_prime(p):
+        raise ValueError(f"PGL(2, p) acts on p + 1 points, p prime; {p} is not prime")
+
+    def image(a, b, c, d, x):
+        num, den = (a, c) if x == p else ((a * x + b) % p, (c * x + d) % p)
+        return p if den == 0 else num * pow(den, -1, p) % p
+
+    perms = {tuple(image(a, b, c, d, x) for x in range(p + 1))
+             for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p}
+    return Family.from_matchings(universe, ([(x + 1, y + 1) for x, y in enumerate(s)] for s in perms))
+
+
+def averaging_sets(universe: Universe, pred: Predicate) -> list:
+    """The candidate sets S of the group-averaging bound on a uniform universe (`search` module docstring).
+
+    The cyclic class intervals at t = 1 where 2r <= n or r = n, n the
+    smallest part: elsewhere any two intervals of a class meet, so the bound
+    cannot reach the star.  On the permutations of [n] under the intersecting
+    kinds, AGL(1, n) at t = 2 and PGL(2, n - 1) at t = 3, where they exist.
+    """
+    parts, r, t = universe.parts, universe.r, pred.t
+    out = []
+    if t == 1 and (2 * r <= min(parts) or r == min(parts)):
+        out.append(cyclic_class_intervals(universe))
+    if len(parts) == 2 and parts[0] == parts[1] == r and not pred.is_set:
+        if t == 2 and (_is_prime(r) or r in _BINARY_MODULI):
+            out.append(affine_line_group(universe))
+        elif t == 3 and _is_prime(r - 1):
+            out.append(projective_line_group(universe))
+    return out
 
 
 def is_upward_closed(fam: Family) -> bool:

@@ -256,12 +256,13 @@ def random_weak_family(graph, rng: random.Random) -> Family:
     return Family(universe, bits)
 
 
-def closure_violations(fam: Family, t: int) -> list:
+def closure_violations(fam: Family, t: int | None = None) -> list:
     """Violations of the four projection/restriction identities for one family.
 
     Checks: closures of drops and restrictions stay weakly t-intersecting,
     restrictions live over the parent's vertex shadow, the full projection is
-    injective, and restriction classes partition the family.
+    injective, and restriction classes partition the family.  Without t only
+    the last two, which do not depend on t, are checked.
     """
     k = fam.universe.k
     rows = item_projections(fam.universe, fam.indices())
@@ -271,18 +272,20 @@ def closure_violations(fam: Family, t: int) -> list:
         if len({row.alls[i] for row in rows}) != len(rows):
             bad.append(f"projection from part {i} is not injective")
 
-    if k > 1:
+    if k > 1 and t is not None:
         weak = pair_checker(Predicate("weakly-intersecting", t), k - 1)
         for j in range(1, k + 1):
             for p, q in combinations(sorted({row.drops[j] for row in rows}), 2):
                 if not weak(p, q):
                     bad.append(f"drop of part {j} not weakly {t}-intersecting")
 
-    plain = pair_checker(Predicate("intersecting", t), 2)
+    plain = pair_checker(Predicate("intersecting", t), 2) if t is not None else None
     for i, j in permutations(range(1, k + 1), 2):
         classes = reduction_classes(fam, i, j)
         if sum(len(ps) for ps in classes.values()) != len(rows):
             bad.append(f"restriction classes over ({i},{j}) do not partition the family")
+        if plain is None:
+            continue
         for x, projs in classes.items():
             for p, q in combinations(projs, 2):
                 if not plain(p, q):
@@ -326,9 +329,8 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
                 report.rows.append(report_row(
                     name, f"{case}|violation", "fail", "; ".join(bad[:4]),
                     parts=parts, sizes=(r,), predicate=f"weakly-intersecting:{t}"))
-        # identity check on the full universe: restriction classes partition everything
-        full = closure_violations(Family.full(universe), t)
-        full_bad = [v for v in full if "partition" in v or "injective" in v]
+        # the t-free identities on the full universe: injective projections, partitioning classes
+        full_bad = closure_violations(Family.full(universe))
         if full_bad:
             violations += 1
             report.rows.append(report_row(name, f"{case}|full-universe", "fail",

@@ -86,6 +86,31 @@ its neighbours outside the earlier levels: a clique whose lowest level is i
 has an image through root i, and that image avoids the earlier levels too.  A
 transitive graph has the one root (0, nadj[0]).
 
+On a transitive graph the proof reads a group-averaging bound first.  The
+part relabellings act transitively on V and preserve adjacency, so for any
+vertex set S and any clique C, averaging |C & gS| over the relabellings g
+gives |C| * |S| / |V| <= omega(G[S]), that is, omega(G) <= floor(|V| *
+omega(G[S]) / |S|) (Katona, *A simple proof of the Erdos-Chao Ko-Rado
+theorem*, JCTB 1972; the clique-coclique bound of Godsil and Meagher,
+*Erdos-Ko-Rado Theorems: Algebraic Approaches*, CUP 2016).  The candidate
+sets S are families from `constructions.averaging_sets`.  At t = 1 where
+2r <= n or r = n, n the smallest part, S is Katona's cyclic r-intervals of
+every cyclic class; matchings of two classes share no edge, so under
+`intersecting:1` omega(G[S]) = r and the bound is the star's.  On the
+permutations of [n] under the intersecting kinds, S is AGL(1, n) at t = 2
+(n prime, 4 or 8) or PGL(2, n - 1) at t = 3 (n - 1 prime): sharply
+t-transitive, so two members meet in fewer than t edges, omega(G[S]) = 1,
+and the bound is (n - t)!, the star's.  omega(G[S]) is the greedy-bound
+kernel over every root of S's rows, which come from a signature index over
+its members; its nodes count toward the budget and the node count.  The
+least bound UB is at least the incumbent max(seed size, s), or the engine
+is wrong (`InternalCheckError`).  A UB equal to the incumbent is the
+maximum, and the proof is skipped; a UB equal to the seed's size skips the
+witness phase too, so no row of the graph is built.  Otherwise the proof runs with UB as its
+stop, as the witness phase does, and a proof clique above UB is an
+`InternalCheckError` too.  The witness phase is unchanged, so only the node
+count differs from a proof without the bound.
+
 The witness phase then runs the single search once, with the incumbent at
 w - 1, and stops at its first clique of size w; ending below w is an engine
 bug, and so is a star bound above the maximum.  The witness is the full
@@ -576,6 +601,27 @@ def _proof_roots(graph: CompatGraph, nadj):
     return [(pos, v, nadj[v] >> v << v) for pos, v in enumerate(levels)]
 
 
+def _averaging_bound(graph: CompatGraph, state: _SearchState):
+    """The least floor(|V| * omega(G[S]) / |S|) over the candidate sets S of a transitive graph, or None.
+
+    Each S is a family from `constructions.averaging_sets`.  Its rows come
+    from a signature index over its members, and omega(G[S]) from the kernel
+    over every root, under state's budget; the nodes add to state.nodes.
+    """
+    from .constructions import averaging_sets  # on first use, so `import ekrmatch` does not load it
+
+    bound = None
+    for family in averaging_sets(graph.universe, graph.pred):
+        rows = signature_rows(*signature_index(family.members(), graph.pred, graph.universe.k))
+        nadj = [row & ~(1 << i) for i, row in enumerate(rows)]
+        omega = _SearchState(budget=state.budget, nodes=state.nodes)
+        _search_roots(nadj, _root_subproblems(nadj, len(nadj)), omega)
+        state.nodes = omega.nodes
+        value = graph.n * omega.best // len(family)
+        bound = value if bound is None else min(bound, value)
+    return bound
+
+
 def max_clique(
     graph: CompatGraph,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -591,27 +637,40 @@ def max_clique(
     A graph from `build_compat_graph` is solved in two phases, a proof of the
     maximum from the star bound and one witness search that stops at it, and
     a transitive one searches root 0 alone, serially (module docstring).
-    The node count is the sum over both phases.
+    On a transitive graph a group-averaging bound equal to max(seed size,
+    star bound) skips the proof, and a larger one stops it; a bound below
+    that, or a proof clique above it, raises `InternalCheckError`.  The node
+    count is the sum over both phases and the bound's clique-number searches.
     """
     state = _SearchState(budget=node_budget)
     if seed is not None:
         if seed.universe.key != graph.universe.key:
             raise ValueError("seed family lives in a different universe")
         state.best, state.witness = len(seed), seed.bits
-    nadj, roots, members = _plan(graph)
     universe = graph.universe
     if not graph.symmetric:
+        nadj, roots, _ = _plan(graph)
         _search_with_workers(nadj, roots, state, workers)
         return state.best, Family(universe, state.witness), state.nodes
 
     seeded = state.best
     # a star is a clique of the star bound's size
     state.best = max(seeded, star_formula_value(universe.parts, universe.sizes, graph.pred))
-    state.renumber, state.relabel = True, universe
-    if graph.transitive:  # the atom helpers read the matchings at the rows' bit positions, those of N[0]
-        state.relabel = Universe(universe.parts, universe.sizes, [universe.items[v] for v in members])
-    _search_roots(nadj, _proof_roots(graph, nadj), state)
-    state.renumber, state.relabel = False, None
+    bound = _averaging_bound(graph, state) if graph.transitive else None
+    if bound is not None and bound < state.best:
+        raise InternalCheckError(f"the averaging bound {bound} is below the clique of size {state.best}")
+    if bound == seeded:  # the seed is a maximum: neither phase runs, so no row is built
+        return seeded, Family(universe, state.witness), state.nodes
+    nadj, roots, members = _plan(graph)
+    if bound != state.best:
+        state.renumber, state.relabel, state.stop = True, universe, bound
+        if graph.transitive:  # the atom helpers read the matchings at the rows' bit positions, those of N[0]
+            state.relabel = Universe(universe.parts, universe.sizes, [universe.items[v] for v in members])
+        _search_roots(nadj, _proof_roots(graph, nadj), state)
+        state.renumber, state.relabel, state.stop = False, None, None
+        if bound is not None and state.best > bound:
+            raise InternalCheckError(
+                f"the proof found a clique of size {state.best} above the averaging bound {bound}")
     if state.best > seeded:
         _witness_phase(nadj, roots, state, workers, state.best)
         state.witness = _to_vertices(state.witness, members)

@@ -155,6 +155,18 @@ def test_closure_violations_equal_the_per_member_oracle(parts, r, t):
     assert violating
 
 
+@pytest.mark.parametrize("parts,r,t", LEMMA_CELLS)
+def test_closure_violations_without_t_check_the_t_free_identities_alone(parts, r, t):
+    u = enumerate_universe(parts, r)
+    rng = random.Random(9)
+    dropped = 0
+    for fam in [Family.full(u)] + [Family(u, rng.getrandbits(len(u))) for _ in range(40)]:
+        full = closure_violations(fam, t)
+        assert closure_violations(fam) == [v for v in full if "partition" in v or "injective" in v]
+        dropped += len(full)
+    assert dropped  # the t-dependent identities fail on these families, and are not run without t
+
+
 def test_nonuniform_campaign_solves_each_cell_once(monkeypatch):
     from ekrmatch import harness
 

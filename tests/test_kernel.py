@@ -1,10 +1,11 @@
 """The one branch-and-bound kernel: the proof, the witness search and the listing.
 
 Node counts are pinned exactly.  The depth-first tree is fixed by the inputs,
-so a count moves only when the search itself changes; the counts below are
-those of the separate proof and witness kernels that `search._branch`
-replaced.  The Re-NUMBER colouring at kmin <= 0 is the greedy colouring, which
-is what lets one kernel serve both bounds.
+so a count moves only when the search itself changes; the counts of PINNED
+are those of the separate proof and witness kernels that `search._branch`
+replaced, with the averaging bound off.  The Re-NUMBER colouring at
+kmin <= 0 is the greedy colouring, which is what lets one kernel serve both
+bounds.
 """
 
 import random
@@ -26,6 +27,7 @@ from ekrmatch.search import (
     max_clique,
 )
 
+from test_averaging import averaging_off
 from test_search import _random_graph
 
 # (parts, sizes, predicate, maximum, status, nodes of extremal)
@@ -43,9 +45,24 @@ PINNED = [
 
 @pytest.mark.parametrize("parts,sizes,pred,size,status,nodes", PINNED,
                          ids=[f"{p}-{s}-{pred}" for p, s, pred, *_ in PINNED])
-def test_extremal_node_counts_are_pinned(parts, sizes, pred, size, status, nodes):
+def test_extremal_node_counts_are_pinned(parts, sizes, pred, size, status, nodes, monkeypatch):
+    averaging_off(monkeypatch)
     rep = extremal(parts, sizes, Predicate.parse(pred))
     assert (rep.max_size, rep.status, rep.nodes) == (size, status, nodes)
+
+
+# the cells of PINNED where the averaging bound is tight: its clique-number search, then the witness search
+AVERAGED = [
+    ((6, 6), (3,), "intersecting:1", 200, 230),
+    ((10,), (4,), "intersecting:1", 84, 94),
+]
+
+
+@pytest.mark.parametrize("parts,sizes,pred,size,nodes", AVERAGED,
+                         ids=[f"{p}-{s}-{pred}" for p, s, pred, *_ in AVERAGED])
+def test_extremal_node_counts_with_the_averaging_bound_are_pinned(parts, sizes, pred, size, nodes):
+    rep = extremal(parts, sizes, Predicate.parse(pred))
+    assert (rep.max_size, rep.status, rep.nodes) == (size, "MATCHES_STAR_BOUND", nodes)
 
 
 def test_unmarked_random_graph_node_count_is_pinned():
@@ -77,7 +94,10 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+# (7,) r=3 intersecting:1 is closed by the averaging bound, so its nodes are the clique-number search's
+# and the witness search's; the proof runs on the other three
 @pytest.mark.parametrize("parts,sizes,pred", [((7,), (3,), "intersecting:1"),
+                                              ((8,), (4,), "intersecting:2"),
                                               ((6,), (1, 2, 3, 4, 5, 6), "intersecting:2"),
                                               ((4, 4), (1, 2), "weakly-intersecting:1")])
 def test_every_node_of_both_phases_and_the_listing_is_one_kernel_call(parts, sizes, pred, monkeypatch):

@@ -34,6 +34,8 @@ from ekrmatch.search import (
     max_clique,
 )
 
+from test_averaging import averaging_off
+
 BRUTE_CELLS = [((5,), (2,)), ((6,), (1, 2, 3)), ((4, 4), (2,)), ((3, 3, 3), (1,)), ((2, 3, 3), (1, 2))]
 
 
@@ -136,6 +138,7 @@ FRONTIER = [((9,), (4,), 1), ((10,), (4,), 1), ((8,), (4,), 2), ((6,), (1, 2, 3,
 
 @pytest.mark.parametrize("parts,sizes,t", FRONTIER, ids=[f"{p}-R{s}-t{t}" for p, s, t in FRONTIER])
 def test_orbital_proof_equals_plain_proof_on_deeper_cells(parts, sizes, t, monkeypatch):
+    averaging_off(monkeypatch)  # it closes the t = 1 cells without a proof
     graph = build_compat_graph(enumerate_union_universe(parts, sizes), Predicate("intersecting", t))
     orbital, plain = proofs(graph, monkeypatch)
     assert orbital[:2] == plain[:2] and orbital[2] < plain[2]
@@ -212,8 +215,9 @@ def test_trivial_atom_group_skips_the_key_pass(monkeypatch):
 
     monkeypatch.setattr(search, "clique_atoms", spy)
     monkeypatch.setattr(search, "atom_orbits", no_keys)
-    graph = build_compat_graph(enumerate_universe((5, 5), 5), Predicate("intersecting", 2))
-    assert max_clique(graph)[0] == 6
+    # (6,6) r=6 intersecting:2: no field of 6 elements, so no averaging bound skips the proof
+    graph = build_compat_graph(enumerate_universe((6, 6), 6), Predicate("intersecting", 2))
+    assert max_clique(graph)[0] == 24
     assert calls and all(atoms is None for atoms in calls)
 
 
@@ -226,6 +230,6 @@ def test_keys_only_at_nodes_that_branch_twice(monkeypatch):
         return real(universe, atoms, candidates)
 
     monkeypatch.setattr(search, "atom_orbits", counting)
-    graph = build_compat_graph(enumerate_universe((10,), 4), Predicate("intersecting", 1))
+    graph = build_compat_graph(enumerate_universe((8,), 4), Predicate("intersecting", 2))
     _, _, nodes = max_clique(graph)
     assert 0 < len(passes) < nodes

@@ -221,7 +221,8 @@ def test_unmarked_graph_keeps_the_single_search():
 
 
 def test_one_budget_bounds_both_phases(monkeypatch):
-    graph = build_compat_graph(enumerate_universe((10,), 4), Predicate("intersecting", 1))
+    # (8,) r=4 intersecting:2: no averaging bound, so both phases run
+    graph = build_compat_graph(enumerate_universe((8,), 4), Predicate("intersecting", 2))
     proof_nodes = []
     real = search._witness_phase
 
