@@ -218,16 +218,19 @@ def cyclic_class_intervals(universe: Universe) -> Family:
     over i != p is the perfect matching of part p's vertices sending y in
     Z_n to (y + c_i mod n_i) in every part i, with c_p = 0.  Distinct classes
     share no edge.  Each class gives its n intervals {y, ..., y + r - 1 mod
-    n}, a single matching at r = n.
+    n}, a single matching at r = n.  Each interval is built canonical, its
+    edges sorted, and looked up in the universe's index.
     """
     parts, r = universe.parts, universe.r
     n = min(parts)
     p = parts.index(n)
     classes = product(*(range(m) if i != p else (0,) for i, m in enumerate(parts)))
-    return Family.from_matchings(universe, (
-        [tuple((y % n + ci) % m + 1 for ci, m in zip(c, parts)) for y in range(start, start + r)]
-        for c in classes for start in range(n)
-    ))
+    index, bits = universe.index, 0
+    for c in classes:
+        edges = [tuple((y + ci) % m + 1 for ci, m in zip(c, parts)) for y in range(n)]
+        for start in range(n):
+            bits |= 1 << index[tuple(sorted(edges[(start + y) % n] for y in range(r)))]
+    return Family(universe, bits)
 
 
 _BINARY_MODULI = {4: 0b111, 8: 0b1011}  # GF(4) and GF(8) from x^2 + x + 1 and x^3 + x + 1 over GF(2)

@@ -50,10 +50,10 @@ from .matchings import (
     DEFAULT_UNIVERSE_CAP,
     Family,
     UniverseTooLargeError,
+    classes_of_projections,
     enumerate_union_universe,
     enumerate_universe,
     item_projections,
-    reduction_classes,
     vertex_shadow,
 )
 from .predicates import (
@@ -256,6 +256,17 @@ def random_weak_family(graph, rng: random.Random) -> Family:
     return Family(universe, bits)
 
 
+_PAIR_TESTS = {}  # (kind, t, arity) -> its pair_checker
+
+
+def _pair_test(kind: str, t: int, k: int):
+    """`pair_checker` of kind:t over arity-k matchings, built once per process."""
+    test = _PAIR_TESTS.get((kind, t, k))
+    if test is None:
+        test = _PAIR_TESTS[kind, t, k] = pair_checker(Predicate(kind, t), k)
+    return test
+
+
 def closure_violations(fam: Family, t: int | None = None) -> list:
     """Violations of the four projection/restriction identities for one family.
 
@@ -273,15 +284,15 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
             bad.append(f"projection from part {i} is not injective")
 
     if k > 1 and t is not None:
-        weak = pair_checker(Predicate("weakly-intersecting", t), k - 1)
+        weak = _pair_test("weakly-intersecting", t, k - 1)
         for j in range(1, k + 1):
             for p, q in combinations(sorted({row.drops[j] for row in rows}), 2):
                 if not weak(p, q):
                     bad.append(f"drop of part {j} not weakly {t}-intersecting")
 
-    plain = pair_checker(Predicate("intersecting", t), 2) if t is not None else None
+    plain = _pair_test("intersecting", t, 2) if t is not None else None
     for i, j in permutations(range(1, k + 1), 2):
-        classes = reduction_classes(fam, i, j)
+        classes = classes_of_projections(rows, i, j)
         if sum(len(ps) for ps in classes.values()) != len(rows):
             bad.append(f"restriction classes over ({i},{j}) do not partition the family")
         if plain is None:

@@ -314,6 +314,16 @@ def item_projections(universe: Universe, indices: list) -> list:
 # families
 
 
+def bit_positions(bits: int) -> list:
+    """The positions of a bitset's set bits, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
 class Family:
     """A subset of one universe, stored as a bit-vector (Python int bitmask)."""
 
@@ -351,12 +361,7 @@ class Family:
         return self.bits.bit_count()
 
     def indices(self) -> list:
-        bits, out = self.bits, []
-        while bits:
-            low = bits & -bits
-            out.append(low.bit_length() - 1)
-            bits ^= low
-        return out
+        return bit_positions(self.bits)
 
     def members(self) -> list:
         items = self.universe.items
@@ -397,8 +402,13 @@ def reduction_classes(fam: Family, i: int, j: int) -> dict:
     k = fam.universe.k
     if i == j or not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"reduction needs two distinct part indices in 1..{k}, got {i} and {j}")
+    return classes_of_projections(item_projections(fam.universe, fam.indices()), i, j)
+
+
+def classes_of_projections(rows, i: int, j: int) -> dict:
+    """`reduction_classes` of the members whose `ItemProjections` are rows, for distinct parts i, j."""
     classes: dict = {}
-    for row in item_projections(fam.universe, fam.indices()):
+    for row in rows:
         classes.setdefault(row.reduced[i, j], set()).add(row.pairs[i, j])
     return {x: sorted(ps) for x, ps in classes.items()}
 

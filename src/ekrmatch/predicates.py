@@ -343,16 +343,18 @@ def edges_in_box(m, box) -> int:
 
 
 def _star_centres(fam: Family, t: int) -> tuple:
-    """All t-edge centres whose full star in the universe equals the family."""
-    members = fam.members()
-    common = set(members[0])
-    for m in members[1:]:
-        common &= set(m)
-        if len(common) < t:
-            return ()
+    """All t-edge centres whose full star in the universe equals the family.
+
+    A centre's edges lie in every member, the lowest one included, and an
+    edge lies in every member exactly when its posting holds the family.
+    """
+    u, bits = fam.universe, fam.bits
+    edges = unit_postings(u)[0]
+    lowest = u.items[(bits & -bits).bit_length() - 1]
+    common = [e for e in lowest if edges[e] & bits == bits]
     # each centre's star is read off the edge postings, without the intersecting:t index
-    pred, u = Predicate("intersecting", t), fam.universe
-    return tuple(c for c in combinations(sorted(common), t) if signature_bits(u, pred, 0, c) == fam.bits)
+    pred = Predicate("intersecting", t)
+    return tuple(c for c in combinations(common, t) if signature_bits(u, pred, 0, c) == bits)
 
 
 def box_star_bits(universe, box) -> int:

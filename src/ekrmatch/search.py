@@ -17,6 +17,23 @@ nodes.  All tie-breaking is by lowest vertex index, so results are
 deterministic; the reported witness is the first maximum clique in the fixed
 depth-first order, which is also independent of the worker count.
 
+Under the greedy colouring a clique candidate set closes in one step
+(`_close_clique`), and its chain's nodes are still counted.  A candidate set
+P gets one colour per vertex exactly when it is a clique: each class starts
+at the lowest candidate left, which then has no non-neighbour left.  The
+subtree of such a node R is one chain.  It branches on the highest
+candidate, whose candidates are the rest of P, down to the leaf R + P; once
+that leaf is recorded, the incumbent (or, in a listing, the held size one
+below the maximum) prunes every later branch of the chain.  So the kernel
+returns at once when |R| + |P| is at most the incumbent, as the chain's
+first bound test would.  Otherwise it adds the chain's |P| - 1 further nodes
+to the count and records R + P as the leaf would, with the same witness
+stop, listing checks and cap.  A budget that the chain would pass raises at
+the same node, budget + 1.  The node counts, witnesses, maxima and
+exceptions are those of the walked chain.  The Re-NUMBER proof walks its
+chains: a clique candidate set above its incumbent means a larger clique,
+which is rare there.
+
 A graph built from a uniform universe (one edge count) is searched from the
 root at vertex 0 alone, serially.  The group S_{n_1} x ... x S_{n_k} of
 per-part vertex permutations acts transitively on the r-edge matchings, and
@@ -56,12 +73,13 @@ search closes that list under generators of the group (per part the swap
 (1 2) and the n_i-cycle, `matchings.relabelling_generators`).  The closure is
 exactly the full list: every image of a maximum is a maximum, since the group
 preserves the predicate, and every maximum C is an image of one through
-vertex 0, since some group element sends a vertex of C to vertex 0.  The list
-is sorted by `Family.indices` as before, so its order, and everything read
-from it, does not depend on the path.  Two checks that fail only through an
-engine bug guard the path.  By double counting the pairs (vertex, maximum
-containing it), the closure must hold exactly |V| * m0 / size maxima, which
-a generator set too small for the group would miss.  The star kind is
+vertex 0, since some group element sends a vertex of C to vertex 0.  The
+closure runs on sorted index tuples and returns them in ascending order,
+which is the order of `Family.indices`, so the list's order, and everything
+read from it, does not depend on the path.  Two checks that fail only
+through an engine bug guard the path.  By double counting the pairs (vertex,
+maximum containing it), the closure must hold exactly |V| * m0 / size
+maxima, which a generator set too small for the group would miss.  The star kind is
 invariant too, so `extremal` requires each kind's tally times the size to
 equal |V| times that kind's tally among the maxima through vertex 0.  The
 node budget bounds the root-0 listing.  The cap bounds the closure, which is
@@ -164,6 +182,7 @@ from .matchings import (
     Family,
     Universe,
     atom_orbits,
+    bit_positions,
     clique_atoms,
     enumerate_union_universe,
     relabelling_generators,
@@ -545,13 +564,35 @@ def _renumber_order(pmask: int, nadj, kmin: int):
     return order, [c + kmin for c in colours]
 
 
+def _close_clique(pmask: int, width: int, rbits: int, rsize: int, state: _SearchState) -> bool:
+    """Settle a node whose greedy colouring used width colours, if that is one per candidate; else False.
+
+    Such a candidate set (never empty: width >= 1) is a clique, so the node's
+    subtree is one chain that adds the highest candidate at each step and
+    ends at rbits + pmask.  The chain's other width - 1 nodes are counted, as
+    is the node where it would pass the budget, and its end is recorded as
+    the chain's leaf would record it (module docstring).
+    """
+    if width != pmask.bit_count():
+        return False
+    size = rsize + width
+    if size > state.best:
+        state.nodes += width - 1
+        if state.nodes > state.budget:
+            state.nodes = state.budget + 1
+            raise NodeBudgetExceeded(state.nodes, state.budget)
+        _record(state, rbits | pmask, size)
+    return True
+
+
 def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
     """Search the cliques rbits + some of pmask, recording each larger one, or listing each maximum.
 
     The bound is the greedy colouring, or with state.renumber Re-NUMBER's.
-    With state.relabel set, at nodes of at most ORBIT_DEPTH members each
-    branched vertex takes its whole orbit under the clique's atom group out of
-    the candidates (module docstring).
+    Under the greedy colouring a clique candidate set closes in one step
+    (`_close_clique`).  With state.relabel set, at nodes of at most
+    ORBIT_DEPTH members each branched vertex takes its whole orbit under the
+    clique's atom group out of the candidates (module docstring).
     """
     state.nodes += 1
     if state.nodes > state.budget:
@@ -560,6 +601,8 @@ def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
         order, colours = _renumber_order(pmask, nadj, state.best - rsize)
     else:
         order, colours = _colour_order(pmask, nadj)
+        if colours and _close_clique(pmask, colours[-1], rbits, rsize, state):
+            return
     universe = state.relabel if rsize <= ORBIT_DEPTH else None
     # each candidate's orbit once a second branch is due, {} for a trivial group; till then the first branch
     orbit = first = None
@@ -699,22 +742,24 @@ def max_clique_naive(graph: CompatGraph):
 
 
 def _orbit_closure(seeds: list, generators, cap: int) -> list:
-    """Breadth-first closure of distinct bitsets under index permutations; raises past cap members."""
-    queue = list(seeds)
+    """Breadth-first closure of distinct bitsets under index permutations, in ascending index order.
+
+    The search runs on sorted index tuples, an image being the sorted tuple
+    of the permuted indices; raises past cap members.
+    """
+    queue = [tuple(bit_positions(bits)) for bits in seeds]
     seen = set(queue)
-    for bits in queue:
-        for perm in generators:
-            image, rest = 0, bits
-            while rest:
-                low = rest & -rest
-                image |= 1 << perm[low.bit_length() - 1]
-                rest ^= low
+    maps = [perm.__getitem__ for perm in generators]
+    for members in queue:
+        for image_of in maps:
+            image = tuple(sorted(map(image_of, members)))
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
                 if len(queue) > cap:
                     raise MaximaOverflowError(cap)
-    return queue
+    shift = (1).__lshift__
+    return [sum(map(shift, members)) for members in sorted(queue)]
 
 
 def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP,
@@ -732,7 +777,6 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
     state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
     nadj, roots, members = _plan(graph)
     _search_roots(nadj, roots, state)
-    found = state.found
     if graph.transitive:
         generators = [g for part in relabelling_generators(graph.universe) for g in part]
         found = _orbit_closure([_to_vertices(bits, members) for bits in state.found], generators, cap)
@@ -742,7 +786,9 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
                 f"through vertex 0 over {graph.n} vertices at size {size} gives "
                 f"{graph.n * len(state.found) / size}"
             )
-    return sorted((Family(graph.universe, bits) for bits in found), key=Family.indices)
+    else:
+        found = sorted(state.found, key=bit_positions)
+    return [Family(graph.universe, bits) for bits in found]
 
 
 # ---------------------------------------------------------------------------

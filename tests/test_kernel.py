@@ -5,7 +5,9 @@ so a count moves only when the search itself changes; the counts of PINNED
 are those of the separate proof and witness kernels that `search._branch`
 replaced, with the averaging bound off.  The Re-NUMBER colouring at
 kmin <= 0 is the greedy colouring, which is what lets one kernel serve both
-bounds.
+bounds.  Under the greedy bound a clique candidate set closes in one step,
+its chain's nodes counted; with that switched off (`chains_off`) each node is
+one `_branch` call, and the two must give the same counts, bits and budgets.
 """
 
 import random
@@ -17,6 +19,7 @@ from ekrmatch.matchings import enumerate_union_universe, enumerate_universe
 from ekrmatch.predicates import Predicate
 from ekrmatch.search import (
     CompatGraph,
+    MaximaOverflowError,
     NodeBudgetExceeded,
     _colour_order,
     _neighbour_rows,
@@ -28,7 +31,7 @@ from ekrmatch.search import (
 )
 
 from test_averaging import averaging_off
-from test_search import _random_graph
+from test_search import _complete_graph, _random_graph
 
 # (parts, sizes, predicate, maximum, status, nodes of extremal)
 PINNED = [
@@ -94,6 +97,11 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+def chains_off(monkeypatch):
+    """No candidate set closes in one step: the kernel walks down every clique chain node by node."""
+    monkeypatch.setattr(search, "_close_clique", lambda *args: False)
+
+
 # (7,) r=3 intersecting:1 is closed by the averaging bound, so its nodes are the clique-number search's
 # and the witness search's; the proof runs on the other three
 @pytest.mark.parametrize("parts,sizes,pred", [((7,), (3,), "intersecting:1"),
@@ -101,18 +109,25 @@ def kernel_calls(monkeypatch):
                                               ((6,), (1, 2, 3, 4, 5, 6), "intersecting:2"),
                                               ((4, 4), (1, 2), "weakly-intersecting:1")])
 def test_every_node_of_both_phases_and_the_listing_is_one_kernel_call(parts, sizes, pred, monkeypatch):
+    # with the collapse off each node is one call; with it on the node counts and budgets are the same
     graph = build_compat_graph(enumerate_union_universe(parts, sizes), Predicate.parse(pred))
-    calls = kernel_calls(monkeypatch)
-    size, _, nodes = max_clique(graph)
-    assert calls[0] == nodes
-    calls[0] = 0
-    assert max_clique(CompatGraph(graph.universe, graph.pred, graph.rows))[2] == calls[0]
-    calls[0] = 0
-    maxima = all_max_cliques(graph, size)
-    listed = calls[0]
-    assert listed > 0 and all_max_cliques(graph, size, node_budget=listed) == maxima
-    with pytest.raises(NodeBudgetExceeded):
-        all_max_cliques(graph, size, node_budget=listed - 1)
+    hand = CompatGraph(graph.universe, graph.pred, graph.rows)
+    with monkeypatch.context() as mp:
+        chains_off(mp)
+        calls = kernel_calls(mp)
+        solved = max_clique(graph)
+        assert calls[0] == solved[2]
+        calls[0] = 0
+        unmarked = max_clique(hand)
+        assert unmarked[2] == calls[0]
+        calls[0] = 0
+        maxima = all_max_cliques(graph, solved[0])
+        listed = calls[0]
+    assert max_clique(graph) == solved and max_clique(hand) == unmarked
+    assert listed > 0 and all_max_cliques(graph, solved[0], node_budget=listed) == maxima
+    with pytest.raises(NodeBudgetExceeded) as exc:
+        all_max_cliques(graph, solved[0], node_budget=listed - 1)
+    assert exc.value.nodes == listed
 
 
 def test_proof_state_is_reset_before_the_witness_phase(monkeypatch):
@@ -127,3 +142,121 @@ def test_proof_state_is_reset_before_the_witness_phase(monkeypatch):
     graph = build_compat_graph(enumerate_universe((8,), 4), Predicate("intersecting", 2))
     assert max_clique(graph)[0] == 17
     assert seen == [(False, None)]
+
+
+# ---------------------------------------------------------------------------
+# clique candidate sets close in one step
+
+
+def kernel_answers(graph, monkeypatch):
+    """(size, witness bits, nodes) of `max_clique`, then the maxima (or "overflow") and the listing's nodes."""
+    size, witness, nodes = max_clique(graph)
+    listed = []
+    real = search._search_roots
+
+    def spy(nadj, roots, state):
+        at = real(nadj, roots, state)
+        listed.append(state.nodes)
+        return at
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_search_roots", spy)
+        try:
+            maxima = [f.bits for f in all_max_cliques(graph, size)]
+        except MaximaOverflowError:
+            maxima = "overflow"
+    return size, witness.bits, nodes, maxima, listed
+
+
+def assert_collapse_changes_nothing(graph, monkeypatch):
+    on = kernel_answers(graph, monkeypatch)
+    with monkeypatch.context() as mp:
+        chains_off(mp)
+        off = kernel_answers(graph, mp)
+    assert on == off, (graph.universe.key, str(graph.pred))
+
+
+def test_collapse_changes_nothing_on_every_transitive_builtin_cell(monkeypatch):
+    from test_two_phase import builtin_graphs
+
+    graphs = [g for g in builtin_graphs() if g.transitive]
+    assert len(graphs) > 20
+    for graph in graphs:
+        assert_collapse_changes_nothing(graph, monkeypatch)
+
+
+# the benchmark's cells
+BENCH = [((4, 4, 4), 3, "weakly-intersecting:1"), ((6, 6), 3, "intersecting:1"),
+         ((4, 4, 4), 4, "weakly-set-intersecting:2"), ((10,), 4, "intersecting:1"),
+         ((5, 5), 4, "intersecting:2")]
+
+
+@pytest.mark.parametrize("parts,r,pred", BENCH, ids=[f"{p}-r{r}-{pred}" for p, r, pred in BENCH])
+def test_collapse_changes_nothing_on_the_benchmark_cells(parts, r, pred, monkeypatch):
+    assert_collapse_changes_nothing(build_compat_graph(enumerate_universe(parts, r), Predicate.parse(pred)),
+                                    monkeypatch)
+
+
+def disjoint_cliques(widths):
+    """A hand-built graph that is the disjoint union of cliques of these widths."""
+    rows, lo = [], 0
+    for w in widths:
+        rows += [((1 << w) - 1) << lo] * w
+        lo += w
+    return CompatGraph(enumerate_universe((max(lo, 2),), 1), Predicate("intersecting", 1), rows)
+
+
+def test_collapse_changes_nothing_on_random_complete_and_disjoint_clique_graphs(monkeypatch):
+    rng = random.Random(18)
+    graphs = [_complete_graph(n) for n in (1, 2, 3, 7, 20)]
+    graphs += [disjoint_cliques([rng.randint(1, 8) for _ in range(rng.randint(1, 6))]) for _ in range(30)]
+    graphs += [_random_graph(rng.randint(1, 40), rng.choice([0.3, 0.6, 0.9, 0.97]), rng) for _ in range(150)]
+    for graph in graphs:
+        assert_collapse_changes_nothing(graph, monkeypatch)
+
+
+def test_every_budget_raises_at_the_same_node_with_and_without_the_collapse(monkeypatch):
+    rng = random.Random(19)
+    graphs = [_complete_graph(9), disjoint_cliques([3, 6, 2, 6])]
+    graphs += [_random_graph(rng.randint(5, 25), rng.choice([0.6, 0.9]), rng) for _ in range(20)]
+    for graph in graphs:
+        nodes = max_clique(graph)[2]
+        for budget in range(1, nodes + 1):
+            raised = []
+            for off in (False, True):
+                with monkeypatch.context() as mp:
+                    if off:
+                        chains_off(mp)
+                    try:
+                        raised.append(max_clique(graph, node_budget=budget)[2])
+                    except NodeBudgetExceeded as exc:
+                        raised.append(("raised", exc.nodes, exc.budget))
+            assert raised[0] == raised[1]
+            assert raised[0] == (nodes if budget == nodes else ("raised", budget + 1, budget))
+
+
+def test_budget_whose_last_node_is_inside_a_collapsed_chain(monkeypatch):
+    # the witness search of (6,6) r=3 intersecting:1 ends in a clique chain: its last node is a counted one
+    graph = build_compat_graph(enumerate_universe((6, 6), 3), Predicate("intersecting", 1))
+    chains = []
+    real = search._close_clique
+
+    def spy(pmask, width, rbits, rsize, state):
+        try:
+            return real(pmask, width, rbits, rsize, state)
+        finally:  # the chain that reaches the stop ends the search by raising
+            chains.append((width, state.nodes))
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_close_clique", spy)
+        size, witness, nodes = max_clique(graph)
+    width, last = chains[-1]
+    assert width > 1 and last == nodes
+    assert max_clique(graph, node_budget=nodes) == (size, witness, nodes)
+    for off in (False, True):
+        with monkeypatch.context() as mp:
+            if off:
+                chains_off(mp)
+            with pytest.raises(NodeBudgetExceeded) as exc:
+                max_clique(graph, node_budget=nodes - 1)
+        assert (exc.value.nodes, exc.value.budget) == (nodes, nodes - 1)

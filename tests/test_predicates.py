@@ -10,12 +10,14 @@ from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_unive
 from ekrmatch.predicates import (
     PREDICATE_KINDS,
     Predicate,
+    _star_centres,
     classify_star,
     cross_set_intersecting,
     family_satisfies,
     intersects_t,
     pair_checker,
     set_intersects_t,
+    signature_bits,
     weakly_intersects_t,
     weakly_set_intersects_t,
 )
@@ -308,3 +310,56 @@ def test_all_maxima_build_no_t_intersecting_index(monkeypatch):
     assert set(u.postings_memo) <= {("units", False), ("units", True)}
     for fam, cls in zip(rep.maxima, rep.classifications):
         assert cls.centres == brute_star_centres(fam, 2)
+
+
+def set_intersection_centres(fam, t):
+    """The star centres as first found: the members' common edges by intersecting their edge sets."""
+    members = fam.members()
+    common = set(members[0])
+    for m in members[1:]:
+        common &= set(m)
+        if len(common) < t:
+            return ()
+    pred, u = Predicate("intersecting", t), fam.universe
+    return tuple(c for c in combinations(sorted(common), t) if signature_bits(u, pred, 0, c) == fam.bits)
+
+
+@pytest.mark.parametrize("parts,r,pred", [((6, 6), 3, "intersecting:1"), ((5, 5), 4, "intersecting:2")])
+def test_star_centres_equal_the_set_intersection_rule_on_every_benchmark_maximum(parts, r, pred):
+    rep = extremal(parts, (r,), Predicate.parse(pred), all_maxima=True)
+    t = Predicate.parse(pred).t
+    for fam in rep.maxima:
+        for s in (1, t, t + 1):
+            assert _star_centres(fam, s) == set_intersection_centres(fam, s)
+
+
+def test_star_centres_equal_the_set_intersection_rule_on_random_families():
+    rng = random.Random(200)
+    universes = [enumerate_union_universe(p, s) for p, s in
+                 [((5, 5), (4,)), ((6,), (3,)), ((3, 3), (0, 1, 2, 3)), ((3, 3, 3), (2,)), ((4, 4), (1, 2))]]
+    stars = 0
+    for _ in range(200):
+        u = rng.choice(universes)
+        t = rng.randint(1, 3)
+        if rng.random() < 0.5:  # a star, or a star with one member dropped
+            m = rng.choice([m for m in u.items if m])
+            fam = t_star(u, m[:rng.randint(1, len(m))])
+            if rng.random() < 0.5 and len(fam) > 1:
+                fam = Family.from_indices(u, fam.indices()[1:])
+        else:
+            fam = Family(u, rng.getrandbits(len(u)) or 1)
+        want = set_intersection_centres(fam, t)
+        assert _star_centres(fam, t) == want
+        stars += bool(want)
+    assert stars
+
+
+def test_star_centres_of_a_single_member_and_of_the_empty_matching():
+    u = enumerate_union_universe((3, 3), (0, 1, 2))
+    assert u.items[0] == ()
+    for fam in [Family(u, 1), Family(u, 0b111), Family.full(u)]:
+        assert _star_centres(fam, 1) == set_intersection_centres(fam, 1) == ()
+    for v in range(1, len(u)):
+        fam = Family(u, 1 << v)
+        for t in (1, 2, 3):
+            assert _star_centres(fam, t) == set_intersection_centres(fam, t)

@@ -8,6 +8,7 @@ loop on an unmarked copy of the same graph.
 """
 
 import inspect
+import random
 from collections import Counter
 
 import pytest
@@ -21,6 +22,7 @@ from ekrmatch.harness import (
     t_intersecting_cells,
 )
 from ekrmatch.matchings import (
+    Family,
     canonical_matching,
     enumerate_union_universe,
     enumerate_universe,
@@ -390,3 +392,46 @@ def test_union_universe_builds_rows_eagerly(monkeypatch):
     monkeypatch.setattr(search, "get_context", no_pool)
     with pytest.raises(AssertionError, match="worker pool"):
         build_compat_graph(universe, pred, workers=2)
+
+
+def bitwise_closure(seeds, generators, cap):
+    """The orbit closure as it was first written: bit by bit through every generator, in BFS order."""
+    queue = list(seeds)
+    seen = set(queue)
+    for bits in queue:
+        for perm in generators:
+            image, rest = 0, bits
+            while rest:
+                low = rest & -rest
+                image |= 1 << perm[low.bit_length() - 1]
+                rest ^= low
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+                if len(queue) > cap:
+                    raise MaximaOverflowError(cap)
+    return queue
+
+
+CLOSURE_TUPLE_CELLS = [((5, 5), 4, Predicate("intersecting", 2)),
+                       ((4, 4, 4), 2, Predicate("weakly-intersecting", 1))]
+
+
+@pytest.mark.parametrize("parts,r,pred", CLOSURE_TUPLE_CELLS,
+                         ids=[f"{p}-r{r}-{pred}" for p, r, pred in CLOSURE_TUPLE_CELLS])
+def test_tuple_closure_equals_the_bitwise_closure(parts, r, pred):
+    universe = enumerate_universe(parts, r)
+    graph = build_compat_graph(universe, pred)
+    flat = [perm for part in relabelling_generators(universe) for perm in part]
+    size = max_clique(graph)[0]
+    through_zero = [f.bits for f in all_max_cliques(graph, size) if f.bits & 1]
+    rng = random.Random(len(universe))
+    sparse = [sum(1 << v for v in rng.sample(range(len(universe)), 3)) for _ in range(2)]
+    for seeds in [through_zero, through_zero[:1], [1], sparse]:
+        want = bitwise_closure(seeds, flat, 10**6)
+        got = _orbit_closure(seeds, flat, len(want))
+        assert set(got) == set(want) and len(got) == len(want)
+        assert got == sorted(want, key=lambda bits: Family(universe, bits).indices())
+        for closure in (bitwise_closure, _orbit_closure):
+            with pytest.raises(MaximaOverflowError):
+                closure(seeds, flat, len(want) - 1)
