@@ -15,6 +15,7 @@ unknown thresholds.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 from dataclasses import dataclass, field, replace
@@ -65,9 +66,9 @@ from .predicates import (
     family_satisfies,
     holders,
     intersects_t,
-    is_full_pair_star,
     pair_checker,
-    projection_family,
+    pair_projections,
+    projections_are_stars,
     set_intersects_t,
     weakly_intersects_t,
 )
@@ -291,6 +292,9 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
                     bad.append(f"drop of part {j} not weakly {t}-intersecting")
 
     plain = _pair_test("intersecting", t, 2) if t is not None else None
+    shadow = {}  # at k >= 3, each distinct pair projection's part-1 shadow, read once
+    if plain and k >= 3:
+        shadow = {p: vertex_shadow(p, 1) for p in {p for row in rows for p in row.pairs.values()}}
     for i, j in permutations(range(1, k + 1), 2):
         classes = classes_of_projections(rows, i, j)
         if sum(len(ps) for ps in classes.values()) != len(rows):
@@ -301,9 +305,9 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
             for p, q in combinations(projs, 2):
                 if not plain(p, q):
                     bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
-            if k >= 3:
-                vx = vertex_shadow(x[0], 1)
-                if any(vertex_shadow(p, 1) != vx for p in projs):
+            if shadow:
+                vx = shadow[x[0]]
+                if any(shadow[p] != vx for p in projs):
                     bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
     return bad
 
@@ -391,12 +395,7 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
             continue
         n_nonempty += 1
         fam = Family(universe, bits)
-        projs = {(i, j): projection_family(fam.members(), i, j) for i, j in pairs}
-        weak = all(
-            is_full_pair_star(projs[(i, j)], parts[i - 1], parts[j - 1], r, t)
-            for i, j in pairs
-        )
-        if not weak:
+        if not projections_are_stars(pair_projections(fam), t):
             continue
         n_weak += 1
         cls = classify_star(fam, t)
@@ -888,9 +887,9 @@ BUILTIN_CAMPAIGNS = {
     "semi-stars": lambda **kw: run_semi_star_campaign(),
 }
 
-# the builtins whose cells run through the cell pool of `run_bound_campaign`
-POOLED_CAMPAIGNS = ("intersecting", "permutations", "t-intersecting", "nonuniform",
-                    "set-intersecting", "nonuniform-t-scan")
+# the builtins whose cells run through the cell pool of `run_bound_campaign`: those taking workers
+POOLED_CAMPAIGNS = tuple(name for name, run in BUILTIN_CAMPAIGNS.items()
+                         if "workers" in inspect.signature(run).parameters)
 
 
 def run_builtin(name: str, **kwargs) -> CampaignReport:

@@ -21,6 +21,8 @@ signatures into bits: graph rows through `signature_index` and
 `signature_rows`, and the holders of given signatures (stars, weak centre
 systems, row 0 of a transitive graph) through `holders` and `signature_bits`,
 read off the edge postings.  The pairwise functions stay as the oracle.
+The weak stars are the stars of the pair projections (`pair_projections`),
+found by the same star recognisers.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
-from .counts import t_set_star_size, t_star_size
-from .matchings import Family, project_pair
+from .counts import t_set_star_size
+from .matchings import Family, enumerate_universe, project_pair
 
 PREDICATE_KINDS = (
     "intersecting",
@@ -287,15 +289,15 @@ def family_satisfies(fam: Family, pred: Predicate) -> bool:
 
 
 def cross_set_intersecting(g: Family, h: Family, t: int) -> bool:
-    """Whether every member of one family t-set-intersects every member of the other."""
+    """Whether every member of one family t-set-intersects every member of the other: h lies in their holders."""
     if g.universe.sizes != h.universe.sizes or g.universe.k != h.universe.k:
         raise ValueError(
             f"cross check needs matching edge counts and arity: "
             f"{g.universe.key} vs {h.universe.key}"
         )
-    gs = [box_signatures(m, t) for m in g.members()]
-    hs = [box_signatures(m, t) for m in h.members()]
-    return all(not a.isdisjoint(b) for a in gs for b in hs)
+    pred = Predicate("set-intersecting", t)
+    return all(h.bits & ~holders(h.universe, pred, signatures(m, pred, g.universe.k)) == 0
+               for m in g.members())
 
 
 # ---------------------------------------------------------------------------
@@ -375,38 +377,30 @@ def _set_star_boxes(fam: Family, t: int) -> tuple:
     return tuple(found)
 
 
-def projection_family(members, i: int, j: int) -> list:
-    return sorted({project_pair(m, i, j) for m in members})
+_PAIR_UNIVERSES = {}  # (n_i, n_j, r) -> the pair universe enumerate_universe((n_i, n_j), r)
 
 
-def is_full_pair_star(proj, ni: int, nj: int, r: int, t: int) -> bool:
-    """Whether a set of 2-part matchings is the full t-star of its pair universe."""
-    if len(proj) != t_star_size((ni, nj), r, t):
-        return False
-    common = set(proj[0])
-    for m in proj[1:]:
-        common &= set(m)
-    # t common pairs + full star cardinality forces equality with the star
-    return len(common) >= t
+def pair_projections(fam: Family):
+    """Yield a uniform family's pair projections in `_part_pairs` order, each a Family of its pair universe.
+
+    Pair universes are enumerated once per process and index `project_pair`'s canonical output directly.
+    """
+    u = fam.universe
+    members, r = fam.members(), u.r
+    for i, j in _part_pairs(u.k):
+        key = (u.parts[i - 1], u.parts[j - 1], r)
+        pu = _PAIR_UNIVERSES.get(key)
+        if pu is None:
+            pu = _PAIR_UNIVERSES[key] = enumerate_universe(key[:2], r)
+        bits = 0
+        for m in members:
+            bits |= 1 << pu.index[project_pair(m, i, j)]
+        yield Family(pu, bits)
 
 
-def is_full_pair_set_star(proj, ni: int, nj: int, r: int, t: int) -> bool:
-    """Whether a set of 2-part matchings is the full t-set-star of its pair universe."""
-    if len(proj) != t_set_star_size((ni, nj), r, t):
-        return False
-    first = proj[0]
-    for sub in combinations(first, t):
-        box = (frozenset(e[0] for e in sub), frozenset(e[1] for e in sub))
-        if all(edges_in_box(m, box) == t for m in proj):
-            return True
-    return False
-
-
-def is_max_size_pair_set_intersecting(proj, ni: int, nj: int, r: int, t: int) -> bool:
-    if len(proj) != t_set_star_size((ni, nj), r, t):
-        return False
-    sigs = [box_signatures(m, t) for m in proj]
-    return all(not sigs[a].isdisjoint(sigs[b]) for a in range(len(sigs)) for b in range(a + 1, len(sigs)))
+def projections_are_stars(projs, t: int) -> bool:
+    """Whether every pair projection (`pair_projections`) is a full t-star of its pair universe: a weak t-star."""
+    return all(_star_centres(p, t) for p in projs)
 
 
 def classify_star(fam: Family, t: int) -> StarClassification:
@@ -415,9 +409,9 @@ def classify_star(fam: Family, t: int) -> StarClassification:
     Precedence: t-star, then t-set-star, then the weak variants.  All valid
     centres are reported, which covers both degenerate regimes (single-member
     stars, and box/complement-box ambiguity at r = 2t with all parts of size
-    2t).  The weak-set classification accepts projections that are maximum
-    star-sized t-set-intersecting families and records separately whether
-    they are genuine box stars.
+    2t).  A weak t-star (k >= 3, uniform) has a t-star in every pair
+    projection (`pair_projections`); a weak t-set-star has a box-star-sized
+    t-set-intersecting family there, and records whether each is a box star.
     """
     if t < 1:
         raise ValueError(f"t must be positive, got {t}")
@@ -436,20 +430,12 @@ def classify_star(fam: Family, t: int) -> StarClassification:
             return StarClassification("t-set-star", t, boxes, annotations=notes)
 
     if u.k >= 3 and len(u.sizes) == 1 and t <= u.r:
-        members = fam.members()
-        r, parts = u.r, u.parts
-        pairs = _part_pairs(u.k)
-        projs = {(i, j): projection_family(members, i, j) for i, j in pairs}
-        if all(is_full_pair_star(projs[(i, j)], parts[i - 1], parts[j - 1], r, t) for i, j in pairs):
+        projs = list(pair_projections(fam))
+        if projections_are_stars(projs, t):
             return StarClassification("weak-t-star", t, annotations=notes)
-        if all(
-            is_max_size_pair_set_intersecting(projs[(i, j)], parts[i - 1], parts[j - 1], r, t)
-            for i, j in pairs
-        ):
-            genuine = all(
-                is_full_pair_set_star(projs[(i, j)], parts[i - 1], parts[j - 1], r, t)
-                for i, j in pairs
-            )
+        if all(len(p) == t_set_star_size(p.universe.parts, u.r, t) and cross_set_intersecting(p, p, t)
+               for p in projs):
+            genuine = all(_set_star_boxes(p, t) for p in projs)
             return StarClassification(
                 "weak-t-set-star", t, projections_are_box_stars=genuine, annotations=notes
             )

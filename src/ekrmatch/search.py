@@ -338,6 +338,12 @@ def _neighbour_rows(graph: CompatGraph) -> list:
     return [graph.rows[v] & ~(1 << v) for v in range(n)]
 
 
+def _local_rows(items, pred: Predicate, k: int) -> list:
+    """Neighbour rows of the items among themselves, bit i for items[i], from a signature index over them alone."""
+    rows = signature_rows(*signature_index(items, pred, k))
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
+
+
 def _root_rows(graph: CompatGraph):
     """(nadj, members): the neighbour rows of N[0] in a transitive graph, at N[0]-local bit positions.
 
@@ -352,8 +358,7 @@ def _root_rows(graph: CompatGraph):
         universe, pred, k = graph.universe, graph.pred, graph.universe.k
         row0 = holders(universe, pred, signatures(universe.items[0], pred, k))
         members = Family(universe, row0 | 1).indices()
-        rows = signature_rows(*signature_index([universe.items[v] for v in members], pred, k))
-        nadj = [row & ~(1 << i) for i, row in enumerate(rows)]
+        nadj = _local_rows([universe.items[v] for v in members], pred, k)
         sys.setrecursionlimit(max(sys.getrecursionlimit(), len(members) + 512))
         graph._root_rows = nadj, members
     return graph._root_rows
@@ -655,8 +660,7 @@ def _averaging_bound(graph: CompatGraph, state: _SearchState):
 
     bound = None
     for family in averaging_sets(graph.universe, graph.pred):
-        rows = signature_rows(*signature_index(family.members(), graph.pred, graph.universe.k))
-        nadj = [row & ~(1 << i) for i, row in enumerate(rows)]
+        nadj = _local_rows(family.members(), graph.pred, graph.universe.k)
         omega = _SearchState(budget=state.budget, nodes=state.nodes)
         _search_roots(nadj, _root_subproblems(nadj, len(nadj)), omega)
         state.nodes = omega.nodes

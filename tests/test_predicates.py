@@ -6,7 +6,7 @@ import pytest
 from ekrmatch import search
 from ekrmatch.constructions import klein_family, semi_star, t_set_star, t_star
 from ekrmatch.counts import t_set_star_size
-from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_universe
+from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_universe, project_pair
 from ekrmatch.predicates import (
     PREDICATE_KINDS,
     Predicate,
@@ -154,6 +154,44 @@ def test_cross_set_intersecting():
     other = enumerate_universe((4, 4), 3)
     with pytest.raises(ValueError):
         cross_set_intersecting(star, Family.full(other), 2)
+
+
+def cross_oracle(g, h, t):
+    """Every member of g t-set-intersects every member of h, pair by pair (fewer than t edges meet nothing)."""
+    return all(len(a) >= t and len(b) >= t and set_intersects_t(a, b, t)
+               for a in g.members() for b in h.members())
+
+
+def _random_subfamily(fam, rng):
+    return Family.from_indices(fam.universe, [v for v in fam.indices() if rng.random() < 0.8])
+
+
+@pytest.mark.parametrize("left,right,sizes,t", [
+    ((3, 3), (3, 3), (2,), 1), ((4, 4), (4, 4), (3,), 2), ((3, 3, 3), (3, 3, 3), (2,), 2),
+    ((3, 4), (4, 3), (2,), 1), ((3, 4, 4), (4, 4, 3), (3,), 2), ((3, 3), (3, 3), (1, 2), 2),
+])
+def test_cross_set_intersecting_equals_the_pairwise_oracle(left, right, sizes, t):
+    rng = random.Random(41)
+    gu, hu = enumerate_union_universe(left, sizes), enumerate_union_universe(right, sizes)
+
+    def family(u):
+        pick = rng.random()
+        if pick < 0.15:
+            return Family.empty(u)
+        if pick < 0.55:  # a box star or most of one, so that many pairs do cross
+            m = rng.choice([m for m in u.items if len(m) >= t])
+            sub = rng.sample(m, t)
+            box = t_set_star(u, tuple(tuple(sorted({e[i] for e in sub})) for i in range(u.k)))
+            return _random_subfamily(box, rng)
+        return Family.from_indices(u, rng.sample(range(len(u)), rng.randint(1, 4)))
+
+    answers = set()
+    for _ in range(60):
+        g, h = family(gu), family(hu)
+        want = cross_oracle(g, h, t)
+        assert cross_set_intersecting(g, h, t) == want
+        answers.add((want, len(g) > 0 and len(h) > 0))
+    assert answers == {(True, True), (False, True), (True, False)}
 
 
 def _greedy_family(universe, pred, rng, target=8):
@@ -363,3 +401,76 @@ def test_star_centres_of_a_single_member_and_of_the_empty_matching():
         fam = Family(u, 1 << v)
         for t in (1, 2, 3):
             assert _star_centres(fam, t) == set_intersection_centres(fam, t)
+
+
+def brute_weak_kind(fam, t):
+    """(kind, projections are box stars) by the definitions: each pair projection, as a set of 2-part matchings,
+    against the t-stars and t-box stars enumerated on its pair universe, and pairwise `set_intersects_t`."""
+    u = fam.universe
+    stars_at = []
+    for i, j in combinations(range(1, u.k + 1), 2):
+        items = enumerate_universe((u.parts[i - 1], u.parts[j - 1]), u.r).items
+        pairs = sorted({e for m in items for e in m})
+        stars = [{m for m in items if set(c) <= set(m)} for c in combinations(pairs, t)]
+        boxes = [{m for m in items if sum(a in sa and b in sb for a, b in m) == t}
+                 for sa in combinations(range(1, u.parts[i - 1] + 1), t)
+                 for sb in combinations(range(1, u.parts[j - 1] + 1), t)]
+        sizes = {len(b) for b in boxes}
+        stars_at.append(({project_pair(m, i, j) for m in fam.members()},
+                         [s for s in stars if s], boxes, sizes))
+    if all(proj in stars for proj, stars, _, _ in stars_at):
+        return "weak-t-star", None
+    if all({len(proj)} == sizes and all(set_intersects_t(a, b, t) for a in proj for b in proj)
+           for proj, _, _, sizes in stars_at):
+        return "weak-t-set-star", all(proj in boxes for proj, _, boxes, _ in stars_at)
+    return "none", None
+
+
+def weak_star_families(rng):
+    """(family, t) at k = 3: stars and box stars, each also with random members dropped, random families
+    of a pair box star's size, and the Klein family."""
+    out = []
+    for parts, r, t in [((3, 3, 3), 2, 1), ((3, 3, 3), 3, 2), ((3, 3, 4), 3, 1), ((4, 4, 4), 4, 2)]:
+        u = enumerate_universe(parts, r)
+        for _ in range(12):
+            sub = rng.sample(rng.choice(u.items), t)
+            star = t_star(u, sub)
+            box = t_set_star(u, tuple(tuple(sorted({e[i] for e in sub})) for i in range(3)))
+            for fam in (star, box):
+                out.append((fam, t))
+                if len(fam) < 2:
+                    continue
+                drop = set(rng.sample(fam.indices(), rng.randint(1, min(3, len(fam) - 1))))
+                out.append((Family.from_indices(u, [v for v in fam.indices() if v not in drop]), t))
+            # random members, as many as a box star has projections: often star-sized, seldom crossing
+            size = len({project_pair(m, 1, 2) for m in box.members()})
+            out.append((Family.from_indices(u, rng.sample(range(len(u)), size)), t))
+    out.append((klein_family(enumerate_universe((4, 4, 4), 4)), 2))
+    return out
+
+
+def test_weak_recognisers_equal_the_projection_definitions():
+    seen, star_sized = set(), 0
+    for fam, t in weak_star_families(random.Random(43)):
+        cls = classify_star(fam, t)
+        seen.add((cls.kind, cls.projections_are_box_stars))
+        if cls.kind in ("t-star", "t-set-star"):
+            continue
+        assert (cls.kind, cls.projections_are_box_stars) == brute_weak_kind(fam, t)
+        # projections of the box-star size that do not all cross: only the set-intersection test rejects them
+        u = fam.universe
+        star_sized += cls.kind == "none" and all(
+            len({project_pair(m, i, j) for m in fam.members()}) == len(t_set_star(
+                enumerate_universe((u.parts[i - 1], u.parts[j - 1]), u.r), (tuple(range(1, t + 1)),) * 2))
+            for i, j in combinations(range(1, 4), 2))
+    assert {("weak-t-star", None), ("weak-t-set-star", True), ("weak-t-set-star", False),
+            ("none", None)} <= seen
+    assert star_sized
+
+
+def test_a_star_without_its_lowest_member_is_a_weak_star():
+    # each pair projection is still the full pair star of (1, 1); the family is no longer a star
+    u = enumerate_universe((3, 3, 3), 2)
+    star = t_star(u, ((1, 1, 1),))
+    fam = Family.from_indices(u, star.indices()[1:])
+    assert classify_star(fam, 1).kind == "weak-t-star" == brute_weak_kind(fam, 1)[0]
