@@ -23,8 +23,8 @@ from .matchings import (
 )
 from .predicates import (
     Predicate,
-    _part_pairs,
     box_star_bits,
+    part_pairs,
     signature_bits,
     star_param_notes,
 )
@@ -103,7 +103,7 @@ def semi_star(universe: Universe, centres, set_variant: bool = False) -> Family:
     # each centre is one signature of the weak kind, on the component of parts (j, k),
     # whose units are pairs (x_j, x_k): the pins transposed, or the box (B_j, A_k)
     pred = Predicate("weakly-set-intersecting" if set_variant else "weakly-intersecting", t)
-    components = _part_pairs(k)
+    components = part_pairs(k)
     bits = (1 << len(universe)) - 1
     for j, signature in signatures:
         bits &= signature_bits(universe, pred, components.index((j, k)), signature)

@@ -68,6 +68,8 @@ from .predicates import (
     intersects_t,
     pair_checker,
     pair_projections,
+    pair_universe,
+    part_pairs,
     projections_are_stars,
     set_intersects_t,
     weakly_intersects_t,
@@ -257,17 +259,6 @@ def random_weak_family(graph, rng: random.Random) -> Family:
     return Family(universe, bits)
 
 
-_PAIR_TESTS = {}  # (kind, t, arity) -> its pair_checker
-
-
-def _pair_test(kind: str, t: int, k: int):
-    """`pair_checker` of kind:t over arity-k matchings, built once per process."""
-    test = _PAIR_TESTS.get((kind, t, k))
-    if test is None:
-        test = _PAIR_TESTS[kind, t, k] = pair_checker(Predicate(kind, t), k)
-    return test
-
-
 def closure_violations(fam: Family, t: int | None = None) -> list:
     """Violations of the four projection/restriction identities for one family.
 
@@ -275,6 +266,11 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
     restrictions live over the parent's vertex shadow, the full projection is
     injective, and restriction classes partition the family.  Without t only
     the last two, which do not depend on t, are checked.
+
+    At k >= 2 the injectivity, partition and shadow identities hold for every
+    family of matchings, since they follow from how `matchings` builds the
+    projections: they guard the projection operators.  The drop and
+    restriction identities test the sampled family.
     """
     k = fam.universe.k
     rows = item_projections(fam.universe, fam.indices())
@@ -284,14 +280,15 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
         if len({row.alls[i] for row in rows}) != len(rows):
             bad.append(f"projection from part {i} is not injective")
 
-    if k > 1 and t is not None:
-        weak = _pair_test("weakly-intersecting", t, k - 1)
+    plain = pair_checker(Predicate("intersecting", t), 2) if t is not None else None
+    if k > 1 and plain:
+        # a drop has k - 1 parts, and on at most two parts the weak kind is the plain one
+        weak = plain if k <= 3 else pair_checker(Predicate("weakly-intersecting", t), k - 1)
         for j in range(1, k + 1):
             for p, q in combinations(sorted({row.drops[j] for row in rows}), 2):
                 if not weak(p, q):
                     bad.append(f"drop of part {j} not weakly {t}-intersecting")
 
-    plain = _pair_test("intersecting", t, 2) if t is not None else None
     shadow = {}  # at k >= 3, each distinct pair projection's part-1 shadow, read once
     if plain and k >= 3:
         shadow = {p: vertex_shadow(p, 1) for p in {p for row in rows for p in row.pairs.values()}}
@@ -376,9 +373,7 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
         return report
 
     universe = enumerate_universe(parts, r)
-    k = len(parts)
-    pairs = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
-    pools = [enumerate_universe((parts[i - 1], parts[j - 1]), t).items for i, j in pairs]
+    pools = [pair_universe(parts[i - 1], parts[j - 1], t).items for i, j in part_pairs(len(parts))]
     total_systems = 1
     for pool in pools:
         total_systems *= len(pool)

@@ -371,9 +371,6 @@ class Family:
         idx = self.universe.index.get(canonical_matching(m))
         return idx is not None and bool(self.bits >> idx & 1)
 
-    def same_universe(self, other: "Family") -> bool:
-        return self.universe is other.universe or self.universe.key == other.universe.key
-
     def __eq__(self, other):
         return (
             isinstance(other, Family)
@@ -386,11 +383,6 @@ class Family:
 
     def __repr__(self):
         return f"Family(size={len(self)}, universe={self.universe.key})"
-
-
-def check_same_universe(a: Family, b: Family):
-    if not a.same_universe(b):
-        raise ValueError(f"families live in different universes: {a.universe.key} vs {b.universe.key}")
 
 
 def reduction_classes(fam: Family, i: int, j: int) -> dict:

@@ -23,11 +23,16 @@ systems, row 0 of a transitive graph) through `holders` and `signature_bits`,
 read off the edge postings.  The pairwise functions stay as the oracle.
 The weak stars are the stars of the pair projections (`pair_projections`),
 found by the same star recognisers.
+
+The weak kinds' pair machinery lives here alone: the part-pair order of their
+components (`part_pairs`), the pair universes (`pair_universe`) and the
+pairwise tests (`pair_checker`), the last two built once per process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations, product
 
 from .counts import t_set_star_size
@@ -132,8 +137,12 @@ def weakly_set_intersects_t(p, q, t: int) -> bool:
     return True
 
 
+@cache
 def pair_checker(pred: Predicate, k: int):
-    """The pairwise test over arity-k matchings (weak = plain at k = 1); fewer than t edges meet nothing."""
+    """The pairwise test over arity-k matchings (weak = plain at k = 1), built once per process.
+
+    A matching with fewer than t edges meets nothing.
+    """
     effective = pred.plain() if (pred.is_weak and k == 1) else pred
     t = effective.t
     test = {
@@ -145,7 +154,7 @@ def pair_checker(pred: Predicate, k: int):
     return lambda p, q: len(p) >= t and len(q) >= t and test(p, q, t)
 
 
-def _part_pairs(k: int) -> list:
+def part_pairs(k: int) -> list:
     """The part pairs (i < j), 1-based, in order: the weak kinds' components, one pair each."""
     return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
 
@@ -162,7 +171,7 @@ def _signature_rule(pred: Predicate, k: int):
     else:
         of_view = lambda view: tuple(combinations(view, t))
     if pred.is_weak and k > 1:
-        pairs = _part_pairs(k)
+        pairs = part_pairs(k)
         return lambda m: tuple(of_view(project_pair(m, i, j)) for i, j in pairs)
     return lambda m: (of_view(m),)
 
@@ -214,7 +223,7 @@ def unit_postings(universe, weak: bool = False) -> tuple:
     """Per component, a dict from each unit to the bitset of the matchings holding it.
 
     A unit is an edge for the plain kinds (the edge postings) and a projected
-    pair for the weak ones (components as in `_part_pairs`), where a matching
+    pair for the weak ones (components as in `part_pairs`), where a matching
     holds the pair (a, b) on parts (i, j) when one of its edges has
     coordinates a and b there.  Both are memoised on the universe.
     """
@@ -222,7 +231,7 @@ def unit_postings(universe, weak: bool = False) -> tuple:
     units = universe.postings_memo.get(key)
     if units is None:
         if weak:
-            pairs = _part_pairs(universe.k)
+            pairs = part_pairs(universe.k)
             units = tuple({} for _ in pairs)
             for e, bits in unit_postings(universe)[0].items():
                 for comp, (i, j) in zip(units, pairs):
@@ -312,12 +321,6 @@ class StarClassification:
     projections_are_box_stars: bool | None = None
     annotations: tuple = ()
 
-    def summary(self) -> str:
-        extra = ""
-        if self.kind == "weak-t-set-star" and self.projections_are_box_stars is False:
-            extra = "[projections star-sized, not box stars]"
-        return f"{self.kind}{extra}"
-
 
 def degenerate_star_params(parts, r: int, t: int) -> bool:
     """Parameter sets where a t-star centre is not unique (single-member stars)."""
@@ -377,21 +380,21 @@ def _set_star_boxes(fam: Family, t: int) -> tuple:
     return tuple(found)
 
 
-_PAIR_UNIVERSES = {}  # (n_i, n_j, r) -> the pair universe enumerate_universe((n_i, n_j), r)
+@cache
+def pair_universe(n_i: int, n_j: int, r: int):
+    """The r-edge matchings between parts of sizes n_i and n_j, enumerated once per process."""
+    return enumerate_universe((n_i, n_j), r)
 
 
 def pair_projections(fam: Family):
-    """Yield a uniform family's pair projections in `_part_pairs` order, each a Family of its pair universe.
+    """Yield a uniform family's pair projections in `part_pairs` order, each a Family of its pair universe.
 
-    Pair universes are enumerated once per process and index `project_pair`'s canonical output directly.
+    They index `project_pair`'s canonical output in `pair_universe` directly.
     """
     u = fam.universe
     members, r = fam.members(), u.r
-    for i, j in _part_pairs(u.k):
-        key = (u.parts[i - 1], u.parts[j - 1], r)
-        pu = _PAIR_UNIVERSES.get(key)
-        if pu is None:
-            pu = _PAIR_UNIVERSES[key] = enumerate_universe(key[:2], r)
+    for i, j in part_pairs(u.k):
+        pu = pair_universe(u.parts[i - 1], u.parts[j - 1], r)
         bits = 0
         for m in members:
             bits |= 1 << pu.index[project_pair(m, i, j)]

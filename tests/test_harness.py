@@ -138,7 +138,7 @@ def closure_violations_oracle(fam, t):
     return bad
 
 
-@pytest.mark.parametrize("parts,r,t", LEMMA_CELLS + (((4,), 2, 1), ((2, 3), 2, 1)))
+@pytest.mark.parametrize("parts,r,t", LEMMA_CELLS + (((4,), 2, 1), ((2, 3), 2, 1), ((3, 3, 2, 2), 2, 1)))
 def test_closure_violations_equal_the_per_member_oracle(parts, r, t):
     u = enumerate_universe(parts, r)
     graph = build_compat_graph(u, Predicate("weakly-intersecting", t))
@@ -153,6 +153,22 @@ def test_closure_violations_equal_the_per_member_oracle(parts, r, t):
         assert closure_violations(fam, t) == want
         violating += bool(want)
     assert violating
+
+
+def test_shadow_clause_fires_on_a_broken_projection_operator(monkeypatch):
+    # the shadow identity holds for every family, so it can only catch a fault in the projections
+    u = enumerate_universe((3, 3, 3), 2)
+    graph = build_compat_graph(u, Predicate("weakly-intersecting", 1))
+    rng = random.Random(3)
+    fam = random_weak_family(graph, rng)
+    while len(fam) < 2 or closure_violations(fam, 1):
+        fam = random_weak_family(graph, rng)
+    real = matchings.project_pair
+    monkeypatch.setattr(matchings, "project_pair",
+                        lambda m, i, j: real(m, j, i) if (i, j) == (1, 2) else real(m, i, j))
+    fresh = enumerate_universe((3, 3, 3), 2)  # its projection memo is empty, so every row reads the patch
+    bad = closure_violations(Family(fresh, fam.bits), 1)
+    assert any("leaves the shadow of its class" in v for v in bad)
 
 
 @pytest.mark.parametrize("parts,r,t", LEMMA_CELLS)

@@ -7,7 +7,6 @@ from ekrmatch.matchings import (
     Family,
     UniverseTooLargeError,
     canonical_matching,
-    check_same_universe,
     drop_part,
     enumerate_union_universe,
     enumerate_universe,
@@ -244,9 +243,6 @@ def test_family_basics():
 
 def test_family_universe_mismatch():
     u1 = enumerate_universe((3, 3), 2)
-    u2 = enumerate_universe((3, 3, 3), 2)
-    with pytest.raises(ValueError):
-        check_same_universe(Family.full(u1), Family.full(u2))
     with pytest.raises(ValueError):
         Family(u1, 1 << 20)  # bits beyond the universe
     with pytest.raises(KeyError):
