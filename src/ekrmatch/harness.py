@@ -11,11 +11,14 @@ A campaign is a named grid of cells plus an expectation mode per cell:
 record-only is mandatory for every claim that is only stated for sufficiently
 large parameters, so those campaigns double as empirical probes of the
 unknown thresholds.
+
+Every builtin campaign is a fixed grid: the six bound builtins are the cell
+tables of `BOUND_CAMPAIGNS`, and the other runners read their grids from
+module constants.  Other grids run through a campaign file.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import random
 from dataclasses import dataclass, field, replace
@@ -62,7 +65,6 @@ from .predicates import (
     check_strength,
     classify_star,
     cross_set_intersecting,
-    degenerate_star_params,
     family_satisfies,
     holders,
     intersects_t,
@@ -70,6 +72,7 @@ from .predicates import (
     pair_projections,
     pair_universe,
     part_pairs,
+    predicate,
     projections_are_stars,
     set_intersects_t,
     weakly_intersects_t,
@@ -280,10 +283,10 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
         if len({row.alls[i] for row in rows}) != len(rows):
             bad.append(f"projection from part {i} is not injective")
 
-    plain = pair_checker(Predicate("intersecting", t), 2) if t is not None else None
+    plain = pair_checker(predicate("intersecting", t), 2) if t is not None else None
     if k > 1 and plain:
         # a drop has k - 1 parts, and on at most two parts the weak kind is the plain one
-        weak = plain if k <= 3 else pair_checker(Predicate("weakly-intersecting", t), k - 1)
+        weak = plain if k <= 3 else pair_checker(predicate("weakly-intersecting", t), k - 1)
         for j in range(1, k + 1):
             for p, q in combinations(sorted({row.drops[j] for row in rows}), 2):
                 if not weak(p, q):
@@ -319,15 +322,17 @@ LEMMA_CELLS = (
 )
 
 
-def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> CampaignReport:
+def run_lemma1_suite(samples: int = 1000, seed: int = 0, caps=None) -> CampaignReport:
     name = "lemma1"
-    report = CampaignReport(name, {"samples": samples, "seed": seed, "cells": [list(map(str, c)) for c in cells]})
+    caps = _default_caps(caps)
+    cells = [list(map(str, c)) for c in LEMMA_CELLS]
+    report = CampaignReport(name, {"samples": samples, "seed": seed, "cells": cells})
     rng = random.Random(seed)
     per_cell = [samples // len(cells)] * len(cells)
     for i in range(samples % len(cells)):
         per_cell[i] += 1
-    for (parts, r, t), n_samples in zip(cells, per_cell):
-        universe = enumerate_universe(parts, r)
+    for (parts, r, t), n_samples in zip(LEMMA_CELLS, per_cell):
+        universe = enumerate_universe(parts, r, caps["universe_cap"])
         graph = build_compat_graph(universe, Predicate("weakly-intersecting", t))
         case = f"{parts}|r={r}|t={t}"
         violations = 0
@@ -360,26 +365,24 @@ def run_lemma1_suite(samples: int = 1000, seed: int = 0, cells=LEMMA_CELLS) -> C
 # weak stars collapse to stars (constructive sweep)
 
 
-def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
-                        system_cap: int = 10**5) -> CampaignReport:
-    name = "weak-stars"
-    parts = tuple(parts)
-    report = CampaignReport(name, {"parts": list(parts), "r": r, "t": t, "system_cap": system_cap})
-    case = f"{parts}|r={r}|t={t}"
-    if degenerate_star_params(parts, r, t):
-        report.rows.append(report_row(
-            name, case, "skip", parts=parts, sizes=(r,),
-            detail="degenerate parameters: stars are single matchings with non-unique centres"))
-        return report
+WEAK_STAR_CELL = ((3, 3, 3), 2, 1)  # parts, r, t
+WEAK_STAR_SYSTEM_CAP = 10**5  # the centre systems checked, at most
 
-    universe = enumerate_universe(parts, r)
+
+def run_weak_star_suite(caps=None) -> CampaignReport:
+    name = "weak-stars"
+    caps = _default_caps(caps)
+    parts, r, t = WEAK_STAR_CELL
+    report = CampaignReport(name, {"parts": list(parts), "r": r, "t": t, "system_cap": WEAK_STAR_SYSTEM_CAP})
+    case = f"{parts}|r={r}|t={t}"
+    universe = enumerate_universe(parts, r, caps["universe_cap"])
     pools = [pair_universe(parts[i - 1], parts[j - 1], t).items for i, j in part_pairs(len(parts))]
     total_systems = 1
     for pool in pools:
         total_systems *= len(pool)
-    truncated = total_systems > system_cap
+    truncated = total_systems > WEAK_STAR_SYSTEM_CAP
 
-    systems = islice(product(*pools), system_cap)
+    systems = islice(product(*pools), WEAK_STAR_SYSTEM_CAP)
     pred = Predicate("weakly-intersecting", t)
     n_checked = n_nonempty = n_weak = n_confirmed = 0
     for system in systems:
@@ -408,7 +411,7 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
 
     # the set analogue: the Klein-group family has star-sized set-intersecting
     # projections yet is itself no box star (labelled weak set star: inferred)
-    ku = enumerate_universe((4, 4, 4), 4)
+    ku = enumerate_universe((4, 4, 4), 4, caps["universe_cap"])
     kf = klein_family(ku)
     cls = classify_star(kf, 2)
     genuine = cls.projections_are_box_stars
@@ -427,8 +430,9 @@ def run_weak_star_suite(parts=(3, 3, 3), r: int = 2, t: int = 1,
 # worked examples
 
 
-def run_example_suite() -> CampaignReport:
+def run_example_suite(caps=None) -> CampaignReport:
     name = "examples"
+    caps = _default_caps(caps)
     report = CampaignReport(name, {})
 
     # weak versus plain intersection on a concrete pair
@@ -466,7 +470,7 @@ def run_example_suite() -> CampaignReport:
     ))
 
     # Klein four-group as permutations of [4]: set-intersecting but no box star
-    u44 = enumerate_universe((4, 4), 4)
+    u44 = enumerate_universe((4, 4), 4, caps["universe_cap"])
     kf2 = klein_family(u44)
     sat = family_satisfies(kf2, Predicate("set-intersecting", 2))
     cls2 = classify_star(kf2, 2)
@@ -481,7 +485,7 @@ def run_example_suite() -> CampaignReport:
 
     # its 3-part extension: weakly set-intersecting, with an explicit witness
     # pair that fails plain 2-set-intersection
-    u444 = enumerate_universe((4, 4, 4), 4)
+    u444 = enumerate_universe((4, 4, 4), 4, caps["universe_cap"])
     kf3 = klein_family(u444)
     diag = diagonal_matching((4, 4, 4))
     witness = ((1, 2, 3), (2, 1, 4), (3, 4, 1), (4, 3, 2))
@@ -510,15 +514,19 @@ def run_example_suite() -> CampaignReport:
 # power-set (k=1, non-uniform) threshold campaign
 
 
-def run_katona_campaign(ns=(4, 5, 6), ts=(1, 2), include_empty: bool = False,
-                        caps=None) -> CampaignReport:
+KATONA_NS = (4, 5, 6)
+KATONA_TS = (1, 2)
+
+
+def run_katona_campaign(caps=None) -> CampaignReport:
+    """The nonempty subsets of [n]: the empty set is left out of every universe."""
     name = "katona"
     caps = _default_caps(caps)
-    report = CampaignReport(name, {"ns": list(ns), "ts": list(ts), "include_empty": include_empty})
-    for n in ns:
-        sizes = tuple(range(0 if include_empty else 1, n + 1))
+    report = CampaignReport(name, {"ns": list(KATONA_NS), "ts": list(KATONA_TS), "include_empty": False})
+    for n in KATONA_NS:
+        sizes = tuple(range(1, n + 1))
         universe = enumerate_union_universe((n,), sizes, caps["universe_cap"])
-        for t in ts:
+        for t in KATONA_TS:
             case = f"n={n}|t={t}"
             bound = katona_bound(n, t)
             pred = Predicate("intersecting", t)
@@ -553,9 +561,13 @@ def run_katona_campaign(ns=(4, 5, 6), ts=(1, 2), include_empty: bool = False,
 # small-n frame regime for subsets (k=1)
 
 
-def run_ak_regime(ns=(5, 6, 7, 8, 9), r: int = 3, t: int = 2, caps=None) -> CampaignReport:
+AK_REGIME = ((5, 6, 7, 8, 9), 3, 2)  # ns, r, t
+
+
+def run_ak_regime(caps=None) -> CampaignReport:
     name = "ak-regime"
     caps = _default_caps(caps)
+    ns, r, t = AK_REGIME
     report = CampaignReport(name, {"ns": list(ns), "r": r, "t": t})
     boundary = (r - t + 1) * (t + 1)
     for n in ns:
@@ -578,13 +590,15 @@ def run_ak_regime(ns=(5, 6, 7, 8, 9), r: int = 3, t: int = 2, caps=None) -> Camp
 # conjecture scans (record-only)
 
 
-def run_frame_scan(cells=(((3, 3), 2, 1), ((4, 4), 2, 1), ((4, 4), 3, 1),
-                          ((3, 3, 3), 2, 1), ((4, 4), 3, 2)), caps=None) -> CampaignReport:
+FRAME_SCAN_CELLS = (((3, 3), 2, 1), ((4, 4), 2, 1), ((4, 4), 3, 1), ((3, 3, 3), 2, 1), ((4, 4), 3, 2))
+
+
+def run_frame_scan(caps=None) -> CampaignReport:
     """Maximum t-intersecting size versus the best frame family (record-only)."""
     name = "frame-scan"
     caps = _default_caps(caps)
-    report = CampaignReport(name, {"cells": [f"{p}|r={r}|t={t}" for p, r, t in cells]})
-    for parts, r, t in cells:
+    report = CampaignReport(name, {"cells": [f"{p}|r={r}|t={t}" for p, r, t in FRAME_SCAN_CELLS]})
+    for parts, r, t in FRAME_SCAN_CELLS:
         case = f"{parts}|r={r}|t={t}"
         universe = enumerate_universe(parts, r, caps["universe_cap"])
         n = min(parts)
@@ -602,32 +616,15 @@ def run_frame_scan(cells=(((3, 3), 2, 1), ((4, 4), 2, 1), ((4, 4), 3, 1),
     return report
 
 
-def run_set_scan(cells=(((3, 3), 3, 1), ((4, 4), 3, 2), ((4, 4), 4, 2), ((4, 4, 4), 4, 2)),
-                 caps=None, workers: int = 1) -> CampaignReport:
-    """t-set-intersecting maxima versus box stars, including the exceptional cell."""
-    name = "set-intersecting"
-    cells = [BoundCell(tuple(p), (r,), Predicate("set-intersecting", t), RECORD_ONLY,
-                       note="exceptional cell: non-star maxima expected"
-                       if (t == 2 and r == 4 and all(x == 4 for x in p) and len(p) == 2) else "")
-             for p, r, t in cells]
-    return run_bound_campaign(name, cells, caps, workers)
+THRESHOLD_SCAN_CELLS = ((4, 5, 2), (4, 6, 2), (4, 6, 1))  # r, n, t
 
 
-def run_nonuniform_t_scan(cells=((( 4, 4), (2, 3), 2), ((3, 3), (1, 2), 1), ((4, 4), (2, 3, 4), 2)),
-                          caps=None, workers: int = 1) -> CampaignReport:
-    """Weakly t-intersecting maxima over unions of edge counts (record-only)."""
-    name = "nonuniform-t-scan"
-    cells = [BoundCell(tuple(p), tuple(sizes), Predicate("weakly-intersecting", t), RECORD_ONLY)
-             for p, sizes, t in cells]
-    return run_bound_campaign(name, cells, caps, workers)
-
-
-def run_threshold_scan(cells=((4, 5, 2), (4, 6, 2), (4, 6, 1)), caps=None) -> CampaignReport:
+def run_threshold_scan(caps=None) -> CampaignReport:
     """Frame-depth threshold formula versus the computed best frame (record-only)."""
     name = "threshold-scan"
     caps = _default_caps(caps)
-    report = CampaignReport(name, {"cells": [list(c) for c in cells]})
-    for r, n, t in cells:
+    report = CampaignReport(name, {"cells": [list(c) for c in THRESHOLD_SCAN_CELLS]})
+    for r, n, t in THRESHOLD_SCAN_CELLS:
         case = f"r={r}|n={n}|t={t}"
         l_star = frame_index_threshold(n, r, t)
         universe = enumerate_universe((r, n), r, caps["universe_cap"])
@@ -647,11 +644,14 @@ def run_threshold_scan(cells=((4, 5, 2), (4, 6, 2), (4, 6, 1)), caps=None) -> Ca
     return report
 
 
-def run_cross_set_campaign(parts=(6, 6), r: int = 4, t: int = 2, caps=None) -> CampaignReport:
+CROSS_SET_CELL = ((6, 6), 4, 2)  # parts, r, t
+
+
+def run_cross_set_campaign(caps=None) -> CampaignReport:
     """Whether distinct-centre box stars can be cross t-set-intersecting (record-only)."""
     name = "cross-set-stars"
     caps = _default_caps(caps)
-    parts = tuple(parts)
+    parts, r, t = CROSS_SET_CELL
     report = CampaignReport(name, {"parts": list(parts), "r": r, "t": t})
     universe = enumerate_universe(parts, r, caps["universe_cap"])
     boxes = [
@@ -692,9 +692,10 @@ def run_cross_set_campaign(parts=(6, 6), r: int = 4, t: int = 2, caps=None) -> C
 # closed-form versus construction sweep
 
 
-def run_formula_campaign() -> CampaignReport:
+def run_formula_campaign(caps=None) -> CampaignReport:
     """Every construction's cardinality against its closed form, plus count checks."""
     name = "formulas"
+    cap = _default_caps(caps)["universe_cap"]
     report = CampaignReport(name, {})
 
     def check(case, got, want, parts="", sizes="", detail=""):
@@ -707,19 +708,19 @@ def run_formula_campaign() -> CampaignReport:
 
     for parts, r in [((4,), 2), ((3, 3), 2), ((2, 2, 2), 2), ((3, 3, 3), 2),
                      ((3, 4), 2), ((4, 4), 3), ((5,), 3)]:
-        u = enumerate_universe(parts, r)
+        u = enumerate_universe(parts, r, cap)
         check(f"count|{parts}|r={r}", len(u), count_matchings(parts, r), parts, (r,))
 
     star_cells = [((3, 3), 2, 1), ((3, 4), 2, 1), ((3, 3, 3), 2, 1),
                   ((4, 4), 3, 2), ((4, 4), 4, 2), ((5, 5), 3, 3)]
     for parts, r, t in star_cells:
-        u = enumerate_universe(parts, r)
+        u = enumerate_universe(parts, r, cap)
         fam = t_star(u, diagonal_matching(parts, t))
         check(f"t-star|{parts}|r={r}|t={t}", len(fam), t_star_size(parts, r, t), parts, (r,))
 
     set_cells = [((4, 4), 4, 2), ((4, 4, 4), 4, 2), ((3, 3), 3, 3), ((4, 4), 3, 2)]
     for parts, r, t in set_cells:
-        u = enumerate_universe(parts, r)
+        u = enumerate_universe(parts, r, cap)
         box = tuple(tuple(range(1, t + 1)) for _ in parts)
         fam = t_set_star(u, box)
         check(f"t-set-star|{parts}|r={r}|t={t}", len(fam), t_set_star_size(parts, r, t), parts, (r,))
@@ -727,7 +728,7 @@ def run_formula_campaign() -> CampaignReport:
     # pinned-projection families at aligned (u=t) and misaligned (u=t+1) shadows
     for parts, r, t, set_variant in [((3, 3, 3), 2, 1, False), ((4, 4, 4), 3, 2, False),
                                      ((4, 4, 4), 3, 2, True)]:
-        u = enumerate_universe(parts, r)
+        u = enumerate_universe(parts, r, cap)
         for shift in (0, 1):
             uu = t + shift
             if set_variant:
@@ -749,18 +750,18 @@ def run_formula_campaign() -> CampaignReport:
                   detail=f"classified {cls.kind}, expected {expected_kind}")
 
     for n, r, t, i in [(5, 3, 2, 0), (5, 3, 2, 1), (6, 3, 2, 1), (8, 4, 2, 1), (9, 3, 2, 1)]:
-        u = enumerate_universe((n,), r)
+        u = enumerate_universe((n,), r, cap)
         fam = ak_family(u, t, i)
         check(f"ak|n={n}|r={r}|t={t}|i={i}", len(fam), ak_family_size(n, r, t, i), (n,), (r,))
 
     for n, t, i in [(4, 2, 1), (5, 2, 1), (6, 2, 1), (6, 4, 1), (6, 2, 0)]:
-        u = enumerate_universe((n, n), n)
+        u = enumerate_universe((n, n), n, cap)
         fam = fixed_point_family(u, t, i)
         check(f"fixed-point|n={n}|t={t}|i={i}", len(fam), fixed_point_family_size(n, t, i),
               (n, n), (n,))
 
     for n, l in [(4, 0), (5, 3), (6, 4), (6, 3)]:
-        u = enumerate_union_universe((n,), range(0, n + 1))
+        u = enumerate_union_universe((n,), range(0, n + 1), cap)
         plain, punctured = katona_sizes(n, l)
         check(f"katona-plain|n={n}|l={l}", len(katona_family(u, l)), plain, (n,))
         marked = {len(katona_family(u, l, x)) for x in range(1, n + 1)}
@@ -769,11 +770,11 @@ def run_formula_campaign() -> CampaignReport:
                      f"(independent of the mark)")
 
     for k in (2, 3):
-        u = enumerate_universe((4,) * k, 4)
+        u = enumerate_universe((4,) * k, 4, cap)
         check(f"klein|k={k}", len(klein_family(u)), 4 ** (k - 1), (4,) * k, (4,))
 
     for parts, sizes, t in [((3, 3), (1, 2), 1), ((3, 3, 3), (1, 2), 1), ((3, 3), (2, 3), 1)]:
-        u = enumerate_union_universe(parts, sizes)
+        u = enumerate_union_universe(parts, sizes, cap)
         fam = t_star(u, diagonal_matching(parts, t))
         want = sum(t_star_size(parts, r, t) for r in sizes if r >= t)
         check(f"nonuniform-star|{parts}|R={sizes}", len(fam), want, parts, sizes)
@@ -807,39 +808,41 @@ def run_semi_star_campaign() -> CampaignReport:
 # builtin bound campaigns
 
 
-def intersecting_cells():
-    grid = [((3, 3), 2), ((3, 4), 2), ((4, 4), 2), ((3, 3, 3), 2)]
-    return [BoundCell(parts, (r,), Predicate("intersecting", 1), ASSERT_UNIQUENESS, weak_twin=True)
-            for parts, r in grid]
-
-
-def permutation_cells():
-    cells = [
-        BoundCell((3, 3), (3,), Predicate("intersecting", 1), ASSERT_EQUALITY,
+# each bound builtin's cells, in report order, for `run_bound_campaign` and its cell pool
+BOUND_CAMPAIGNS = {
+    "intersecting": tuple(
+        BoundCell(parts, (r,), Predicate("intersecting", 1), ASSERT_UNIQUENESS, weak_twin=True)
+        for parts, r in [((3, 3), 2), ((3, 4), 2), ((4, 4), 2), ((3, 3, 3), 2)]),
+    "permutations": (
+        BoundCell((3, 3), (3,), Predicate("intersecting", 1),
                   note="r=n=m cell: uniqueness recorded, not asserted"),
         BoundCell((3, 3), (2,), Predicate("intersecting", 1), ASSERT_UNIQUENESS, weak_twin=True),
         BoundCell((4, 4), (3,), Predicate("intersecting", 1), ASSERT_UNIQUENESS),
-        BoundCell((4, 4), (4,), Predicate("intersecting", 1), ASSERT_EQUALITY,
+        BoundCell((4, 4), (4,), Predicate("intersecting", 1),
                   note="r=n=m cell: uniqueness recorded, not asserted"),
-    ]
-    return cells
-
-
-def t_intersecting_cells():
-    grid = [((4, 4), 3, 2), ((5, 5), 3, 2), ((3, 3, 3), 3, 2), ((4, 4), 4, 2)]
-    return [BoundCell(parts, (r,), Predicate("intersecting", t), RECORD_ONLY, weak_twin=True,
-                      note="bound only claimed for large parts; desk status recorded")
-            for parts, r, t in grid]
-
-
-def nonuniform_cells():
-    grid = [((3, 3), (1, 2)), ((3, 3, 3), (1, 2)), ((3, 3), (2, 3))]
-    return [BoundCell(parts, sizes, Predicate("intersecting", 1), ASSERT_UNIQUENESS, weak_twin=True)
-            for parts, sizes in grid]
+    ),
+    "t-intersecting": tuple(
+        BoundCell(parts, (r,), Predicate("intersecting", t), RECORD_ONLY, weak_twin=True,
+                  note="bound only claimed for large parts; desk status recorded")
+        for parts, r, t in [((4, 4), 3, 2), ((5, 5), 3, 2), ((3, 3, 3), 3, 2), ((4, 4), 4, 2)]),
+    "nonuniform": tuple(
+        BoundCell(parts, sizes, Predicate("intersecting", 1), ASSERT_UNIQUENESS, weak_twin=True)
+        for parts, sizes in [((3, 3), (1, 2)), ((3, 3, 3), (1, 2)), ((3, 3), (2, 3))]),
+    # t-set-intersecting maxima versus box stars, including the exceptional cell
+    "set-intersecting": tuple(
+        BoundCell(parts, (r,), Predicate("set-intersecting", t), RECORD_ONLY, note=note)
+        for parts, r, t, note in [((3, 3), 3, 1, ""), ((4, 4), 3, 2, ""),
+                                  ((4, 4), 4, 2, "exceptional cell: non-star maxima expected"),
+                                  ((4, 4, 4), 4, 2, "")]),
+    # weakly t-intersecting maxima over unions of edge counts
+    "nonuniform-t-scan": tuple(
+        BoundCell(parts, sizes, Predicate("weakly-intersecting", t), RECORD_ONLY)
+        for parts, sizes, t in [((4, 4), (2, 3), 2), ((3, 3), (1, 2), 1), ((4, 4), (2, 3, 4), 2)]),
+}
 
 
 def run_nonuniform_campaign(caps=None, workers: int = 1) -> CampaignReport:
-    cells = nonuniform_cells()
+    cells = BOUND_CAMPAIGNS["nonuniform"]
     report = run_bound_campaign("nonuniform", cells, caps, workers, keep={0})
     caps = _default_caps(caps)
     # upward closure of maximum families, the structural step behind the
@@ -859,32 +862,29 @@ def run_nonuniform_campaign(caps=None, workers: int = 1) -> CampaignReport:
     return report
 
 
+def _table_runner(name: str):
+    """A bound builtin: its table's cells through the cell pool of `run_bound_campaign`."""
+    if name == "nonuniform":
+        return lambda caps=None, workers=1, **kw: run_nonuniform_campaign(caps, workers)
+    return lambda caps=None, workers=1, **kw: run_bound_campaign(name, BOUND_CAMPAIGNS[name], caps, workers)
+
+
 BUILTIN_CAMPAIGNS = {
-    "examples": lambda **kw: run_example_suite(),
-    "lemma1": lambda samples=1000, seed=0, **kw: run_lemma1_suite(samples, seed),
-    "weak-stars": lambda **kw: run_weak_star_suite(),
-    "intersecting": lambda caps=None, workers=1, **kw: run_bound_campaign(
-        "intersecting", intersecting_cells(), caps, workers),
-    "permutations": lambda caps=None, workers=1, **kw: run_bound_campaign(
-        "permutations", permutation_cells(), caps, workers),
-    "t-intersecting": lambda caps=None, workers=1, **kw: run_bound_campaign(
-        "t-intersecting", t_intersecting_cells(), caps, workers),
-    "nonuniform": lambda caps=None, workers=1, **kw: run_nonuniform_campaign(caps, workers),
-    "katona": lambda caps=None, **kw: run_katona_campaign(caps=caps),
-    "ak-regime": lambda caps=None, **kw: run_ak_regime(caps=caps),
-    "set-intersecting": lambda caps=None, workers=1, **kw: run_set_scan(caps=caps, workers=workers),
-    "frame-scan": lambda caps=None, **kw: run_frame_scan(caps=caps),
-    "nonuniform-t-scan": lambda caps=None, workers=1, **kw: run_nonuniform_t_scan(
-        caps=caps, workers=workers),
-    "threshold-scan": lambda caps=None, **kw: run_threshold_scan(caps=caps),
-    "cross-set-stars": lambda caps=None, **kw: run_cross_set_campaign(caps=caps),
-    "formulas": lambda **kw: run_formula_campaign(),
+    "examples": lambda caps=None, **kw: run_example_suite(caps),
+    "lemma1": lambda samples=1000, seed=0, caps=None, **kw: run_lemma1_suite(samples, seed, caps),
+    "weak-stars": lambda caps=None, **kw: run_weak_star_suite(caps),
+    "katona": lambda caps=None, **kw: run_katona_campaign(caps),
+    "ak-regime": lambda caps=None, **kw: run_ak_regime(caps),
+    "frame-scan": lambda caps=None, **kw: run_frame_scan(caps),
+    "threshold-scan": lambda caps=None, **kw: run_threshold_scan(caps),
+    "cross-set-stars": lambda caps=None, **kw: run_cross_set_campaign(caps),
+    "formulas": lambda caps=None, **kw: run_formula_campaign(caps),
     "semi-stars": lambda **kw: run_semi_star_campaign(),
+    **{name: _table_runner(name) for name in BOUND_CAMPAIGNS},
 }
 
-# the builtins whose cells run through the cell pool of `run_bound_campaign`: those taking workers
-POOLED_CAMPAIGNS = tuple(name for name, run in BUILTIN_CAMPAIGNS.items()
-                         if "workers" in inspect.signature(run).parameters)
+# the builtins whose cells run through the cell pool of `run_bound_campaign`
+POOLED_CAMPAIGNS = tuple(BOUND_CAMPAIGNS)
 
 
 def run_builtin(name: str, **kwargs) -> CampaignReport:

@@ -79,6 +79,12 @@ class Predicate:
         return f"{self.kind}:{self.t}"
 
 
+@cache
+def predicate(kind: str, t: int) -> Predicate:
+    """The predicate of a kind and strength, built once per process."""
+    return Predicate(kind, t)
+
+
 def check_strength(pred: Predicate, sizes):
     """Reject t above every edge count: no two matchings could meet, so the cell says nothing."""
     if pred.t > max(sizes):
@@ -304,7 +310,7 @@ def cross_set_intersecting(g: Family, h: Family, t: int) -> bool:
             f"cross check needs matching edge counts and arity: "
             f"{g.universe.key} vs {h.universe.key}"
         )
-    pred = Predicate("set-intersecting", t)
+    pred = predicate("set-intersecting", t)
     return all(h.bits & ~holders(h.universe, pred, signatures(m, pred, g.universe.k)) == 0
                for m in g.members())
 
@@ -358,13 +364,13 @@ def _star_centres(fam: Family, t: int) -> tuple:
     lowest = u.items[(bits & -bits).bit_length() - 1]
     common = [e for e in lowest if edges[e] & bits == bits]
     # each centre's star is read off the edge postings, without the intersecting:t index
-    pred = Predicate("intersecting", t)
+    pred = predicate("intersecting", t)
     return tuple(c for c in combinations(common, t) if signature_bits(u, pred, 0, c) == bits)
 
 
 def box_star_bits(universe, box) -> int:
     """The matchings of the universe with exactly t edges inside a box of per-part t-sets."""
-    return signature_bits(universe, Predicate("set-intersecting", len(box[0])), 0, box)
+    return signature_bits(universe, predicate("set-intersecting", len(box[0])), 0, box)
 
 
 def _set_star_boxes(fam: Family, t: int) -> tuple:

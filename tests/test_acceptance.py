@@ -132,7 +132,7 @@ def test_criterion_7_closure_identities():
 def test_criterion_8_weak_star_collapse_and_set_analogue():
     with _Check(8, "every centre-consistent weak 1-star is a 1-star; the Klein "
                    "k=3 family is a weak 2-set-star but not a 2-set-star", 60):
-        rep = run_weak_star_suite((3, 3, 3), 2, 1)
+        rep = run_weak_star_suite()
         assert rep.ok, [r for r in rep.rows if r["outcome"] == "fail"]
         u = enumerate_universe((4, 4, 4), 4)
         cls = classify_star(klein_family(u), 2)

@@ -97,6 +97,13 @@ def test_env_override_must_be_a_positive_integer(capsys, monkeypatch):
     assert code == 3 and "budget" in err
 
 
+@pytest.mark.parametrize("campaign", ["lemma1", "weak-stars", "examples", "formulas"])
+def test_universe_cap_reaches_every_builtin(capsys, monkeypatch, campaign):
+    monkeypatch.setenv("EKRMATCH_UNIVERSE_CAP", "5")
+    code, out, err = run_cli(capsys, "verify", "--campaign", f"builtin:{campaign}")
+    assert code == 2 and "universe too large" in err and not out
+
+
 def test_workers_below_one_rejected(capsys):
     for verb_args in (("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1"),
                       ("verify", "--campaign", "builtin:examples")):

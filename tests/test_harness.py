@@ -6,9 +6,11 @@ import pytest
 
 from ekrmatch import matchings
 from ekrmatch.harness import (
+    BOUND_CAMPAIGNS,
     BoundCell,
     BUILTIN_CAMPAIGNS,
     LEMMA_CELLS,
+    POOLED_CAMPAIGNS,
     closure_violations,
     force_record,
     load_campaign_file,
@@ -224,7 +226,7 @@ def test_lemma1_suite_deterministic():
 
 
 def test_weak_star_suite_confirms_collapse():
-    rep = run_weak_star_suite((3, 3, 3), 2, 1)
+    rep = run_weak_star_suite()
     assert rep.ok
     main_row = next(r for r in rep.rows if r["case"].startswith("(3, 3, 3)"))
     assert "27 weak 1-stars, 27 confirmed 1-stars" in main_row["detail"]
@@ -244,11 +246,6 @@ def test_centre_system_holders_equal_projection_scan(parts, r, t):
         scan = sum(1 << idx for idx, m in enumerate(universe.items)
                    if all(set(c) <= set(project_pair(m, i, j)) for (i, j), c in zip(pairs, system)))
         assert holders(universe, pred, [(c,) for c in system]) == scan
-
-
-def test_weak_star_suite_skips_degenerate_parameters():
-    rep = run_weak_star_suite((2, 2, 2), 2, 1)
-    assert any(r["outcome"] == "skip" for r in rep.rows)
 
 
 def test_bound_campaign_uniqueness_and_twins():
@@ -334,6 +331,20 @@ def test_every_builtin_campaign_runs():
             continue
         rep = run_builtin(name, samples=40, seed=2)
         assert rep.counts()["fail"] == 0, (name, rep.rows)
+
+
+def test_pooled_builtins_are_the_bound_table():
+    bound = ("intersecting", "permutations", "t-intersecting", "nonuniform",
+             "set-intersecting", "nonuniform-t-scan")
+    assert POOLED_CAMPAIGNS == tuple(BOUND_CAMPAIGNS) == bound
+    serial = [name for name in BUILTIN_CAMPAIGNS if name not in bound]
+    assert len(serial) == 10
+    for name in serial:
+        with pytest.raises(ValueError) as exc:
+            run_builtin(name, workers=2)
+        assert str(exc.value) == (f"builtin:{name} runs serially: only intersecting, permutations, "
+                                  f"t-intersecting, nonuniform, set-intersecting, nonuniform-t-scan "
+                                  f"take more than one worker")
 
 
 def test_cross_set_campaign():

@@ -289,6 +289,17 @@ def test_classify_klein_families():
     assert cls.projections_are_box_stars is False
 
 
+def test_star_recognition_builds_each_predicate_once_per_process(monkeypatch):
+    u = enumerate_universe((4, 4, 4), 4)
+    fams = [t_star(u, ((1, 1, 1), (2, 2, 2))), t_set_star(u, ((1, 2), (1, 2), (1, 2))), klein_family(u)]
+    kinds = [classify_star(f, 2).kind for f in fams]
+    built, real = [], Predicate.__post_init__
+    monkeypatch.setattr(Predicate, "__post_init__", lambda self: built.append(self) or real(self))
+    assert [classify_star(f, 2).kind for f in fams] == kinds == ["t-star", "t-set-star", "weak-t-set-star"]
+    assert cross_set_intersecting(fams[1], fams[1], 2)
+    assert built == []
+
+
 def test_classify_misaligned_semi_star_is_none():
     u = enumerate_universe((3, 3, 3), 2)
     fam = semi_star(u, [((1, 1),), ((2, 1),)])

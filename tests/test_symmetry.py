@@ -7,7 +7,6 @@ the orbit-closed list of all maxima are then checked against the full root
 loop on an unmarked copy of the same graph.
 """
 
-import inspect
 import random
 from collections import Counter
 
@@ -15,12 +14,7 @@ import pytest
 
 from ekrmatch import predicates, search
 from ekrmatch.constructions import diagonal_matching, t_set_star, t_star
-from ekrmatch.harness import (
-    intersecting_cells,
-    permutation_cells,
-    run_set_scan,
-    t_intersecting_cells,
-)
+from ekrmatch.harness import BOUND_CAMPAIGNS
 from ekrmatch.matchings import (
     Family,
     canonical_matching,
@@ -129,13 +123,13 @@ def test_uniform_rows_equal_pairwise_oracle(kind):
 
 def uniform_builtin_cells():
     """(parts, r, predicate) of every uniform cell of the four uniform bound builtins."""
-    set_scan = inspect.signature(run_set_scan).parameters["cells"].default
-    cells = [(p, r, Predicate("set-intersecting", t)) for p, r, t in set_scan]
-    for cell in intersecting_cells() + permutation_cells() + t_intersecting_cells():
-        assert len(cell.sizes) == 1
-        cells.append((cell.parts, cell.sizes[0], cell.pred))
-        if cell.weak_twin and len(cell.parts) > 2:
-            cells.append((cell.parts, cell.sizes[0], Predicate("weakly-" + cell.pred.kind, cell.pred.t)))
+    cells = []
+    for name in ("set-intersecting", "intersecting", "permutations", "t-intersecting"):
+        for cell in BOUND_CAMPAIGNS[name]:
+            assert len(cell.sizes) == 1
+            cells.append((cell.parts, cell.sizes[0], cell.pred))
+            if cell.weak_twin and len(cell.parts) > 2:
+                cells.append((cell.parts, cell.sizes[0], Predicate("weakly-" + cell.pred.kind, cell.pred.t)))
     return cells
 
 
