@@ -74,8 +74,8 @@ class Universe:
 
     Items are ordered by edge count, then lexicographically on the canonical
     edge list, so indices are stable across runs.  Instances are immutable
-    after construction, apart from the memos that `predicates.unit_postings`
-    and `item_projections` fill.
+    after construction, apart from the memos that `predicates.unit_postings`,
+    `item_projections` and `projection_ids` fill.
     """
 
     __slots__ = ("parts", "sizes", "items", "index", "level_offsets", "postings_memo", "projections_memo")
@@ -310,6 +310,59 @@ def item_projections(universe: Universe, indices: list) -> list:
     return [memo[v] for v in indices]
 
 
+def _numbering(values) -> tuple:
+    """(id of each value, the values by id): distinct values numbered in their sorted order."""
+    by_id = sorted(set(values))
+    return {value: n for n, value in enumerate(by_id)}, by_id
+
+
+class ProjectionIds:
+    """Every item's projections in one universe, as ints, for Lemma 1's checks.
+
+    The all, drop, pair and reduced projections are each numbered in the
+    sorted order of their values, so sorting ids sorts the values.  The
+    tables are columns indexed by item: ``alls[i - 1][v]`` and
+    ``drops[j - 1][v]`` are item v's ids for part i and part j, and
+    ``pairs[n][v]`` and ``reduced[n][v]`` those for the n-th ordered part
+    pair (i, j) of ``ordered``.  ``shadow[p]`` is the id of pair projection
+    p's part-1 shadow, and ``reduced_shadow[x]`` that of the shadow of
+    reduced projection x's first component (k >= 3 only).  ``drop_tests``
+    and ``pair_tests`` memoise pairwise tests on ids, keyed (t, id, id);
+    their callers fill them.
+    """
+
+    __slots__ = ("ordered", "alls", "drops", "pairs", "reduced", "drop_values", "pair_values",
+                 "shadow", "reduced_shadow", "drop_tests", "pair_tests")
+
+    def __init__(self, universe: Universe):
+        k = universe.k
+        parts = range(1, k + 1)
+        self.ordered = list(permutations(parts, 2))
+        rows = item_projections(universe, range(len(universe)))
+        all_id, _ = _numbering(p for row in rows for p in row.alls.values())
+        drop_id, self.drop_values = _numbering(p for row in rows for p in row.drops.values())
+        pair_id, self.pair_values = _numbering(p for row in rows for p in row.pairs.values())
+        reduced_id, reduced_values = _numbering(p for row in rows for p in row.reduced.values())
+        self.alls = [[all_id[row.alls[i]] for row in rows] for i in parts]
+        self.drops = [[drop_id[row.drops[j]] for row in rows] for j in parts] if k > 1 else []
+        self.pairs = [[pair_id[row.pairs[ij]] for row in rows] for ij in self.ordered]
+        self.reduced = [[reduced_id[row.reduced[ij]] for row in rows] for ij in self.ordered]
+        shadow_id = {}  # shadows are only compared for equality: numbered as first seen
+        number = lambda shadow: shadow_id.setdefault(shadow, len(shadow_id))
+        self.shadow = [number(vertex_shadow(p, 1)) for p in self.pair_values]
+        self.reduced_shadow = [number(vertex_shadow(x[0], 1)) for x in reduced_values] if k >= 3 else []
+        self.drop_tests = {}
+        self.pair_tests = {}
+
+
+def projection_ids(universe: Universe) -> ProjectionIds:
+    """The universe's `ProjectionIds`, built on first use and kept in its projection memo."""
+    memo = universe.projections_memo
+    if "ids" not in memo:
+        memo["ids"] = ProjectionIds(universe)
+    return memo["ids"]
+
+
 # ---------------------------------------------------------------------------
 # families
 
@@ -394,13 +447,8 @@ def reduction_classes(fam: Family, i: int, j: int) -> dict:
     k = fam.universe.k
     if i == j or not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"reduction needs two distinct part indices in 1..{k}, got {i} and {j}")
-    return classes_of_projections(item_projections(fam.universe, fam.indices()), i, j)
-
-
-def classes_of_projections(rows, i: int, j: int) -> dict:
-    """`reduction_classes` of the members whose `ItemProjections` are rows, for distinct parts i, j."""
     classes: dict = {}
-    for row in rows:
+    for row in item_projections(fam.universe, fam.indices()):
         classes.setdefault(row.reduced[i, j], set()).add(row.pairs[i, j])
     return {x: sorted(ps) for x, ps in classes.items()}
 

@@ -1,6 +1,7 @@
 import json
 import random
-from itertools import product
+from itertools import permutations, product
+from operator import eq
 
 import pytest
 
@@ -23,13 +24,16 @@ from ekrmatch.harness import (
     run_katona_campaign,
     run_lemma1_suite,
     run_weak_star_suite,
+    window_fixed_point_count,
 )
+from ekrmatch.counts import fixed_point_family_size
 from ekrmatch.matchings import (
     Family,
     drop_part,
     enumerate_universe,
     project_all,
     project_pair,
+    projection_ids,
     reduce_projection,
     vertex_shadow,
 )
@@ -171,6 +175,32 @@ def test_shadow_clause_fires_on_a_broken_projection_operator(monkeypatch):
     fresh = enumerate_universe((3, 3, 3), 2)  # its projection memo is empty, so every row reads the patch
     bad = closure_violations(Family(fresh, fam.bits), 1)
     assert any("leaves the shadow of its class" in v for v in bad)
+
+
+def test_lemma1_memo_is_keyed_by_t_and_held_per_universe():
+    u = enumerate_universe((3, 3, 3), 2)
+    graph = build_compat_graph(u, Predicate("weakly-intersecting", 1))
+    rng = random.Random(11)
+    families = [random_weak_family(graph, rng) for _ in range(30)]
+    families += [Family(u, rng.getrandbits(len(u))) for _ in range(10)]
+    ids = projection_ids(u)
+    assert u.projections_memo["ids"] is ids
+    # the t=1 draws mostly fail at t=2: a memo that ignored t would answer t=2 with t=1's results
+    assert any(closure_violations_oracle(f, 1) != closure_violations_oracle(f, 2) for f in families)
+    seen = {}
+    for t in (1, 2, None):
+        for fam in families:
+            if t is None:
+                want = [v for v in closure_violations_oracle(fam, 1) if "partition" in v or "injective" in v]
+            else:
+                want = closure_violations_oracle(fam, t)
+            assert closure_violations(fam, t) == want
+        assert projection_ids(u) is ids
+        seen[t] = {key[0] for memo in (ids.drop_tests, ids.pair_tests) for key in memo}
+    assert seen == {1: {1}, 2: {1, 2}, None: {1, 2}}
+    # a second universe of the same key keeps a table of its own
+    other = enumerate_universe((3, 3, 3), 2)
+    assert projection_ids(other) is not ids and not projection_ids(other).pair_tests
 
 
 @pytest.mark.parametrize("parts,r,t", LEMMA_CELLS)
@@ -402,3 +432,33 @@ def test_examples_campaign_enumerates_no_large_universe(monkeypatch):
     assert all(row["outcome"] == "pass" for row in report.rows)
     [row] = [row for row in report.rows if row["case"] == "fixed-point-window-n8"]
     assert row["universe_size"] == 40_320 and "enumeration 26" in row["detail"]
+
+
+def window_fixed_point_oracle(n, t, i):
+    """The window family counted by walking every permutation of [n]."""
+    window = range(1, t + 2 * i + 1)
+    return sum(sum(map(eq, sigma, window)) >= t + i for sigma in permutations(range(1, n + 1)))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_window_count_equals_the_permutation_walk(n):
+    for t, i in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (4, 1), (2, 2), (0, 3), (3, 2)]:
+        got = window_fixed_point_count(n, t, i)
+        assert got == window_fixed_point_oracle(n, t, i), (n, t, i)
+        if t >= 1 and t + 2 * i <= n:  # the closed form's domain
+            assert got == fixed_point_family_size(n, t, i), (n, t, i)
+    assert window_fixed_point_count(8, 4, 1) == 26 == fixed_point_family_size(8, 4, 1)
+
+
+def test_formula_campaign_enumerates_each_universe_once(monkeypatch):
+    from ekrmatch import harness
+
+    real, keys = harness.enumerate_union_universe, []
+
+    def recording(parts, sizes, cap):
+        keys.append((tuple(parts), tuple(sizes)))
+        return real(parts, sizes, cap)
+
+    monkeypatch.setattr(harness, "enumerate_union_universe", recording)
+    report = run_formula_campaign()
+    assert report.ok and len(keys) == len(set(keys))
