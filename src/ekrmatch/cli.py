@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from functools import cache
 
 from . import __version__
 from .harness import (
@@ -72,9 +71,7 @@ def _env_int(name: str, default: int) -> int:
         raise UsageError(f"{name}: {exc}") from None
 
 
-@cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process; each parse starts from a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="ekrmatch",
         description="Exact intersection-extremal verification on matchings of "

@@ -56,7 +56,9 @@ from .matchings import (
     UniverseTooLargeError,
     enumerate_union_universe,
     enumerate_universe,
+    item_projections,
     projection_ids,
+    vertex_shadow,
 )
 from .predicates import (
     Predicate,
@@ -273,37 +275,36 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
     projections: they guard the projection operators.  The drop and
     restriction identities test the sampled family.
 
-    The checks read the universe's `projection_ids`, and each pairwise test
-    runs once per universe, t and pair of projections.
+    The checks read the members' `item_projections` as ids, and each
+    pairwise test runs once per universe, t and pair of projections.
     """
     k = fam.universe.k
     ids = projection_ids(fam.universe)
-    members = fam.indices()
+    rows = item_projections(fam.universe, fam.indices())
+    values = ids.values
     bad = []
 
-    for i, alls in enumerate(ids.alls, 1):
-        if len(set(map(alls.__getitem__, members))) != len(members):
-            bad.append(f"projection from part {i} is not injective")
+    for i in range(k):
+        if len({row.alls[i] for row in rows}) != len(rows):
+            bad.append(f"projection from part {i + 1} is not injective")
 
     plain = pair_checker(predicate("intersecting", t), 2) if t is not None else None
     if k > 1 and plain:
         # a drop has k - 1 parts, and on at most two parts the weak kind is the plain one
         weak = plain if k <= 3 else pair_checker(predicate("weakly-intersecting", t), k - 1)
-        met, values = ids.drop_tests, ids.drop_values
-        for j, drops in enumerate(ids.drops, 1):
-            for p, q in combinations(sorted(set(map(drops.__getitem__, members))), 2):
+        met = ids.drop_tests
+        for j in range(k):
+            for p, q in combinations(sorted({row.drops[j] for row in rows}), 2):
                 ok = met.get((t, p, q))
                 if ok is None:
                     ok = met[t, p, q] = weak(values[p], values[q])
                 if not ok:
-                    bad.append(f"drop of part {j} not weakly {t}-intersecting")
+                    bad.append(f"drop of part {j + 1} not weakly {t}-intersecting")
 
-    met, values, shadow = ids.pair_tests, ids.pair_values, ids.shadow
-    for (i, j), reduced, pairs in zip(ids.ordered, ids.reduced, ids.pairs):
-        classes = {}
-        for v in members:
-            classes.setdefault(reduced[v], set()).add(pairs[v])
-        if sum(map(len, classes.values())) != len(members):
+    met, shadows, class_shadows = ids.pair_tests, ids.shadows, ids.class_shadows
+    for n, (i, j) in enumerate(ids.ordered):
+        classes = ids.classes(rows, n)
+        if sum(map(len, classes.values())) != len(rows):
             bad.append(f"restriction classes over ({i},{j}) do not partition the family")
         if plain is None:
             continue
@@ -315,8 +316,13 @@ def closure_violations(fam: Family, t: int | None = None) -> list:
                 if not ok:
                     bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
             if k >= 3:
-                vx = ids.reduced_shadow[x]
-                if any(shadow[p] != vx for p in projs):
+                if x not in class_shadows:
+                    class_shadows[x] = vertex_shadow(values[x][0], 1)
+                for p in projs:
+                    if p not in shadows:
+                        shadows[p] = vertex_shadow(values[p], 1)
+                vx = class_shadows[x]
+                if any(shadows[p] != vx for p in projs):
                     bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
     return bad
 

@@ -74,8 +74,8 @@ class Universe:
 
     Items are ordered by edge count, then lexicographically on the canonical
     edge list, so indices are stable across runs.  Instances are immutable
-    after construction, apart from the memos that `predicates.unit_postings`,
-    `item_projections` and `projection_ids` fill.
+    after construction, apart from the memos that `predicates.unit_postings`
+    and `projection_ids` fill.
     """
 
     __slots__ = ("parts", "sizes", "items", "index", "level_offsets", "postings_memo", "projections_memo")
@@ -90,7 +90,7 @@ class Universe:
             offsets.setdefault(len(m), i)
         self.level_offsets = offsets
         self.postings_memo = {}
-        self.projections_memo = {}
+        self.projections_memo = None
 
     @property
     def k(self) -> int:
@@ -288,79 +288,83 @@ def reduce_projection(m, i: int, j: int) -> tuple:
     return tuple(project_pair(m, i, l) for l in range(1, k + 1) if l != i and l != j)
 
 
+class ProjectionIds:
+    """The projections of one universe's items, numbered, for the projection/restriction checks.
+
+    Each distinct projection value gets an int id, in the order first seen;
+    ``values[n]`` is the value of id n, so equal ids mean equal values.
+    ``rows`` maps an item index to its `ItemProjections`, filled on the
+    item's first read by `item_projections`.  ``ordered`` lists the ordered
+    part pairs (i, j) in the order of ``ItemProjections.pairs``.
+    ``shadows`` memoises the part-1 shadow of a pair projection by id, and
+    ``class_shadows`` that of a reduced projection's first component;
+    ``drop_tests`` and ``pair_tests`` memoise pairwise tests keyed
+    (t, id, id).  Their callers fill these memos.
+    """
+
+    __slots__ = ("k", "ordered", "ids", "values", "rows", "shadows", "class_shadows",
+                 "drop_tests", "pair_tests")
+
+    def __init__(self, k: int):
+        self.k = k
+        self.ordered = tuple(permutations(range(1, k + 1), 2))
+        self.ids = {}
+        self.values = []
+        self.rows = {}
+        self.shadows = {}
+        self.class_shadows = {}
+        self.drop_tests = {}
+        self.pair_tests = {}
+
+    def number(self, value) -> int:
+        n = self.ids.get(value)
+        if n is None:
+            n = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return n
+
+    def classes(self, rows, n: int) -> dict:
+        """The restriction classes over the n-th ordered part pair: reduced id -> set of pair ids."""
+        classes: dict = {}
+        for row in rows:
+            classes.setdefault(row.reduced[n], set()).add(row.pairs[n])
+        return classes
+
+
 class ItemProjections:
-    """One matching's projections, keyed by 1-based part indices."""
+    """One matching's projections as ids of its universe's `ProjectionIds`.
+
+    ``alls[i - 1]`` and ``drops[j - 1]`` are by 1-based part index;
+    ``pairs[n]`` and ``reduced[n]`` are over the n-th ordered part pair of
+    ``ProjectionIds.ordered``.
+    """
 
     __slots__ = ("alls", "drops", "pairs", "reduced")
 
-    def __init__(self, m, k: int):
+    def __init__(self, m, ids: ProjectionIds):
+        k, number = ids.k, ids.number
         parts = range(1, k + 1)
-        self.alls = {i: project_all(m, i, k) for i in parts}
-        self.drops = {j: drop_part(m, j) for j in parts} if k > 1 else {}
-        self.pairs = {(i, j): project_pair(m, i, j) for i in parts for j in parts if i != j}
-        self.reduced = {(i, j): reduce_projection(m, i, j) for i in parts for j in parts if i != j}
+        self.alls = tuple(number(project_all(m, i, k)) for i in parts)
+        self.drops = tuple(number(drop_part(m, j)) for j in parts) if k > 1 else ()
+        self.pairs = tuple(number(project_pair(m, i, j)) for i, j in ids.ordered)
+        self.reduced = tuple(number(reduce_projection(m, i, j)) for i, j in ids.ordered)
+
+
+def projection_ids(universe: Universe) -> ProjectionIds:
+    """The universe's `ProjectionIds`, made on first use and kept in its projection memo."""
+    if universe.projections_memo is None:
+        universe.projections_memo = ProjectionIds(universe.k)
+    return universe.projections_memo
 
 
 def item_projections(universe: Universe, indices: list) -> list:
     """The `ItemProjections` of the items at these indices, each computed on its first read."""
-    memo = universe.projections_memo
+    ids = projection_ids(universe)
+    rows = ids.rows
     for v in indices:
-        if v not in memo:
-            memo[v] = ItemProjections(universe.items[v], universe.k)
-    return [memo[v] for v in indices]
-
-
-def _numbering(values) -> tuple:
-    """(id of each value, the values by id): distinct values numbered in their sorted order."""
-    by_id = sorted(set(values))
-    return {value: n for n, value in enumerate(by_id)}, by_id
-
-
-class ProjectionIds:
-    """Every item's projections in one universe, as ints, for Lemma 1's checks.
-
-    The all, drop, pair and reduced projections are each numbered in the
-    sorted order of their values, so sorting ids sorts the values.  The
-    tables are columns indexed by item: ``alls[i - 1][v]`` and
-    ``drops[j - 1][v]`` are item v's ids for part i and part j, and
-    ``pairs[n][v]`` and ``reduced[n][v]`` those for the n-th ordered part
-    pair (i, j) of ``ordered``.  ``shadow[p]`` is the id of pair projection
-    p's part-1 shadow, and ``reduced_shadow[x]`` that of the shadow of
-    reduced projection x's first component (k >= 3 only).  ``drop_tests``
-    and ``pair_tests`` memoise pairwise tests on ids, keyed (t, id, id);
-    their callers fill them.
-    """
-
-    __slots__ = ("ordered", "alls", "drops", "pairs", "reduced", "drop_values", "pair_values",
-                 "shadow", "reduced_shadow", "drop_tests", "pair_tests")
-
-    def __init__(self, universe: Universe):
-        k = universe.k
-        parts = range(1, k + 1)
-        self.ordered = list(permutations(parts, 2))
-        rows = item_projections(universe, range(len(universe)))
-        all_id, _ = _numbering(p for row in rows for p in row.alls.values())
-        drop_id, self.drop_values = _numbering(p for row in rows for p in row.drops.values())
-        pair_id, self.pair_values = _numbering(p for row in rows for p in row.pairs.values())
-        reduced_id, reduced_values = _numbering(p for row in rows for p in row.reduced.values())
-        self.alls = [[all_id[row.alls[i]] for row in rows] for i in parts]
-        self.drops = [[drop_id[row.drops[j]] for row in rows] for j in parts] if k > 1 else []
-        self.pairs = [[pair_id[row.pairs[ij]] for row in rows] for ij in self.ordered]
-        self.reduced = [[reduced_id[row.reduced[ij]] for row in rows] for ij in self.ordered]
-        shadow_id = {}  # shadows are only compared for equality: numbered as first seen
-        number = lambda shadow: shadow_id.setdefault(shadow, len(shadow_id))
-        self.shadow = [number(vertex_shadow(p, 1)) for p in self.pair_values]
-        self.reduced_shadow = [number(vertex_shadow(x[0], 1)) for x in reduced_values] if k >= 3 else []
-        self.drop_tests = {}
-        self.pair_tests = {}
-
-
-def projection_ids(universe: Universe) -> ProjectionIds:
-    """The universe's `ProjectionIds`, built on first use and kept in its projection memo."""
-    memo = universe.projections_memo
-    if "ids" not in memo:
-        memo["ids"] = ProjectionIds(universe)
-    return memo["ids"]
+        if v not in rows:
+            rows[v] = ItemProjections(universe.items[v], ids)
+    return [rows[v] for v in indices]
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +451,10 @@ def reduction_classes(fam: Family, i: int, j: int) -> dict:
     k = fam.universe.k
     if i == j or not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"reduction needs two distinct part indices in 1..{k}, got {i} and {j}")
-    classes: dict = {}
-    for row in item_projections(fam.universe, fam.indices()):
-        classes.setdefault(row.reduced[i, j], set()).add(row.pairs[i, j])
-    return {x: sorted(ps) for x, ps in classes.items()}
+    ids = projection_ids(fam.universe)
+    classes = ids.classes(item_projections(fam.universe, fam.indices()), ids.ordered.index((i, j)))
+    values = ids.values
+    return {values[x]: sorted(values[p] for p in ps) for x, ps in classes.items()}
 
 
 def restrict_family(fam: Family, i: int, j: int, x) -> list:

@@ -189,28 +189,6 @@ def test_console_script_end_to_end():
     assert proc.returncode == 0 and proc.stdout.strip() == "18"
 
 
-def test_the_parser_built_once_keeps_no_state_between_calls(capsys, tmp_path):
-    search = ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1"]
-    base = str(tmp_path / "rep")
-    code, flagged, _ = run_cli(capsys, *search, "--all-maxima", "--out", base)
-    assert code == 0 and " maxima=" in flagged
-    code, plain, _ = run_cli(capsys, *search, "--out", base)
-    in_process = [Path(base + ext).read_bytes() for ext in (".csv", ".json")]
-    assert code == 0 and " maxima=" not in plain
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "ekrmatch.cli", *search, "--out", base],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0 and proc.stdout == plain
-    assert [Path(base + ext).read_bytes() for ext in (".csv", ".json")] == in_process
-    # usage errors after a successful call: argparse's exit, and a missing edge count
-    with pytest.raises(SystemExit) as exc:
-        main([*search, "--no-such-flag"])
-    assert exc.value.code == 2
-    code, out, err = run_cli(capsys, "search", "--parts", "3,3", "--pred", "intersecting:1")
-    assert code == 2 and not out and "one of --r or --sizes" in err
-
-
 CELL = {"parts": [3, 3], "r": 2, "pred": "intersecting:1"}
 # campaign files by placeholder name; each is rejected before any search
 CAMPAIGN_FILES = {

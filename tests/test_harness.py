@@ -184,7 +184,7 @@ def test_lemma1_memo_is_keyed_by_t_and_held_per_universe():
     families = [random_weak_family(graph, rng) for _ in range(30)]
     families += [Family(u, rng.getrandbits(len(u))) for _ in range(10)]
     ids = projection_ids(u)
-    assert u.projections_memo["ids"] is ids
+    assert u.projections_memo is ids
     # the t=1 draws mostly fail at t=2: a memo that ignored t would answer t=2 with t=1's results
     assert any(closure_violations_oracle(f, 1) != closure_violations_oracle(f, 2) for f in families)
     seen = {}

@@ -213,12 +213,12 @@ def test_reduction_classes_reject_bad_part_indices():
 def test_projection_memo_fills_only_for_the_members_read():
     u = enumerate_universe((6, 6), 6)  # 720 matchings
     fam = Family.from_indices(u, [0, 359, 719])
-    assert u.projections_memo == {}
+    assert u.projections_memo is None
     classes = reduction_classes(fam, 1, 2)
-    assert sorted(u.projections_memo) == [0, 359, 719]
+    assert sorted(u.projections_memo.rows) == [0, 359, 719]
     assert classes == reduction_classes_oracle(fam, 1, 2)
     restrict_family(fam, 2, 1, ())
-    assert sorted(u.projections_memo) == [0, 359, 719]
+    assert sorted(u.projections_memo.rows) == [0, 359, 719]
 
 
 def test_restriction_stays_over_the_class_shadow():
