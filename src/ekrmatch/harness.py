@@ -111,7 +111,7 @@ class CampaignReport:
     config: dict
     rows: list = field(default_factory=list)
     witnesses: dict = field(default_factory=dict)
-    kept: dict = field(default_factory=dict)  # cell index -> ExtremalReport, when asked; not serialised
+    kept: dict = field(default_factory=dict)  # cell index -> ExtremalReport or cap error, when asked; not serialised
 
     def counts(self) -> dict:
         out = {"pass": 0, "fail": 0, "record": 0, "attention": 0, "skip": 0}
@@ -163,7 +163,7 @@ def _run_bound_cell(args):
     except (UniverseTooLargeError, GraphTooLargeError, NodeBudgetExceeded) as exc:
         rows.append(report_row(name, case, "skip", detail=f"cap: {exc}", parts=cell.parts,
                                sizes=cell.sizes, predicate=str(cell.pred), expect=cell.expect))
-        return rows, witnesses, None
+        return rows, witnesses, exc if keep else None
 
     expected = cell.expect_max if cell.expect_max is not None else rep.formula_value
     star_kind = "t-set-star" if cell.pred.is_set else "t-star"
@@ -211,7 +211,10 @@ def _run_bound_cell(args):
 
 
 def run_bound_campaign(name: str, cells, caps=None, workers: int = 1, keep=()) -> CampaignReport:
-    """Run every cell; the `ExtremalReport` of each cell index in keep lands in report.kept."""
+    """Run every cell; the `ExtremalReport` of each cell index in keep lands in report.kept.
+
+    A kept cell that a cap skipped lands there as the cap's error instead.
+    """
     caps = _default_caps(caps)
     jobs = [(name, i, cell, caps, i in keep) for i, cell in enumerate(cells)]
     if workers > 1 and len(jobs) > 1:
@@ -887,17 +890,21 @@ BOUND_CAMPAIGNS = {
 def run_nonuniform_campaign(caps=None, workers: int = 1) -> CampaignReport:
     cells = BOUND_CAMPAIGNS["nonuniform"]
     report = run_bound_campaign("nonuniform", cells, caps, workers, keep={0})
-    caps = _default_caps(caps)
     # upward closure of maximum families, the structural step behind the
     # union bound: any extension of a member inside the universe is a member;
     # the maxima are those the (3,3) R=(1,2) cell found above
     cell = cells[0]
-    rep = report.kept.get(0)
-    if rep is None:  # the cell hit a cap: solving it again raises that cap's error
-        rep = extremal(cell.parts, cell.sizes, cell.pred, all_maxima=True, **caps)
+    case = f"upward-closure|{cell.parts}|R={cell.sizes}"
+    rep = report.kept[0]
+    if isinstance(rep, UniverseTooLargeError):  # the cell's universe is above the cap, and so is this row's
+        report.rows.append(report_row("nonuniform", case, "skip", detail=f"cap: {rep}", parts=cell.parts,
+                                      sizes=cell.sizes, predicate="intersecting:1", expect=ASSERT_EQUALITY))
+        return report
+    if isinstance(rep, Exception):  # the graph cap or node budget that skipped the cell ends the campaign
+        raise rep
     closed = rep.maxima is not None and all(is_upward_closed(f) for f in rep.maxima)
     report.rows.append(report_row(
-        "nonuniform", f"upward-closure|{cell.parts}|R={cell.sizes}", "pass" if closed else "fail",
+        "nonuniform", case, "pass" if closed else "fail",
         detail=f"all {rep.maxima_count} maxima are upward closed: {closed}",
         parts=cell.parts, sizes=cell.sizes, predicate="intersecting:1", expect=ASSERT_EQUALITY,
         universe_size=rep.universe_size, max_size=rep.max_size, maxima_count=rep.maxima_count,

@@ -9,7 +9,7 @@ one or more edge counts; a Family is a bit-vector over one Universe.
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from operator import getitem
+from operator import add, getitem, itemgetter
 
 from .counts import count_matchings, validate_parts
 
@@ -55,18 +55,37 @@ def validate_matching(parts, m, r: int | None = None) -> Matching:
     return m
 
 
-def _enumerate_level(parts, r, edge):
-    """Yield all r-edge matchings, built part by part (no invalid tuples materialised).
+def _edge_table(parts) -> list:
+    """The edges of a part structure as one table: ``table[x - 1][c]`` is the c-th edge through part-1 vertex x.
 
-    Each matching zips an r-subset of part 1 with one r-arrangement per other
-    part; ``edge`` maps every edge to one shared tuple, so equal edges are one
-    object and a large universe holds each edge once.  At r = 0 every pool
-    yields one empty tuple, and at k = 1 ``product()`` yields one ``()``.
+    The column c numbers the part-2..k coordinates in mixed radix, 0-based,
+    part k fastest.  Every edge is one tuple, shared by all matchings built
+    from the table.
     """
-    rest_pools = [list(permutations(range(1, n + 1), r)) for n in parts[1:]]
-    for base in combinations(range(1, parts[0] + 1), r):
-        for cols in product(*rest_pools):
-            yield tuple(map(edge, zip(base, *cols)))
+    edges = list(product(*(range(1, n + 1) for n in parts)))
+    width = len(edges) // parts[0]
+    return [edges[lo : lo + width] for lo in range(0, len(edges), width)]
+
+
+def _enumerate_level(parts, r, table):
+    """Yield all r-edge matchings, unsorted, read off the edge table (`_edge_table`).
+
+    A matching takes the table rows of an r-subset of part 1 and reads row p
+    at column ``col[p]``.  ``cols`` lists every choice of one r-arrangement
+    per part 2..k, summed into the table's column numbers; it is built once
+    per level and shared by all subsets, so no invalid tuple is made and
+    equal edges are one object.  At r = 0 every pool yields one empty tuple,
+    and at k = 1 every row has the one column 0.
+    """
+    cols = list(permutations(range(parts[-1]), r)) if len(parts) > 1 else [(0,) * r]
+    stride = parts[-1]
+    for n in reversed(parts[1:-1]):
+        pool = list(permutations(range(0, n * stride, stride), r))
+        cols = [tuple(map(add, col, arr)) for arr in pool for col in cols]
+        stride *= n
+    for rows in combinations(table, r):
+        for col in cols:
+            yield tuple(map(getitem, rows, col))
 
 
 class Universe:
@@ -124,11 +143,15 @@ def relabelling_generators(universe: Universe) -> tuple:
 
     For a part of size n >= 3 they are the swap of vertices 1 and 2 and the
     cycle x -> x + 1 (mod n); for n = 2 the swap alone, for n = 1 none.  A
-    generator g sends items[v] to items[g[v]].  Edges are ordered by their
-    distinct part-1 coordinates, so only a part-1 relabelling re-sorts them.
+    generator g sends items[v] to items[g[v]].  Each item is keyed by the
+    bitset of its edges' ordinals in the edge grid, so an item's image is the
+    sum of its edges' moved bits, looked up with no re-sorting of edges.
     """
-    items, index = universe.items, universe.index
     edges = list(product(*(range(1, n + 1) for n in universe.parts)))
+    ordinal = dict(zip(edges, range(len(edges))))
+    ordinals = [tuple(map(ordinal.__getitem__, m)) for m in universe.items]
+    bit = [1 << o for o in range(len(edges))]
+    keyed = {sum(map(bit.__getitem__, os)): v for v, os in enumerate(ordinals)}
     out = []
     for i, n in enumerate(universe.parts):
         relabellings = []
@@ -138,11 +161,8 @@ def relabelling_generators(universe: Universe) -> tuple:
             relabellings.append({x: x % n + 1 for x in range(1, n + 1)})
         perms = []
         for pi in relabellings:
-            image = {e: e[:i] + (pi.get(e[i], e[i]),) + e[i + 1 :] for e in edges}.__getitem__
-            if i == 0:
-                perms.append([index[tuple(sorted(map(image, m)))] for m in items])
-            else:
-                perms.append([index[tuple(map(image, m))] for m in items])
+            moved = [bit[ordinal[e[:i] + (pi.get(e[i], e[i]),) + e[i + 1 :]]] for e in edges].__getitem__
+            perms.append([keyed[sum(map(moved, os))] for os in ordinals])
         out.append(tuple(perms))
     return tuple(out)
 
@@ -210,11 +230,10 @@ def enumerate_union_universe(parts, sizes, cap: int = DEFAULT_UNIVERSE_CAP) -> U
     predicted = sum(count_matchings(parts, r) for r in sizes)
     if predicted > cap:
         raise UniverseTooLargeError(predicted, cap)
-    edges = product(*(range(1, n + 1) for n in parts))
-    edge = {e: e for e in edges}.__getitem__
+    table = _edge_table(parts)
     items = []
     for r in sizes:
-        level = sorted(_enumerate_level(parts, r, edge))
+        level = sorted(_enumerate_level(parts, r, table))
         if len(level) != count_matchings(parts, r):
             raise AssertionError(
                 f"enumeration bug: got {len(level)} matchings at r={r}, "
@@ -245,9 +264,10 @@ def project_pair(m, i: int, j: int) -> Matching:
     if i == j:
         raise ValueError("projection needs two distinct parts")
     k = len(m[0]) if m else max(i, j)
-    _check_part_index(k, i)
-    _check_part_index(k, j)
-    return tuple(sorted((e[i - 1], e[j - 1]) for e in m))
+    if not (1 <= i <= k and 1 <= j <= k):
+        _check_part_index(k, i)
+        _check_part_index(k, j)
+    return tuple(sorted(map(itemgetter(i - 1, j - 1), m)))
 
 
 def project_all(m, i: int, k: int | None = None) -> tuple:

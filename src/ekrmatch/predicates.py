@@ -31,8 +31,9 @@ pairwise tests (`pair_checker`), the last two built once per process.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations, permutations, product
 
 from .counts import t_set_star_size
@@ -119,11 +120,7 @@ def box_signatures(m, t: int) -> frozenset:
     """
     if t > len(m):
         return frozenset()
-    k = len(m[0]) if m else 0
-    return frozenset(
-        tuple(frozenset(e[i] for e in sub) for i in range(k))
-        for sub in combinations(m, t)
-    )
+    return frozenset(tuple(map(frozenset, zip(*sub))) for sub in combinations(m, t))
 
 
 def set_intersects_t(p, q, t: int) -> bool:
@@ -232,6 +229,12 @@ def unit_postings(universe, weak: bool = False) -> tuple:
     pair for the weak ones (components as in `part_pairs`), where a matching
     holds the pair (a, b) on parts (i, j) when one of its edges has
     coordinates a and b there.  Both are memoised on the universe.
+
+    The edge postings are built in time linear in the universe: each edge
+    collects its matchings' bits in a little-endian byte buffer, which
+    becomes an int once, so no bit is set by rebuilding a universe-wide int.
+    Edges come in the order first seen over the items, and each weak
+    posting is the OR of its edges' postings.
     """
     key = ("units", weak)
     units = universe.postings_memo.get(key)
@@ -244,11 +247,12 @@ def unit_postings(universe, weak: bool = False) -> tuple:
                     pair = (e[i - 1], e[j - 1])
                     comp[pair] = comp.get(pair, 0) | bits
         else:
-            edges = {}
+            bufs = defaultdict(partial(bytearray, (len(universe) + 7) >> 3))
             for i, m in enumerate(universe.items):
+                byte, bit = i >> 3, 1 << (i & 7)
                 for e in m:
-                    edges[e] = edges.get(e, 0) | 1 << i
-            units = (edges,)
+                    bufs[e][byte] |= bit
+            units = ({e: int.from_bytes(buf, "little") for e, buf in bufs.items()},)
         universe.postings_memo[key] = units
     return units
 

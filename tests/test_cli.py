@@ -104,6 +104,19 @@ def test_universe_cap_reaches_every_builtin(capsys, monkeypatch, campaign):
     assert code == 2 and "universe too large" in err and not out
 
 
+@pytest.mark.parametrize("campaign", ["intersecting", "nonuniform", "set-intersecting"])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_capped_bound_builtins_write_skip_rows(capsys, monkeypatch, campaign, workers):
+    # nonuniform's upward-closure row reads the maxima of its first cell: capped, it is a skip row too
+    monkeypatch.setenv("EKRMATCH_UNIVERSE_CAP", "5")
+    code, out, err = run_cli(capsys, "verify", "--campaign", f"builtin:{campaign}", "--workers", workers)
+    assert code == 0 and not err
+    assert out.strip().endswith("attention=0 skip=4)")
+    assert out.count("universe too large") == 4
+    if campaign == "nonuniform":
+        assert "[     skip] nonuniform/upward-closure|(3, 3)|R=(1, 2): cap: universe too large: predicted 27" in out
+
+
 def test_workers_below_one_rejected(capsys):
     for verb_args in (("search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1"),
                       ("verify", "--campaign", "builtin:examples")):

@@ -63,6 +63,18 @@ def test_equal_edges_are_one_object_per_universe(parts, sizes):
     assert len({id(e) for e in edges}) == len(set(edges))
 
 
+@pytest.mark.parametrize("parts,sizes", [((2, 3, 4), (2,)), ((5, 5), (5,)), ((3, 3, 3), (3,)),
+                                         ((2, 3, 3), (0, 1, 2))])
+def test_edge_table_enumeration_matches_brute_force(parts, sizes):
+    # unequal parts, a full level, three parts at r = min part, and a union from r = 0
+    u = enumerate_union_universe(parts, sizes)
+    assert list(u.items) == [m for r in sizes for m in sorted(brute_matchings(parts, r))]
+    assert u.index == {m: i for i, m in enumerate(u.items)}
+    assert u.level_offsets == {r: sum(count_matchings(parts, s) for s in sizes if s < r) for r in sizes}
+    edges = [e for m in u.items for e in m]
+    assert len({id(e) for e in edges}) == len(set(edges))
+
+
 def test_index_round_trip():
     u = enumerate_universe((3, 3), 2)
     for i, m in enumerate(u.items):
@@ -111,6 +123,35 @@ def test_project_pair_examples():
     assert project_pair(((1, 2),), 2, 1) == ((2, 1),)
     with pytest.raises(ValueError):
         project_pair(PAPER_P, 2, 2)
+
+
+def test_project_pair_errors():
+    cases = [(PAPER_P, 2, 2, "projection needs two distinct parts"),
+             ((), 1, 1, "projection needs two distinct parts"),
+             (PAPER_P, 0, 2, "part index 0 out of range 1..3"),
+             (PAPER_P, 1, 4, "part index 4 out of range 1..3"),
+             (PAPER_P, 4, 0, "part index 4 out of range 1..3"),
+             (((1, 2),), 3, 1, "part index 3 out of range 1..2"),
+             ((), 0, 2, "part index 0 out of range 1..2"),
+             ((), -1, 3, "part index -1 out of range 1..3")]
+    for m, i, j, message in cases:
+        with pytest.raises(ValueError) as err:
+            project_pair(m, i, j)
+        assert str(err.value) == message
+    # the empty matching infers k from the larger index, and projects to nothing
+    assert project_pair((), 2, 5) == () and project_pair((), 5, 1) == ()
+
+
+def test_project_pair_equals_the_per_edge_oracle():
+    rng = random.Random(5)
+    for parts, r in [((4, 5), 3), ((3, 4, 5), 3), ((3, 3, 3, 3), 2)]:
+        u = enumerate_universe(parts, r)
+        k = len(parts)
+        for m in rng.sample(u.items, 10):
+            for i in range(1, k + 1):
+                for j in range(1, k + 1):
+                    if i != j:
+                        assert project_pair(m, i, j) == tuple(sorted((e[i - 1], e[j - 1]) for e in m))
 
 
 def test_drop_part_examples():

@@ -88,6 +88,39 @@ def test_postings_are_memoised_per_universe():
     assert set(a.postings_memo) == {("units", False), ("units", True)}
 
 
+@pytest.mark.parametrize("parts,sizes", [((2, 3, 3), (2,)), ((3, 3, 3), (0, 1, 2)), ((3, 4), (1, 2, 3)),
+                                         ((6,), (0, 2, 3)), ((4, 4, 4), (3,))])
+def test_unit_postings_equal_the_scan(parts, sizes):
+    # (2,3,3) r=2 has 36 items and the (3,4) union 3 + 36 + 24: not whole bytes
+    universe = enumerate_union_universe(parts, sizes)
+    edges = {}
+    for idx, m in enumerate(universe.items):
+        for e in m:
+            edges[e] = edges.get(e, 0) | 1 << idx
+    (got,) = unit_postings(universe)
+    assert got == edges and list(got) == list(edges)  # first-seen key order too
+    assert all(bits >> len(universe) == 0 for bits in got.values())
+    if universe.k < 2:
+        return
+    pairs = [(i, j) for i in range(1, universe.k + 1) for j in range(i + 1, universe.k + 1)]
+    weak = tuple({} for _ in pairs)
+    for e, bits in edges.items():
+        for comp, (i, j) in zip(weak, pairs):
+            pair = (e[i - 1], e[j - 1])
+            comp[pair] = comp.get(pair, 0) | bits
+    got = unit_postings(universe, True)
+    assert got == weak and [list(comp) for comp in got] == [list(comp) for comp in weak]
+
+
+@pytest.mark.parametrize("parts,r", [((5,), 3), ((4, 4), 4), ((3, 4, 5), 3), ((2, 2, 2), 2)])
+def test_box_signatures_equal_the_per_part_oracle(parts, r):
+    for m in enumerate_universe(parts, r).items[:25]:
+        k = len(m[0])
+        for t in range(1, len(m) + 2):
+            want = frozenset(tuple(frozenset(e[i] for e in sub) for i in range(k)) for sub in combinations(m, t))
+            assert box_signatures(m, t) == want
+
+
 @pytest.mark.parametrize("parts,sizes", [((4, 4), (0, 1, 2, 3)), ((3, 3, 3), (1, 2, 3))])
 @pytest.mark.parametrize("t", [1, 2])
 def test_star_constructions_equal_brute_scan(parts, sizes, t):

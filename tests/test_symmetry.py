@@ -97,6 +97,24 @@ def test_relabelling_generators_are_graph_automorphisms(parts, r, kind):
 UNION = [((3, 3), (1, 2)), ((4,), (0, 1, 2, 3, 4)), ((2, 3), (0, 1, 2)), ((3, 3, 3), (1, 2))]
 
 
+def relabelled_indices(universe):
+    """The relabelling generators of `relabelling_generators`, each item's image re-sorted and looked up."""
+    out = []
+    for i, n in enumerate(universe.parts):
+        cycles = ([{1: 2, 2: 1}] if n >= 2 else []) + ([{x: x % n + 1 for x in range(1, n + 1)}] if n >= 3 else [])
+        out.append(tuple(
+            [universe.index[canonical_matching([e[:i] + (pi.get(e[i], e[i]),) + e[i + 1:] for e in m])]
+             for m in universe.items]
+            for pi in cycles))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("parts,sizes", [(p, (r,)) for p, r in UNIFORM] + UNION + [((6, 6), (3,)), ((1, 3), (0, 1))])
+def test_relabelling_generators_equal_the_resorting_oracle(parts, sizes):
+    universe = enumerate_union_universe(parts, sizes)
+    assert relabelling_generators(universe) == relabelled_indices(universe)
+
+
 @pytest.mark.parametrize("kind", PREDICATE_KINDS)
 @pytest.mark.parametrize("t", [1, 2])
 @pytest.mark.parametrize("parts,sizes", UNION, ids=[f"{p}-R{s}" for p, s in UNION])
