@@ -316,14 +316,11 @@ class ProjectionIds:
     ``rows`` maps an item index to its `ItemProjections`, filled on the
     item's first read by `item_projections`.  ``ordered`` lists the ordered
     part pairs (i, j) in the order of ``ItemProjections.pairs``.
-    ``shadows`` memoises the part-1 shadow of a pair projection by id, and
-    ``class_shadows`` that of a reduced projection's first component;
     ``drop_tests`` and ``pair_tests`` memoise pairwise tests keyed
-    (t, id, id).  Their callers fill these memos.
+    (t, id, id); their callers fill them.
     """
 
-    __slots__ = ("k", "ordered", "ids", "values", "rows", "shadows", "class_shadows",
-                 "drop_tests", "pair_tests")
+    __slots__ = ("k", "ordered", "ids", "values", "rows", "drop_tests", "pair_tests")
 
     def __init__(self, k: int):
         self.k = k
@@ -331,8 +328,6 @@ class ProjectionIds:
         self.ids = {}
         self.values = []
         self.rows = {}
-        self.shadows = {}
-        self.class_shadows = {}
         self.drop_tests = {}
         self.pair_tests = {}
 
@@ -354,18 +349,16 @@ class ProjectionIds:
 class ItemProjections:
     """One matching's projections as ids of its universe's `ProjectionIds`.
 
-    ``alls[i - 1]`` and ``drops[j - 1]`` are by 1-based part index;
-    ``pairs[n]`` and ``reduced[n]`` are over the n-th ordered part pair of
+    ``drops[j - 1]`` is by 1-based part index; ``pairs[n]`` and
+    ``reduced[n]`` are over the n-th ordered part pair of
     ``ProjectionIds.ordered``.
     """
 
-    __slots__ = ("alls", "drops", "pairs", "reduced")
+    __slots__ = ("drops", "pairs", "reduced")
 
     def __init__(self, m, ids: ProjectionIds):
         k, number = ids.k, ids.number
-        parts = range(1, k + 1)
-        self.alls = tuple(number(project_all(m, i, k)) for i in parts)
-        self.drops = tuple(number(drop_part(m, j)) for j in parts) if k > 1 else ()
+        self.drops = tuple(number(drop_part(m, j)) for j in range(1, k + 1)) if k > 1 else ()
         self.pairs = tuple(number(project_pair(m, i, j)) for i, j in ids.ordered)
         self.reduced = tuple(number(reduce_projection(m, i, j)) for i, j in ids.ordered)
 

@@ -6,6 +6,7 @@ from operator import eq
 import pytest
 
 from ekrmatch import matchings
+from ekrmatch.cli import main as cli_main
 from ekrmatch.harness import (
     BOUND_CAMPAIGNS,
     BoundCell,
@@ -15,6 +16,7 @@ from ekrmatch.harness import (
     closure_violations,
     force_record,
     load_campaign_file,
+    operator_violations,
     random_weak_family,
     run_ak_regime,
     run_bound_campaign,
@@ -31,7 +33,6 @@ from ekrmatch.matchings import (
     Family,
     drop_part,
     enumerate_universe,
-    project_all,
     project_pair,
     projection_ids,
     reduce_projection,
@@ -102,14 +103,11 @@ def test_closure_checker_is_not_vacuous():
     assert closure_violations(bad, 1)
 
 
-def closure_violations_oracle(fam, t):
-    """The projection identities recomputed from every member, part pair by part pair."""
+def family_violations_oracle(fam, t):
+    """Lemma 1's drop and restriction identities recomputed from every member, part pair by part pair."""
     k = fam.universe.k
     members = fam.members()
     bad = []
-    for i in range(1, k + 1):
-        if len({project_all(m, i, k) for m in members}) != len(members):
-            bad.append(f"projection from part {i} is not injective")
     for j in range(1, k + 1):
         if k == 1:
             break
@@ -122,59 +120,105 @@ def closure_violations_oracle(fam, t):
                     ok = weakly_intersects_t(dropped[a], dropped[b], t)
                 if not ok:
                     bad.append(f"drop of part {j} not weakly {t}-intersecting")
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if i == j or k < 2:
-                continue
-            grouped = {}
-            for m in members:
-                grouped.setdefault(reduce_projection(m, i, j), set()).add(project_pair(m, i, j))
-            classes = {x: sorted(ps) for x, ps in grouped.items()}
-            if sum(len(ps) for ps in classes.values()) != len(members):
-                bad.append(f"restriction classes over ({i},{j}) do not partition the family")
-            for x, projs in classes.items():
-                for a in range(len(projs)):
-                    for b in range(a + 1, len(projs)):
-                        if not intersects_t(projs[a], projs[b], t):
-                            bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
-                if k >= 3:
-                    vx = vertex_shadow(x[0], 1)
-                    if any(vertex_shadow(p, 1) != vx for p in projs):
-                        bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
+    for i, j in permutations(range(1, k + 1), 2):
+        grouped = {}
+        for m in members:
+            grouped.setdefault(reduce_projection(m, i, j), set()).add(project_pair(m, i, j))
+        for projs in map(sorted, grouped.values()):
+            for a in range(len(projs)):
+                for b in range(a + 1, len(projs)):
+                    if not intersects_t(projs[a], projs[b], t):
+                        bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
     return bad
 
 
-@pytest.mark.parametrize("parts,r,t", LEMMA_CELLS + (((4,), 2, 1), ((2, 3), 2, 1), ((3, 3, 2, 2), 2, 1)))
-def test_closure_violations_equal_the_per_member_oracle(parts, r, t):
-    u = enumerate_universe(parts, r)
+def operator_violations_oracle(fam):
+    """The injectivity, partition and shadow identities recomputed from every member.
+
+    The projections go through the `matchings` module, so a patched
+    operator there reaches this oracle as it reaches the checker.
+    """
+    k = fam.universe.k
+    members = fam.members()
+    bad = []
+    for i in range(1, k + 1):
+        if len({matchings.project_all(m, i, k) for m in members}) != len(members):
+            bad.append(f"projection from part {i} is not injective")
+    for i, j in permutations(range(1, k + 1), 2):
+        grouped = {}
+        for m in members:
+            grouped.setdefault(matchings.reduce_projection(m, i, j), []).append(matchings.project_pair(m, i, j))
+        if sum(len(set(ps)) for ps in grouped.values()) != len(members):
+            bad.append(f"restriction classes over ({i},{j}) do not partition the family")
+        if k >= 3 and any(vertex_shadow(p, 1) != vertex_shadow(x[0], 1) for x, ps in grouped.items() for p in ps):
+            bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
+    return bad
+
+
+ORACLE_CELLS = LEMMA_CELLS + (((2, 3), 2, 1), ((3, 3, 2, 2), 2, 1))
+
+
+def sampled_families(u, t, seed):
+    """The full universe, then 60 closed and 60 unclosed families, interleaved."""
     graph = build_compat_graph(u, Predicate("weakly-intersecting", t))
-    rng = random.Random(5)
+    rng = random.Random(seed)
     families = [Family.full(u)]
     for _ in range(60):
         families.append(random_weak_family(graph, rng))
         families.append(Family(u, rng.getrandbits(len(u))))  # not closed: violations are compared too
+    return families
+
+
+@pytest.mark.parametrize("parts,r,t", ORACLE_CELLS + (((4,), 2, 1),))
+def test_closure_violations_equal_the_family_oracle(parts, r, t):
+    u = enumerate_universe(parts, r)
     violating = 0
-    for fam in families:
-        want = closure_violations_oracle(fam, t)
+    for fam in sampled_families(u, t, 5):
+        want = family_violations_oracle(fam, t)
         assert closure_violations(fam, t) == want
         violating += bool(want)
-    assert violating
+    assert violating or len(parts) == 1
 
 
-def test_shadow_clause_fires_on_a_broken_projection_operator(monkeypatch):
+@pytest.mark.parametrize("parts,r,t", ORACLE_CELLS)
+def test_operator_violations_equal_the_operator_oracle(parts, r, t):
+    # the operator identities hold for every family, closed or not, while the family identities fail on some
+    u = enumerate_universe(parts, r)
+    assert operator_violations(u) == operator_violations_oracle(Family.full(u)) == []
+    families = sampled_families(u, t, 9)
+    assert all(operator_violations_oracle(fam) == [] for fam in families)
+    assert any(closure_violations(fam, t) for fam in families)
+
+
+def test_operator_violations_are_stated_from_two_parts():
+    # at k = 1 every matching projects to (), which would read as a failed injectivity
+    with pytest.raises(ValueError, match="k >= 2"):
+        operator_violations(enumerate_universe((4,), 2))
+
+
+def test_operator_checks_fire_on_a_broken_projection_operator(monkeypatch, capsys, tmp_path):
     # the shadow identity holds for every family, so it can only catch a fault in the projections
-    u = enumerate_universe((3, 3, 3), 2)
-    graph = build_compat_graph(u, Predicate("weakly-intersecting", 1))
-    rng = random.Random(3)
-    fam = random_weak_family(graph, rng)
-    while len(fam) < 2 or closure_violations(fam, 1):
-        fam = random_weak_family(graph, rng)
     real = matchings.project_pair
     monkeypatch.setattr(matchings, "project_pair",
                         lambda m, i, j: real(m, j, i) if (i, j) == (1, 2) else real(m, i, j))
-    fresh = enumerate_universe((3, 3, 3), 2)  # its projection memo is empty, so every row reads the patch
-    bad = closure_violations(Family(fresh, fam.bits), 1)
-    assert any("leaves the shadow of its class" in v for v in bad)
+    u = enumerate_universe((3, 3, 3), 2)  # its projection memo is empty, so every row reads the patch
+    found = operator_violations(u)
+    assert any("leaves the shadow of its class" in v for v in found)
+    assert found == operator_violations_oracle(Family.full(u))
+    # a fault any sample shows is one the universe shows
+    rng, seen = random.Random(3), 0
+    for _ in range(40):
+        fam = Family(u, rng.getrandbits(len(u)))
+        bad = operator_violations_oracle(fam)
+        assert set(bad) <= set(found)
+        seen += bool(bad)
+    assert seen
+    rep = run_lemma1_suite(samples=12, seed=0)
+    assert not rep.ok
+    assert any(row["case"].endswith("|full-universe") and row["outcome"] == "fail" for row in rep.rows)
+    assert cli_main(["verify", "--campaign", "builtin:lemma1", "--samples", "12",
+                     "--out", str(tmp_path / "rep")]) == 1
+    assert "leaves the shadow of its class" in capsys.readouterr().out
 
 
 def test_lemma1_memo_is_keyed_by_t_and_held_per_universe():
@@ -186,33 +230,17 @@ def test_lemma1_memo_is_keyed_by_t_and_held_per_universe():
     ids = projection_ids(u)
     assert u.projections_memo is ids
     # the t=1 draws mostly fail at t=2: a memo that ignored t would answer t=2 with t=1's results
-    assert any(closure_violations_oracle(f, 1) != closure_violations_oracle(f, 2) for f in families)
+    assert any(family_violations_oracle(f, 1) != family_violations_oracle(f, 2) for f in families)
     seen = {}
-    for t in (1, 2, None):
+    for t in (1, 2):
         for fam in families:
-            if t is None:
-                want = [v for v in closure_violations_oracle(fam, 1) if "partition" in v or "injective" in v]
-            else:
-                want = closure_violations_oracle(fam, t)
-            assert closure_violations(fam, t) == want
+            assert closure_violations(fam, t) == family_violations_oracle(fam, t)
         assert projection_ids(u) is ids
         seen[t] = {key[0] for memo in (ids.drop_tests, ids.pair_tests) for key in memo}
-    assert seen == {1: {1}, 2: {1, 2}, None: {1, 2}}
+    assert seen == {1: {1}, 2: {1, 2}}
     # a second universe of the same key keeps a table of its own
     other = enumerate_universe((3, 3, 3), 2)
     assert projection_ids(other) is not ids and not projection_ids(other).pair_tests
-
-
-@pytest.mark.parametrize("parts,r,t", LEMMA_CELLS)
-def test_closure_violations_without_t_check_the_t_free_identities_alone(parts, r, t):
-    u = enumerate_universe(parts, r)
-    rng = random.Random(9)
-    dropped = 0
-    for fam in [Family.full(u)] + [Family(u, rng.getrandbits(len(u))) for _ in range(40)]:
-        full = closure_violations(fam, t)
-        assert closure_violations(fam) == [v for v in full if "partition" in v or "injective" in v]
-        dropped += len(full)
-    assert dropped  # the t-dependent identities fail on these families, and are not run without t
 
 
 def test_nonuniform_campaign_solves_each_cell_once(monkeypatch):
