@@ -104,10 +104,8 @@ class Universe:
         self.sizes = tuple(sizes)
         self.items = tuple(items)
         self.index = {m: i for i, m in enumerate(self.items)}
-        offsets = {}
-        for i, m in enumerate(self.items):
-            offsets.setdefault(len(m), i)
-        self.level_offsets = offsets
+        lengths = list(map(len, self.items))
+        self.level_offsets = {r: lengths.index(r) for r in sorted(set(lengths), key=lengths.index)}
         self.postings_memo = {}
         self.projections_memo = None
 

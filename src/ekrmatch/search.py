@@ -68,22 +68,31 @@ the i-th item.  Such a graph builds its full rows only when they are read,
 through `CompatGraph.rows`.
 
 All maxima of a transitive graph come the same way: the kernel lists the m0
-maxima through vertex 0 from the root (0, 0, nadj[0]), and a breadth-first
-search closes that list under generators of the group (per part the swap
-(1 2) and the n_i-cycle, `matchings.relabelling_generators`).  The closure is
-exactly the full list: every image of a maximum is a maximum, since the group
-preserves the predicate, and every maximum C is an image of one through
-vertex 0, since some group element sends a vertex of C to vertex 0.  The
-closure runs on sorted index tuples and returns them in ascending order,
-which is the order of `Family.indices`, so the list's order, and everything
-read from it, does not depend on the path.  Two checks that fail only
-through an engine bug guard the path.  By double counting the pairs (vertex,
-maximum containing it), the closure must hold exactly |V| * m0 / size
-maxima, which a generator set too small for the group would miss.  The star kind is
-invariant too, so `extremal` requires each kind's tally times the size to
+maxima through vertex 0 from the root (0, 0, nadj[0]), and their orbits under
+the group give the full list.  Every image of a maximum is a maximum, since
+the group preserves the predicate, and every maximum C is an image of one
+through vertex 0, since some group element sends a vertex of C to vertex 0
+(Godsil and Meagher, cited below).  Each maximum through vertex 0 is
+classified (`predicates.classify_star`), unless an orbit already listed holds
+it.  A relabelling g maps the star of a t-edge centre c onto the star of
+g(c), and the group acts transitively on the t-edge matchings, so the orbit
+of a full t-star is the full star of every t-edge matching; likewise the
+orbit of a t-set-star is the box star of every box of per-part t-sets.
+These are read off the edge postings (`_star_orbit`), and equal stars of
+distinct centres count once.  Only a maximum of another kind (none, or a weak
+star) is closed by a breadth-first search under generators of the group (per
+part the swap (1 2) and the n_i-cycle, `matchings.relabelling_generators`),
+whose index tables are built only then.  The list is sorted in the order of
+`Family.indices` (`_index_order`), so its order, and everything read from it,
+does not depend on the path.  Two checks that fail only through an engine
+bug guard the path.  By double counting the pairs (vertex, maximum containing
+it), the list must hold exactly |V| * m0 / size maxima, which a generator set
+too small for the group, or too few star centres, would miss.  The star kind
+is invariant too, so `extremal` requires each kind's tally times the size to
 equal |V| times that kind's tally among the maxima through vertex 0.  The
-node budget bounds the root-0 listing.  The cap bounds the closure, which is
-the whole list, so it overflows exactly when the full listing would.
+node budget bounds the root-0 listing.  The cap bounds the orbits, which make
+the whole list, so it overflows exactly when the full listing would, with at
+most cap + 1 maxima held.
 
 A graph from `build_compat_graph` is marked symmetric: its rows come from a
 whole (union) universe, so the part relabellings map them onto themselves.
@@ -174,6 +183,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass, replace
+from itertools import combinations, permutations, product
 from multiprocessing import get_context
 
 from .counts import t_set_star_size, t_star_size
@@ -187,8 +197,8 @@ from .matchings import (
     enumerate_union_universe,
     relabelling_generators,
 )
-from .predicates import (Predicate, check_strength, classify_star, holders, signature_index,
-                         signature_rows, signatures)
+from .predicates import (Predicate, box_star_bits, check_strength, classify_star, holders, predicate,
+                         signature_bits, signature_index, signature_rows, signatures)
 
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
@@ -746,10 +756,10 @@ def max_clique_naive(graph: CompatGraph):
 
 
 def _orbit_closure(seeds: list, generators, cap: int) -> list:
-    """Breadth-first closure of distinct bitsets under index permutations, in ascending index order.
+    """Breadth-first closure of distinct bitsets under index permutations; raises past cap members.
 
     The search runs on sorted index tuples, an image being the sorted tuple
-    of the permuted indices; raises past cap members.
+    of the permuted indices.
     """
     queue = [tuple(bit_positions(bits)) for bits in seeds]
     seen = set(queue)
@@ -763,7 +773,36 @@ def _orbit_closure(seeds: list, generators, cap: int) -> list:
                 if len(queue) > cap:
                     raise MaximaOverflowError(cap)
     shift = (1).__lshift__
-    return [sum(map(shift, members)) for members in sorted(queue)]
+    return [sum(map(shift, members)) for members in queue]
+
+
+def _star_orbit(universe: Universe, kind: str, t: int):
+    """The bitsets of every full t-star (kind "t-star") or every box star of a uniform universe.
+
+    They form the orbit of any one of them under the part relabellings
+    (module docstring); distinct centres may give the same star.
+    """
+    ranges = [range(1, n + 1) for n in universe.parts]
+    if kind == "t-set-star":
+        return (box_star_bits(universe, box) for box in product(*(combinations(xs, t) for xs in ranges)))
+    pred = predicate("intersecting", t)
+    return (signature_bits(universe, pred, 0, tuple(zip(rows, *cols)))
+            for rows in combinations(ranges[0], t) for cols in product(*(permutations(xs, t) for xs in ranges[1:])))
+
+
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+def _index_order(found, n: int) -> list:
+    """Bitsets of one size over n positions, sorted as their `Family.indices` lists.
+
+    Two such sets first differ at the lowest position of their symmetric
+    difference, and the earlier set holds it.  Little-endian bytes with each
+    byte's bits reversed put that position first and highest, so the earlier
+    set has the larger byte string.
+    """
+    width = (n + 7) >> 3
+    return sorted(found, key=lambda bits: bits.to_bytes(width, "little").translate(_REVERSED_BITS), reverse=True)
 
 
 def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP,
@@ -771,8 +810,9 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
     """Every clique of the maximum size, in index-lexicographic order.
 
     A transitive graph lists the maxima through vertex 0 alone, within the
-    node budget, and closes that list under the part relabellings; the
-    closure must hold |V| * m0 / size members by double counting (module
+    node budget, and adds each one's orbit under the part relabellings: the
+    stars of every centre for a star, the generator closure otherwise.  The
+    list must hold |V| * m0 / size members by double counting (module
     docstring).  Other graphs search every root.  Raises past cap maxima,
     past the node budget, or on a clique larger than size.
     """
@@ -781,18 +821,30 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
     state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
     nadj, roots, members = _plan(graph)
     _search_roots(nadj, roots, state)
-    if graph.transitive:
-        generators = [g for part in relabelling_generators(graph.universe) for g in part]
-        found = _orbit_closure([_to_vertices(bits, members) for bits in state.found], generators, cap)
-        if len(found) * size != graph.n * len(state.found):
-            raise InternalCheckError(
-                f"orbit closure holds {len(found)} maxima, but double counting {len(state.found)} "
-                f"through vertex 0 over {graph.n} vertices at size {size} gives "
-                f"{graph.n * len(state.found) / size}"
-            )
-    else:
-        found = sorted(state.found, key=bit_positions)
-    return [Family(graph.universe, bits) for bits in found]
+    universe = graph.universe
+    if not graph.transitive:
+        return [Family(universe, bits) for bits in _index_order(state.found, graph.n)]
+    found, generators = set(), None
+    for seed in [_to_vertices(bits, members) for bits in state.found]:
+        if seed in found:  # an orbit already listed holds it
+            continue
+        kind = classify_star(Family(universe, seed), graph.pred.t).kind
+        if kind in ("t-star", "t-set-star"):
+            for bits in _star_orbit(universe, kind, graph.pred.t):
+                found.add(bits)
+                if len(found) > cap:
+                    raise MaximaOverflowError(cap)
+        else:
+            if generators is None:
+                generators = [g for part in relabelling_generators(universe) for g in part]
+            found.update(_orbit_closure([seed], generators, cap - len(found)))
+    if len(found) * size != graph.n * len(state.found):
+        raise InternalCheckError(
+            f"the orbit list holds {len(found)} maxima, but double counting {len(state.found)} "
+            f"through vertex 0 over {graph.n} vertices at size {size} gives "
+            f"{graph.n * len(state.found) / size}"
+        )
+    return [Family(universe, bits) for bits in _index_order(found, graph.n)]
 
 
 # ---------------------------------------------------------------------------

@@ -201,10 +201,12 @@ def test_operator_checks_fire_on_a_broken_projection_operator(monkeypatch, capsy
     real = matchings.project_pair
     monkeypatch.setattr(matchings, "project_pair",
                         lambda m, i, j: real(m, j, i) if (i, j) == (1, 2) else real(m, i, j))
-    u = enumerate_universe((3, 3, 3), 2)  # its projection memo is empty, so every row reads the patch
-    found = operator_violations(u)
-    assert any("leaves the shadow of its class" in v for v in found)
-    assert found == operator_violations_oracle(Family.full(u))
+    # fresh universes have empty projection memos, so every row reads the patch
+    for parts, r in [((4, 4, 4), 3), ((4, 4, 4), 2), ((3, 3, 3), 2)]:
+        u = enumerate_universe(parts, r)
+        found = operator_violations(u)
+        assert any("leaves the shadow of its class" in v for v in found)
+        assert found == operator_violations_oracle(Family.full(u))
     # a fault any sample shows is one the universe shows
     rng, seen = random.Random(3), 0
     for _ in range(40):

@@ -3,12 +3,14 @@
 The premise is checked without the clique search: per-part vertex
 permutations carry matching 0 to every matching and map the graph's rows onto
 themselves, and so does every relabelling generator.  The root-0 maximum and
-the orbit-closed list of all maxima are then checked against the full root
-loop on an unmarked copy of the same graph.
+the list of all maxima, read off star centres or closed under the generators,
+are then checked against the full root loop on an unmarked copy of the same
+graph.
 """
 
 import random
 from collections import Counter
+from itertools import islice
 
 import pytest
 
@@ -27,6 +29,7 @@ from ekrmatch.search import (
     CompatGraph,
     InternalCheckError,
     MaximaOverflowError,
+    _index_order,
     _neighbour_rows,
     _orbit_closure,
     _root_subproblems,
@@ -203,7 +206,13 @@ def test_deep_uniform_cell_closes_from_root_zero():
 CLOSURE_CELLS = SHORTCUT_CELLS + [
     ((4, 4), 4, Predicate("set-intersecting", 2)),  # Klein cell: 18 box stars and 6 non-stars
     ((5, 5), 4, Predicate("intersecting", 2)),
+    ((3, 3), 3, Predicate("intersecting", 2)),  # degenerate centres: 18 centres, 6 one-member stars
+    ((6,), 3, Predicate("intersecting", 1)),  # both paths at k = 1: 6 t-stars and 1,018 non-stars
 ]
+
+
+def lexicographic(bitsets, universe):
+    return sorted(bitsets, key=lambda bits: Family(universe, bits).indices())
 
 
 @pytest.mark.parametrize("parts,r,pred", CLOSURE_CELLS,
@@ -212,7 +221,9 @@ def test_orbit_closed_maxima_equal_full_listing(parts, r, pred):
     marked = build_compat_graph(enumerate_universe(parts, r), pred)
     full = CompatGraph(marked.universe, marked.pred, marked.rows)
     size = max_clique(marked)[0]
-    assert [f.bits for f in all_max_cliques(marked, size)] == [f.bits for f in all_max_cliques(full, size)]
+    want = [f.bits for f in all_max_cliques(full, size)]
+    assert [f.bits for f in all_max_cliques(marked, size)] == want
+    assert want == lexicographic(want, marked.universe)
 
 
 def test_klein_cell_kinds_pass_the_tally_check():
@@ -221,19 +232,54 @@ def test_klein_cell_kinds_pass_the_tally_check():
     assert rep.maxima_kinds == {"t-set-star": 18, "none": 6}
 
 
-def test_closure_overflow_past_the_cap():
+@pytest.mark.parametrize("parts,sizes,pred,kinds", [
+    ((3, 3), (3,), Predicate("intersecting", 2), {"t-star": 6}),
+    ((6,), (3,), Predicate("intersecting", 1), {"t-star": 6, "none": 1018}),
+    ((4, 4, 4), (4,), Predicate("set-intersecting", 2), {"t-set-star": 108}),  # 216 boxes
+])
+def test_mixed_and_degenerate_kinds_pass_the_tally_check(parts, sizes, pred, kinds):
+    rep = extremal(parts, sizes, pred, all_maxima=True)
+    assert rep.maxima_kinds == kinds and rep.maxima_count == sum(kinds.values())
+
+
+def test_closure_overflow_past_the_cap(monkeypatch):
     g = build_compat_graph(enumerate_universe((3, 3), 2), Predicate("intersecting", 1))
     assert len(all_max_cliques(g, 4, cap=9)) == 9
     with pytest.raises(MaximaOverflowError):
         all_max_cliques(g, 4, cap=3)  # 2 maxima through vertex 0, 9 in all
+    # the 9 maxima are edge stars: the star path overflows one below the count, holding cap + 1 stars
+    made, real = [], search._star_orbit
+    monkeypatch.setattr(search, "_star_orbit", lambda *args: (made.append(b) or b for b in real(*args)))
+    with pytest.raises(MaximaOverflowError):
+        all_max_cliques(g, 4, cap=8)
+    assert len(made) == 9
+    # the Klein cell overflows in the generator closure after its 18 box stars
+    klein = build_compat_graph(enumerate_universe((4, 4), 4), Predicate("set-intersecting", 2))
+    assert len(all_max_cliques(klein, 4, cap=24)) == 24
+    with pytest.raises(MaximaOverflowError):
+        all_max_cliques(klein, 4, cap=23)
 
 
 def test_double_count_catches_a_partial_closure(monkeypatch):
+    # the Klein cell's 6 non-star maxima take the generator closure; part 1's relabellings alone
+    # act regularly on the 24 perfect matchings, so the mutation keeps only each part's swap
+    g = build_compat_graph(enumerate_universe((4, 4), 4), Predicate("set-intersecting", 2))
+    assert len(all_max_cliques(g, 4)) == 24
+    swaps_only = lambda universe: tuple(part[:1] for part in relabelling_generators(universe))
+    monkeypatch.setattr(search, "relabelling_generators", swaps_only)
+    with pytest.raises(InternalCheckError, match="holds 20 maxima"):
+        all_max_cliques(g, 4)
+
+
+def test_double_count_catches_missing_star_centres(monkeypatch):
+    # the 36 maxima of (6,6) r=3 are edge stars, listed from their centres without the tables
     g = build_compat_graph(enumerate_universe((6, 6), 3), Predicate("intersecting", 1))
     assert len(all_max_cliques(g, 200)) == 36
-    part_one_only = lambda universe: relabelling_generators(universe)[:1]
-    monkeypatch.setattr(search, "relabelling_generators", part_one_only)
-    with pytest.raises(InternalCheckError, match="holds 18 maxima"):
+    monkeypatch.setattr(search, "relabelling_generators", None)
+    assert len(all_max_cliques(g, 200)) == 36
+    real = search._star_orbit
+    monkeypatch.setattr(search, "_star_orbit", lambda *args: islice(real(*args), 30))
+    with pytest.raises(InternalCheckError, match="holds 30 maxima"):
         all_max_cliques(g, 200)
 
 
@@ -443,7 +489,7 @@ def test_tuple_closure_equals_the_bitwise_closure(parts, r, pred):
         want = bitwise_closure(seeds, flat, 10**6)
         got = _orbit_closure(seeds, flat, len(want))
         assert set(got) == set(want) and len(got) == len(want)
-        assert got == sorted(want, key=lambda bits: Family(universe, bits).indices())
+        assert _index_order(got, len(universe)) == lexicographic(want, universe)
         for closure in (bitwise_closure, _orbit_closure):
             with pytest.raises(MaximaOverflowError):
                 closure(seeds, flat, len(want) - 1)
