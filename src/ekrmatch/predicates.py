@@ -21,6 +21,11 @@ signatures into bits: graph rows through `signature_index` and
 `signature_rows`, and the holders of given signatures (stars, weak centre
 systems, row 0 of a transitive graph) through `holders` and `signature_bits`,
 read off the edge postings.  The pairwise functions stay as the oracle.
+An index key stands for one signature, equal exactly when the signatures
+are: its edges for the plain intersecting kind, and for the other kinds a
+small int, the sum of its t units' codes, looked up per edge in a table
+built once per part structure (`unit_codes`).  So the rows are built
+without projecting or boxing a matching.
 The weak stars are the stars of the pair projections (`pair_projections`),
 found by the same star recognisers.
 
@@ -162,23 +167,6 @@ def part_pairs(k: int) -> list:
     return [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)]
 
 
-def _signature_rule(pred: Predicate, k: int):
-    """`signatures` resolved once per predicate: a function from a matching to its signatures.
-
-    A component's view is the matching itself for the plain kinds, or one of
-    its pair projections for the weak kinds at k >= 2.
-    """
-    t = pred.t
-    if pred.is_set:
-        of_view = lambda view: tuple(box_signatures(view, t))
-    else:
-        of_view = lambda view: tuple(combinations(view, t))
-    if pred.is_weak and k > 1:
-        pairs = part_pairs(k)
-        return lambda m: tuple(of_view(project_pair(m, i, j)) for i, j in pairs)
-    return lambda m: (of_view(m),)
-
-
 def signatures(m, pred: Predicate, k: int) -> tuple:
     """The t-signatures of an arity-k matching, one collection per component.
 
@@ -187,25 +175,84 @@ def signatures(m, pred: Predicate, k: int) -> tuple:
     the weak kinds have one per pair projection (weak equals plain at k = 1).
     The signatures are the t-edge subsets for the intersecting kinds and the
     box signatures for the set kinds, so a matching with fewer than t edges
-    has none and meets nothing.  The loops over many matchings resolve the
-    predicate once, through `_signature_rule`.
+    has none and meets nothing.
     """
-    return _signature_rule(pred, k)(m)
+    t = pred.t
+    views = [project_pair(m, i, j) for i, j in part_pairs(k)] if pred.is_weak and k > 1 else [m]
+    if pred.is_set:
+        return tuple(tuple(box_signatures(view, t)) for view in views)
+    return tuple(tuple(combinations(view, t)) for view in views)
 
 
-def signature_index(items, pred: Predicate, k: int) -> tuple:
-    """(index, sigs): per component, a dict from each signature to the bitset of the items having it,
-    bit i for items[i]; and sigs[i] = ``signatures(items[i], pred, k)``, computed once for the rows."""
-    rule = _signature_rule(pred, k)
-    sigs = list(map(rule, items))
-    # the empty matching has every component, each without signatures
-    index = tuple({} for _ in rule(()))
+@cache
+def unit_codes(parts: tuple, weak: bool, boxes: bool) -> dict:
+    """The int codes of the units, built once per part structure: each edge to its units' codes, one per component.
+
+    A component views some parts: all of them, or for the weak kinds one
+    pair (i, j) each, in `part_pairs` order.  An edge's unit there is its
+    coordinates on those parts: the edge itself, or the projected pair.  An
+    intersecting-kind code (boxes false) is a bit of the unit's own, at its
+    mixed-radix ordinal over the viewed parts; a set-kind code has one bit
+    per viewed part, at that part's offset plus the coordinate, 0-based.
+    `signature_index` reads it for every kind but plain intersecting.
+    """
+    k = len(parts)
+    views = part_pairs(k) if weak else [tuple(range(1, k + 1))]
+    table = {}
+    for e in product(*(range(1, n + 1) for n in parts)):
+        codes = []
+        for view in views:
+            code = offset = 0
+            for p in view:
+                if boxes:
+                    code |= 1 << (offset + e[p - 1] - 1)
+                    offset += parts[p - 1]
+                else:
+                    code = code * parts[p - 1] + e[p - 1] - 1
+            codes.append(code if boxes else 1 << code)
+        table[e] = tuple(codes)
+    return table
+
+
+def signature_index(items, pred: Predicate, parts) -> tuple:
+    """(index, sigs): per component, a dict from each signature's key to the bitset of the items having it,
+    bit i for items[i]; and sigs[i], the keys of items[i]'s signatures per component, computed once for the rows.
+
+    Two keys are equal exactly when the signatures of `signatures` are, and
+    no matching is projected or boxed.  The plain intersecting kind keys a
+    signature by itself, its t edges, or at t = 1 by its edge, so a
+    matching's keys are its edges there.  The other kinds key it by a small
+    int, the sum of its t units' codes (`unit_codes`).  A matching's units
+    have pairwise disjoint codes, since its units are distinct and its
+    coordinates in one part are distinct, so the sum is their OR: the t-set
+    of unit bits for weakly-intersecting, the box's per-part coordinate bits
+    for the set kinds, as the t units of a box signature cover its sides.
+
+    As in `unit_postings`, each key collects its items' bits in a
+    little-endian byte buffer, which becomes an int once, so no bit is set
+    by rebuilding an int as wide as the items indexed so far.
+    """
+    t = pred.t
+    weak = pred.is_weak and len(parts) > 1
+    components = len(part_pairs(len(parts))) if weak else 1
+    if not (weak or pred.is_set):
+        sigs = [(m,) for m in items] if t == 1 else [(tuple(combinations(m, t)),) for m in items]
+    else:
+        codes = unit_codes(parts, weak, pred.is_set).__getitem__
+        # the empty matching has every component, each without signatures
+        none = ((),) * components
+        if t == 1:
+            sigs = [tuple(zip(*map(codes, m))) or none for m in items]
+        else:
+            sigs = [tuple(tuple(map(sum, combinations(units, t))) for units in zip(*map(codes, m))) or none
+                    for m in items]
+    bufs = [defaultdict(partial(bytearray, (len(sigs) + 7) >> 3)) for _ in range(components)]
     for i, own in enumerate(sigs):
-        bit = 1 << i
-        for comp, ss in zip(index, own):
+        byte, bit = i >> 3, 1 << (i & 7)
+        for comp, ss in zip(bufs, own):
             for s in ss:
-                comp[s] = comp.get(s, 0) | bit
-    return index, sigs
+                comp[s][byte] |= bit
+    return tuple({s: int.from_bytes(buf, "little") for s, buf in comp.items()} for comp in bufs), sigs
 
 
 def signature_rows(index, sigs, first: int = 0) -> list:

@@ -6,7 +6,11 @@ exactly maximum cliques.  Two matchings satisfy any of the four predicates
 exactly when they share a t-signature in every component
 (`predicates.signatures`), so a vertex's row is the AND over components of
 the OR of its signatures' index entries (`predicates.signature_rows`); no
-pair of matchings is compared.  One branch-and-bound kernel over bit-rows
+pair of matchings is compared.  The index keys each signature by its edges
+(plain intersecting) or by a small int, the sum of its units' codes read
+per edge off a table built once per part structure
+(`predicates.signature_index`), so no matching is projected or boxed to
+build a row.  One branch-and-bound kernel over bit-rows
 (Python ints), `_branch`, runs every search under a node budget.  With a
 greedy-colouring bound and degeneracy root ordering it finds the maximum
 clique and, holding its incumbent one below the maximum, lists all maximum
@@ -259,7 +263,7 @@ class CompatGraph:
         """Adjacency bit-rows with the diagonal set."""
         if self._full_rows is None:
             u = self.universe
-            self._full_rows = signature_rows(*signature_index(u.items, self.pred, u.k))
+            self._full_rows = signature_rows(*signature_index(u.items, self.pred, u.parts))
         return self._full_rows
 
     @property
@@ -307,7 +311,7 @@ def build_compat_graph(
     if len(universe.sizes) == 1:
         rows = None
     elif workers > 1 and n >= 64:
-        index, sigs = signature_index(universe.items, pred, universe.k)
+        index, sigs = signature_index(universe.items, pred, universe.parts)
         step = -(-n // (workers * 4))
         blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         rows = [0] * n
@@ -316,7 +320,7 @@ def build_compat_graph(
             for lo, block_rows in pool.map(_build_row_block, blocks):
                 rows[lo : lo + len(block_rows)] = block_rows
     else:
-        rows = signature_rows(*signature_index(universe.items, pred, universe.k))
+        rows = signature_rows(*signature_index(universe.items, pred, universe.parts))
     return CompatGraph(universe, pred, rows, symmetric=True)
 
 
@@ -348,9 +352,9 @@ def _neighbour_rows(graph: CompatGraph) -> list:
     return [graph.rows[v] & ~(1 << v) for v in range(n)]
 
 
-def _local_rows(items, pred: Predicate, k: int) -> list:
+def _local_rows(items, pred: Predicate, parts) -> list:
     """Neighbour rows of the items among themselves, bit i for items[i], from a signature index over them alone."""
-    rows = signature_rows(*signature_index(items, pred, k))
+    rows = signature_rows(*signature_index(items, pred, parts))
     return [row & ~(1 << i) for i, row in enumerate(rows)]
 
 
@@ -368,7 +372,7 @@ def _root_rows(graph: CompatGraph):
         universe, pred, k = graph.universe, graph.pred, graph.universe.k
         row0 = holders(universe, pred, signatures(universe.items[0], pred, k))
         members = Family(universe, row0 | 1).indices()
-        nadj = _local_rows([universe.items[v] for v in members], pred, k)
+        nadj = _local_rows([universe.items[v] for v in members], pred, universe.parts)
         sys.setrecursionlimit(max(sys.getrecursionlimit(), len(members) + 512))
         graph._root_rows = nadj, members
     return graph._root_rows
@@ -670,7 +674,7 @@ def _averaging_bound(graph: CompatGraph, state: _SearchState):
 
     bound = None
     for family in averaging_sets(graph.universe, graph.pred):
-        nadj = _local_rows(family.members(), graph.pred, graph.universe.k)
+        nadj = _local_rows(family.members(), graph.pred, graph.universe.parts)
         omega = _SearchState(budget=state.budget, nodes=state.nodes)
         _search_roots(nadj, _root_subproblems(nadj, len(nadj)), omega)
         state.nodes = omega.nodes

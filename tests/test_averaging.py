@@ -206,6 +206,7 @@ def test_signature_rows_of_each_set_equal_pair_checker_rows(parts, r, pred, monk
     families = averaging_sets(universe, pred)
     assert families and bound_of(graph) is not None
     check = pair_checker(pred, universe.k)
+    assert len(seen) == len(families)
     for family, rows in zip(families, seen):
         members = family.members()
         assert rows == [sum(1 << j for j, b in enumerate(members) if i == j or check(a, b))

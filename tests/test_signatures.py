@@ -1,6 +1,8 @@
 """The signature index against the pairwise predicates and brute-force star scans."""
 
+from functools import reduce
 from itertools import combinations, product
+from operator import or_
 
 import pytest
 
@@ -16,6 +18,7 @@ from ekrmatch.predicates import (
     signature_bits,
     signature_index,
     signatures,
+    unit_codes,
     unit_postings,
 )
 from ekrmatch.search import build_compat_graph
@@ -69,7 +72,7 @@ def test_weak_equals_plain_at_k1():
     universe = enumerate_union_universe((5,), (1, 2, 3))
     for kind in ("intersecting", "set-intersecting"):
         weak, plain = Predicate("weakly-" + kind, 2), Predicate(kind, 2)
-        assert signature_index(universe.items, weak, 1) == signature_index(universe.items, plain, 1)
+        assert signature_index(universe.items, weak, (5,)) == signature_index(universe.items, plain, (5,))
 
 
 def test_postings_are_memoised_per_universe():
@@ -153,6 +156,35 @@ BOX_UNIVERSES = [
 ]
 
 
+def unit_keys(parts, pred):
+    """Per component, each unit's code from `unit_codes`, which gives every edge through a unit the same code.
+
+    None for the plain intersecting kind, whose keys are edges.
+    """
+    k = len(parts)
+    weak = pred.is_weak and k > 1
+    if not (weak or pred.is_set):
+        return None
+    views = [(i, j) for i in range(1, k + 1) for j in range(i + 1, k + 1)] if weak else [range(1, k + 1)]
+    per_unit = [{} for _ in views]
+    for e, codes in unit_codes(parts, weak, pred.is_set).items():
+        assert len(codes) == len(views)
+        for comp, view, code in zip(per_unit, views, codes):
+            assert comp.setdefault(tuple(e[p - 1] for p in view), code) == code
+    return per_unit
+
+
+def key_of(per_unit, pred, component, signature):
+    """A signature's index key: the sum of its t units' codes, a box's units any perfect matching of it.
+
+    The plain intersecting kind keys a signature by itself, or at t = 1 by its edge.
+    """
+    if per_unit is None:
+        return signature[0] if pred.t == 1 else signature
+    units = zip(*map(sorted, signature)) if pred.is_set else signature
+    return sum(per_unit[component][u] for u in units)
+
+
 @pytest.mark.parametrize("parts,sizes", BOX_UNIVERSES)
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_box_star_bits_equal_brute_scan(parts, sizes, t):
@@ -171,12 +203,14 @@ def test_box_star_bits_equal_brute_scan(parts, sizes, t):
 def test_signature_bits_equal_posting_entries(parts, sizes, t, kind):
     universe = enumerate_union_universe(parts, sizes)
     pred = Predicate(kind, t)
-    index, _ = signature_index(universe.items, pred, universe.k)
+    index, _ = signature_index(universe.items, pred, parts)
     assert len(index) == (3 if pred.is_weak and len(parts) == 3 else 1)
     assert any(index) == (t <= max(sizes))
+    per_unit = unit_keys(parts, pred)
     for component, entries in enumerate(index):
-        for signature, bits in entries.items():
-            assert signature_bits(universe, pred, component, signature) == bits
+        sigs = {s for m in universe.items for s in signatures(m, pred, universe.k)[component]}
+        assert {key_of(per_unit, pred, component, s): signature_bits(universe, pred, component, s)
+                for s in sigs} == entries
 
 
 def test_t_set_star_errors_unchanged():
@@ -223,12 +257,47 @@ def test_signature_index_over_item_lists_equals_the_per_universe_index(parts, si
     universe = enumerate_union_universe(parts, sizes)
     pred, k = Predicate(kind, t), len(parts)
     n = len(universe)
-    index, sigs = signature_index(universe.items, pred, k)
-    assert index == per_universe_index(universe, pred, range(n))
-    assert [list(map(set, own)) for own in sigs] == [item_signatures(m, pred, k) for m in universe.items]
+    per_unit = unit_keys(parts, pred)
+
+    def keyed(comps):
+        return [{key_of(per_unit, pred, c, s): bits for s, bits in comp.items()} for c, comp in enumerate(comps)]
+
+    index, sigs = signature_index(universe.items, pred, parts)
+    assert list(index) == keyed(per_universe_index(universe, pred, range(n)))
+    assert [list(map(set, own)) for own in sigs] == [
+        [{key_of(per_unit, pred, c, s) for s in ss} for c, ss in enumerate(item_signatures(m, pred, k))]
+        for m in universe.items]
     # a sub-list sets bit i for its i-th item: the per-universe entries, compressed to the sub-list
     sub = list(range(0, n, 3)) + list(range(1, n, 3))[::2]
     sub.sort()
-    want = tuple({s: sum(1 << i for i, v in enumerate(sub) if bits >> v & 1) for s, bits in comp.items()}
+    want = keyed({s: sum(1 << i for i, v in enumerate(sub) if bits >> v & 1) for s, bits in comp.items()}
                  for comp in per_universe_index(universe, pred, sub))
-    assert signature_index([universe.items[v] for v in sub], pred, k)[0] == want
+    assert list(signature_index([universe.items[v] for v in sub], pred, parts)[0]) == want
+
+
+@pytest.mark.parametrize("parts,sizes", INDEX_UNIVERSES)
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("kind", PREDICATE_KINDS)
+def test_index_keys_equal_tuple_signatures(parts, sizes, t, kind):
+    universe = enumerate_union_universe(parts, sizes)
+    pred, k = Predicate(kind, t), len(parts)
+    index, keys = signature_index(universe.items, pred, parts)
+    sigs = [signatures(m, pred, k) for m in universe.items]
+    per_unit = unit_keys(parts, pred)
+    assert len(index) == len(sigs[0])
+    for c, entries in enumerate(index):
+        held = {}
+        for idx, own in enumerate(sigs):
+            for s in own[c]:
+                held[s] = held.get(s, 0) | 1 << idx
+        # two items share a key exactly when they share a signature
+        for own_keys, own in zip(keys, sigs):
+            assert reduce(or_, (entries[key] for key in own_keys[c]), 0) == reduce(or_, (held[s] for s in own[c]), 0)
+        # one key per signature, each item's keys are those of its signatures,
+        # and a key's entry holds the items having the signature
+        key = {s: key_of(per_unit, pred, c, s) for s in held}
+        assert len(set(key.values())) == len(key) and set(key.values()) == set(entries)
+        for own_keys, own in zip(keys, sigs):
+            assert sorted(own_keys[c]) == sorted(key[s] for s in own[c])
+        for s, bits in held.items():
+            assert signature_bits(universe, pred, c, s) == entries[key[s]] == bits
