@@ -6,12 +6,13 @@ holding at least m of some edges.  Permutation families are represented
 through their 2-part matching encoding {(x, sigma(x))}, so the fixed-point
 and Klein-group families run through the same machinery as every other family.
 The Klein group and the candidate sets of the search's group-averaging bound
-(`averaging_sets`: Katona's cycles, AGL(1, q), PGL(2, p)) are listed member
-by member.
+(`averaging_sets`: Katona's cycles, AGL(1, q) and PGL(2, q) for q a prime
+power, both read off `_field`'s tables of GF(q)) are listed member by member.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from .counts import validate_parts
@@ -26,6 +27,7 @@ from .predicates import (
     box_star_bits,
     part_pairs,
     signature_bits,
+    star_bits,
     star_param_notes,
 )
 
@@ -36,8 +38,7 @@ def t_star(universe: Universe, centre) -> Family:
     t = len(centre)
     if t < 1 or t > max(universe.sizes):
         raise ValueError(f"centre of {t} edges cannot sit inside matchings of sizes {universe.sizes}")
-    bits = signature_bits(universe, Predicate("intersecting", t), 0, centre)
-    return Family(universe, bits, star_param_notes(universe, t))
+    return Family(universe, star_bits(universe, centre), star_param_notes(universe, t))
 
 
 def t_set_star(universe: Universe, box) -> Family:
@@ -233,66 +234,73 @@ def cyclic_class_intervals(universe: Universe) -> Family:
     return Family(universe, bits)
 
 
-_BINARY_MODULI = {4: 0b111, 8: 0b1011}  # GF(4) and GF(8) from x^2 + x + 1 and x^3 + x + 1 over GF(2)
+@cache
+def _field(q: int):
+    """GF(q)'s (add, mul) tables on 0..q-1, or None when q is not a prime power.
+
+    Element a is the polynomial over Z_p whose coefficients are a's base-p
+    digits, lowest first, and products are reduced modulo x^e + f for the
+    first f, in numeric order, under which every nonzero element has an
+    inverse, that is, x^e + f is irreducible.  At e = 1 this is the integers
+    mod p; GF(4) and GF(8) come from x^2 + x + 1 and x^3 + x + 1.
+    """
+    p = next((d for d in range(2, q + 1) if q % d == 0), 1)
+    weights = [p ** i for i in range(q.bit_length()) if p ** i < q]
+    if p == 1 or p ** len(weights) != q:
+        return None
+
+    def plus(a, b, c=1):  # a + c * b, digit by digit mod p
+        return sum((a // w + c * (b // w)) % p * w for w in weights)
+
+    add = [[plus(a, b) for b in range(q)] for a in range(q)]
+    for f in range(q):
+        # x * y shifts y's digits up, and its top digit d = y // (q // p) becomes d * x^e = -d * f
+        x_times = [plus(y % (q // p) * p, f, p - y // (q // p)) for y in range(q)]
+        mul = [[0] * q for _ in range(q)]
+        for a, row in enumerate(mul):
+            for b in range(1, q):  # b = x * (b // p) + b % p, and b // p < b
+                row[b] = plus(x_times[row[b // p]], a, b % p)
+        if all(1 in row for row in mul[1:]):
+            return add, mul
 
 
-def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
-
-
-def _field_ops(q: int):
-    """(add, mul) of the field on 0..q-1: integers mod q for q prime, else polynomials over GF(2)."""
-    if _is_prime(q):
-        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
-    modulus = _BINARY_MODULI[q]
-
-    def mul(a, b):
-        out = 0
-        while b:
-            if b & 1:
-                out ^= a
-            b >>= 1
-            a <<= 1
-            if a & q:
-                a ^= modulus
-        return out
-
-    return (lambda a, b: a ^ b), mul
+def _line_field(universe: Universe, group: str, extra: int) -> tuple:
+    """(q, add, mul) for `group` on the permutations of [q + extra]; raises when q is not a prime power."""
+    q = _permutation_universe(universe) - extra
+    field = _field(q)
+    if not field:
+        raise ValueError(f"{group} needs a field of q = {q} elements, and {q} is not a prime power")
+    return (q, *field)
 
 
 def affine_line_group(universe: Universe) -> Family:
     """AGL(1, q) on the q field elements, sharply 2-transitive: the maps x -> ax + b with a != 0.
 
-    The universe is that of the permutations of [q], with q prime, 4 or 8;
-    field element x is vertex x + 1.
+    The universe is that of the permutations of [q], q a prime power; field
+    element x (`_field`) is vertex x + 1.
     """
-    q = _permutation_universe(universe)
-    if not (_is_prime(q) or q in _BINARY_MODULI):
-        raise ValueError(f"no field of {q} elements here: need a prime, 4 or 8")
-    add, mul = _field_ops(q)
+    q, add, mul = _line_field(universe, "AGL(1, q)", 0)
     return Family.from_matchings(universe, (
-        [(x + 1, add(mul(a, x), b) + 1) for x in range(q)] for a in range(1, q) for b in range(q)
+        [(x + 1, add[mul[a][x]][b] + 1) for x in range(q)] for a in range(1, q) for b in range(q)
     ))
 
 
 def projective_line_group(universe: Universe) -> Family:
-    """PGL(2, p) on the p + 1 points of the projective line, sharply 3-transitive.
+    """PGL(2, q) on the q + 1 points of the projective line, sharply 3-transitive.
 
-    The universe is that of the permutations of [p + 1], with p prime; the
-    point x in Z_p is vertex x + 1 and the point at infinity is vertex p + 1.
-    The maps x -> (ax + b)/(cx + d) with ad - bc != 0 are collected as
-    permutations, so scalar multiples of one matrix give one member.
+    The universe is that of the permutations of [q + 1], q a prime power; the
+    field element x (`_field`) is vertex x + 1 and the point at infinity is
+    vertex q + 1.  The maps x -> (ax + b)/(cx + d) with ad != bc are collected
+    as permutations, so scalar multiples of one matrix give one member.
     """
-    p = _permutation_universe(universe) - 1
-    if not _is_prime(p):
-        raise ValueError(f"PGL(2, p) acts on p + 1 points, p prime; {p} is not prime")
+    q, add, mul = _line_field(universe, "PGL(2, q)", 1)
 
     def image(a, b, c, d, x):
-        num, den = (a, c) if x == p else ((a * x + b) % p, (c * x + d) % p)
-        return p if den == 0 else num * pow(den, -1, p) % p
+        num, den = (a, c) if x == q else (add[mul[a][x]][b], add[mul[c][x]][d])
+        return q if den == 0 else mul[num][mul[den].index(1)]
 
-    perms = {tuple(image(a, b, c, d, x) for x in range(p + 1))
-             for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p}
+    perms = {tuple(image(a, b, c, d, x) for x in range(q + 1))
+             for a, b, c, d in product(range(q), repeat=4) if mul[a][d] != mul[b][c]}
     return Family.from_matchings(universe, ([(x + 1, y + 1) for x, y in enumerate(s)] for s in perms))
 
 
@@ -302,16 +310,17 @@ def averaging_sets(universe: Universe, pred: Predicate) -> list:
     The cyclic class intervals at t = 1 where 2r <= n or r = n, n the
     smallest part: elsewhere any two intervals of a class meet, so the bound
     cannot reach the star.  On the permutations of [n] under the intersecting
-    kinds, AGL(1, n) at t = 2 and PGL(2, n - 1) at t = 3, where they exist.
+    kinds, AGL(1, n) at t = 2 (n a prime power) and PGL(2, n - 1) at t = 3
+    (n - 1 a prime power).
     """
     parts, r, t = universe.parts, universe.r, pred.t
     out = []
     if t == 1 and (2 * r <= min(parts) or r == min(parts)):
         out.append(cyclic_class_intervals(universe))
     if len(parts) == 2 and parts[0] == parts[1] == r and not pred.is_set:
-        if t == 2 and (_is_prime(r) or r in _BINARY_MODULI):
+        if t == 2 and _field(r):
             out.append(affine_line_group(universe))
-        elif t == 3 and _is_prime(r - 1):
+        elif t == 3 and _field(r - 1):
             out.append(projective_line_group(universe))
     return out
 
@@ -322,10 +331,8 @@ def is_upward_closed(fam: Family) -> bool:
     That is, whether each member's star, the matchings holding all its edges,
     lies inside the family; the empty matching's star is the whole universe.
     """
-    u = fam.universe
     outside = ~fam.bits
     for m in fam.members():
-        star = signature_bits(u, Predicate("intersecting", len(m)), 0, m) if m else (1 << len(u)) - 1
-        if star & outside:
+        if star_bits(fam.universe, m) & outside:
             return False
     return True

@@ -20,7 +20,9 @@ every component.  `signatures` states this once, and only this module turns
 signatures into bits: graph rows through `signature_index` and
 `signature_rows`, and the holders of given signatures (stars, weak centre
 systems, row 0 of a transitive graph) through `holders` and `signature_bits`,
-read off the edge postings.  The pairwise functions stay as the oracle.
+read off the edge postings; a plain star is `star_bits`, the AND of its
+edges' postings, and a box star `box_star_bits`.  The pairwise functions
+stay as the oracle.
 An index key stands for one signature, equal exactly when the signatures
 are: its edges for the plain intersecting kind, and for the other kinds a
 small int, the sum of its t units' codes, looked up per edge in a table
@@ -318,17 +320,18 @@ def signature_bits(universe, pred: Predicate, component: int, signature) -> int:
     units = unit_postings(universe, pred.is_weak and universe.k > 1)[component]
     everything = (1 << len(universe)) - 1
     if not pred.is_set:
-        bits = everything
-        for unit in signature:
-            bits &= units.get(unit, 0)
-        return bits
+        return _and_postings(units, signature, everything)
     first, *rest = (sorted(side) for side in signature)
     bits = 0
     for cols in product(*map(permutations, rest)):
-        hit = everything
-        for unit in zip(first, *cols):
-            hit &= units.get(unit, 0)
-        bits |= hit
+        bits |= _and_postings(units, zip(first, *cols), everything)
+    return bits
+
+
+def _and_postings(postings: dict, units, bits: int) -> int:
+    """bits AND the posting of every unit, a unit that no matching holds posting nothing."""
+    for unit in units:
+        bits &= postings.get(unit, 0)
     return bits
 
 
@@ -414,9 +417,12 @@ def _star_centres(fam: Family, t: int) -> tuple:
     edges = unit_postings(u)[0]
     lowest = u.items[(bits & -bits).bit_length() - 1]
     common = [e for e in lowest if edges[e] & bits == bits]
-    # each centre's star is read off the edge postings, without the intersecting:t index
-    pred = predicate("intersecting", t)
-    return tuple(c for c in combinations(common, t) if signature_bits(u, pred, 0, c) == bits)
+    return tuple(c for c in combinations(common, t) if star_bits(u, c) == bits)
+
+
+def star_bits(universe, edges) -> int:
+    """The matchings of the universe holding every given edge: the AND of the edge postings, every matching for none."""
+    return _and_postings(unit_postings(universe)[0], edges, (1 << len(universe)) - 1)
 
 
 def box_star_bits(universe, box) -> int:

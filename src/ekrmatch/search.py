@@ -129,7 +129,7 @@ sets S are families from `constructions.averaging_sets`.  At t = 1 where
 every cyclic class; matchings of two classes share no edge, so under
 `intersecting:1` omega(G[S]) = r and the bound is the star's.  On the
 permutations of [n] under the intersecting kinds, S is AGL(1, n) at t = 2
-(n prime, 4 or 8) or PGL(2, n - 1) at t = 3 (n - 1 prime): sharply
+(n a prime power) or PGL(2, n - 1) at t = 3 (n - 1 a prime power): sharply
 t-transitive, so two members meet in fewer than t edges, omega(G[S]) = 1,
 and the bound is (n - t)!, the star's.  omega(G[S]) is the greedy-bound
 kernel over every root of S's rows, which come from a signature index over
@@ -201,8 +201,8 @@ from .matchings import (
     enumerate_union_universe,
     relabelling_generators,
 )
-from .predicates import (Predicate, box_star_bits, check_strength, classify_star, holders, predicate,
-                         signature_bits, signature_index, signature_rows, signatures)
+from .predicates import (Predicate, box_star_bits, check_strength, classify_star, holders, signature_index,
+                         signature_rows, signatures, star_bits)
 
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
@@ -789,8 +789,7 @@ def _star_orbit(universe: Universe, kind: str, t: int):
     ranges = [range(1, n + 1) for n in universe.parts]
     if kind == "t-set-star":
         return (box_star_bits(universe, box) for box in product(*(combinations(xs, t) for xs in ranges)))
-    pred = predicate("intersecting", t)
-    return (signature_bits(universe, pred, 0, tuple(zip(rows, *cols)))
+    return (star_bits(universe, zip(rows, *cols))
             for rows in combinations(ranges[0], t) for cols in product(*(permutations(xs, t) for xs in ranges[1:])))
 
 

@@ -1,8 +1,10 @@
 """The group-averaging bound at the proof's root.
 
 The candidate sets are checked on their own: the cyclic class intervals by
-their size and the classes they come from, AGL(1, q) and PGL(2, p) by their
-size and by meeting in fewer than t edges.  The bound is checked against the
+their size and the classes they come from, AGL(1, q) and PGL(2, q) by their
+size and by meeting in fewer than t edges.  The field tables behind both
+groups are checked against the field axioms by brute force, and the groups
+against the integer and GF(2) arithmetic they were first built from.  The bound is checked against the
 maximum that the proof finds without it, and against `max_clique_naive`
 where the graph is small, on every transitive builtin and benchmark cell and
 on random small cells.  The rows of each set are checked against
@@ -12,17 +14,20 @@ on random small cells.  The rows of each set are checked against
 import functools
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 
 from ekrmatch import constructions, search
 from ekrmatch.constructions import (
+    _field,
     affine_line_group,
     averaging_sets,
     cyclic_class_intervals,
     projective_line_group,
 )
-from ekrmatch.matchings import enumerate_union_universe, enumerate_universe
+from ekrmatch.counts import t_star_size
+from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_universe
 from ekrmatch.predicates import PREDICATE_KINDS, Predicate, family_satisfies, pair_checker
 from ekrmatch.search import (
     CompatGraph,
@@ -78,11 +83,107 @@ def test_cyclic_class_intervals_are_the_intervals_of_every_class(parts, r):
 
 
 AGL_ORDERS = [2, 3, 4, 5, 7, 8]
-PGL_PRIMES = [2, 3, 5, 7]
+PGL_ORDERS = [2, 3, 4, 5, 7]
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+NO_FIELD = [1, 6, 10, 12, 15]
 
 
 def meet(p, q):
     return len(set(p) & set(q))
+
+
+@pytest.fixture(scope="module")
+def s9():
+    return permutations_of(9)
+
+
+def assert_sharply_transitive(family, n, t):
+    """n(n-1)...(n-t+1) members, no two meeting in t points: each ordered t-tuple goes to each exactly once."""
+    size = 1
+    for i in range(t):
+        size *= n - i
+    assert len(family) == size
+    assert all(meet(a, b) < t for a, b in combinations(family.members(), 2))
+
+
+# ---------------------------------------------------------------------------
+# the field tables
+
+
+@pytest.mark.parametrize("q", range(33))
+def test_field_tables_are_a_field_exactly_at_prime_powers(q):
+    field = _field(q)
+    if q not in PRIME_POWERS:
+        assert field is None
+        return
+    add, mul = field
+    els = range(q)
+    for op in (add, mul):
+        assert all(op[a][b] == op[b][a] for a in els for b in els)
+        assert all(op[op[a][b]][c] == op[a][op[b][c]] for a in els for b in els for c in els)
+    assert all(mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]] for a in els for b in els for c in els)
+    assert add[0] == mul[1] == list(els)
+    assert all(0 in add[a] for a in els) and all(1 in mul[a] for a in els if a)
+
+
+@pytest.mark.parametrize("q", NO_FIELD)
+def test_both_groups_need_a_prime_power(q):
+    # only the universe's shape is read before the field is asked for, so no S_10 or S_16 is built
+    assert _field(q) is None
+    with pytest.raises(ValueError, match="not a prime power"):
+        affine_line_group(SimpleNamespace(parts=(q, q), sizes=(q,)))
+    with pytest.raises(ValueError, match="not a prime power"):
+        projective_line_group(SimpleNamespace(parts=(q + 1, q + 1), sizes=(q + 1,)))
+
+
+def oracle_field_ops(q):
+    """(add, mul) on 0..q-1: integers mod q for q prime, else polynomials over GF(2) for q = 4 or 8."""
+    if all(q % d for d in range(2, q)):
+        return (lambda a, b: (a + b) % q), (lambda a, b: a * b % q)
+    modulus = {4: 0b111, 8: 0b1011}[q]
+
+    def mul(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a & q:
+                a ^= modulus
+        return out
+
+    return (lambda a, b: a ^ b), mul
+
+
+def oracle_projective_line_group(universe, p):
+    """PGL(2, p), p prime, through mod-p arithmetic and `pow` for the inverse."""
+    def image(a, b, c, d, x):
+        num, den = (a, c) if x == p else ((a * x + b) % p, (c * x + d) % p)
+        return p if den == 0 else num * pow(den, -1, p) % p
+
+    perms = {tuple(image(a, b, c, d, x) for x in range(p + 1))
+             for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p}
+    return Family.from_matchings(universe, ([(x + 1, y + 1) for x, y in enumerate(s)] for s in perms))
+
+
+@pytest.mark.parametrize("q", AGL_ORDERS)
+def test_affine_line_group_equals_the_integer_and_binary_oracle(q):
+    universe = permutations_of(q)
+    add, mul = oracle_field_ops(q)
+    oracle = Family.from_matchings(universe, ([(x + 1, add(mul(a, x), b) + 1) for x in range(q)]
+                                              for a in range(1, q) for b in range(q)))
+    assert affine_line_group(universe).bits == oracle.bits
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_line_group_equals_the_mod_p_oracle(p):
+    universe = permutations_of(p + 1)
+    assert projective_line_group(universe).bits == oracle_projective_line_group(universe, p).bits
+
+
+# ---------------------------------------------------------------------------
+# the groups
 
 
 @pytest.mark.parametrize("q", AGL_ORDERS)
@@ -98,19 +199,30 @@ def test_affine_line_group_is_sharply_two_transitive(q):
             assert sum(s[x] == u and s[y] == v for s in images) == 1
 
 
-@pytest.mark.parametrize("p", PGL_PRIMES)
-def test_projective_line_group_is_sharply_three_transitive(p):
-    family = projective_line_group(permutations_of(p + 1))
-    members = family.members()
-    assert len(family) == (p + 1) * p * (p - 1)
-    assert all(meet(a, b) < 3 for a, b in combinations(members, 2))
+@pytest.mark.parametrize("q", PGL_ORDERS)
+def test_projective_line_group_is_sharply_three_transitive(q):
+    assert_sharply_transitive(projective_line_group(permutations_of(q + 1)), q + 1, 3)
+
+
+def test_groups_over_the_new_fields_are_sharply_transitive(s9):
+    assert_sharply_transitive(affine_line_group(s9), 9, 2)
+    assert_sharply_transitive(projective_line_group(s9), 9, 3)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_groups_bound_every_small_permutation_cell_at_the_star(n):
+    # AGL(1, n) at t = 2 and PGL(2, n - 1) at t = 3 exist exactly where the field does
+    for t, q in ((2, n), (3, n - 1)):
+        if t <= n:
+            graph = build_compat_graph(permutations_of(n), Predicate("intersecting", t), cap=50_000)
+            assert bound_of(graph) == (t_star_size((n, n), n, t) if _field(q) else None)
 
 
 def test_sharply_transitive_sets_need_their_universe():
     with pytest.raises(ValueError):
         affine_line_group(permutations_of(6))
     with pytest.raises(ValueError):
-        projective_line_group(permutations_of(5))
+        projective_line_group(permutations_of(7))
     with pytest.raises(ValueError):
         affine_line_group(enumerate_universe((5, 5), 4))
 
@@ -126,7 +238,7 @@ def test_candidate_sets_are_built_only_where_they_can_reach_the_star():
     assert sizes((6, 6), 6, "intersecting:2") == []
     assert sizes((6, 6), 6, "weakly-intersecting:3") == [120]
     assert sizes((6, 6), 6, "set-intersecting:3") == []
-    assert sizes((5, 5), 5, "intersecting:3") == []
+    assert sizes((5, 5), 5, "intersecting:3") == [60]  # PGL(2, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +304,7 @@ CHECKED_SETS = [((10,), 4, "intersecting:1"), ((6, 6), 3, "intersecting:1"),
                 ((6, 6), 3, "set-intersecting:1"), ((4, 4, 4), 2, "weakly-intersecting:1"),
                 ((4, 4, 4), 2, "weakly-set-intersecting:1"), ((3, 4, 5), 3, "weakly-intersecting:1"),
                 ((5, 5), 5, "intersecting:2"), ((4, 4), 4, "weakly-intersecting:3"),
-                ((6, 6), 6, "intersecting:3")]
+                ((6, 6), 6, "intersecting:3"), ((5, 5), 5, "intersecting:3")]
 
 
 @pytest.mark.parametrize("parts,r,pred", CHECKED_SETS,

@@ -54,10 +54,12 @@ def test_extremal_node_counts_are_pinned(parts, sizes, pred, size, status, nodes
     assert (rep.max_size, rep.status, rep.nodes) == (size, status, nodes)
 
 
-# the cells of PINNED where the averaging bound is tight: its clique-number search, then the witness search
+# cells where the averaging bound is tight, the first two from PINNED: its clique-number search, then the
+# witness search
 AVERAGED = [
     ((6, 6), (3,), "intersecting:1", 200, 230),
     ((10,), (4,), "intersecting:1", 84, 94),
+    ((5, 5), (5,), "intersecting:3", 2, 1),  # S_5 at t = 3, over PGL(2, 4)
 ]
 
 
