@@ -24,7 +24,6 @@ import random
 from dataclasses import dataclass, field, replace
 from itertools import combinations, islice, product
 from math import factorial
-from multiprocessing import get_context
 
 from . import __version__
 from .counts import (
@@ -86,6 +85,7 @@ from .search import (
     NodeBudgetExceeded,
     build_compat_graph,
     extremal,
+    fork_pool,
 )
 from .storage import report_row
 
@@ -219,8 +219,7 @@ def run_bound_campaign(name: str, cells, caps=None, workers: int = 1, keep=()) -
     caps = _default_caps(caps)
     jobs = [(name, i, cell, caps, i in keep) for i, cell in enumerate(cells)]
     if workers > 1 and len(jobs) > 1:
-        ctx = get_context("fork")
-        with ctx.Pool(min(workers, len(jobs))) as pool:
+        with fork_pool(min(workers, len(jobs))) as pool:
             results = pool.map(_run_bound_cell, jobs)
     else:
         results = [_run_bound_cell(job) for job in jobs]

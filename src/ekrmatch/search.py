@@ -77,26 +77,34 @@ the group give the full list.  Every image of a maximum is a maximum, since
 the group preserves the predicate, and every maximum C is an image of one
 through vertex 0, since some group element sends a vertex of C to vertex 0
 (Godsil and Meagher, cited below).  Each maximum through vertex 0 is
-classified (`predicates.classify_star`), unless an orbit already listed holds
-it.  A relabelling g maps the star of a t-edge centre c onto the star of
-g(c), and the group acts transitively on the t-edge matchings, so the orbit
-of a full t-star is the full star of every t-edge matching; likewise the
-orbit of a t-set-star is the box star of every box of per-part t-sets.
-These are read off the edge postings (`_star_orbit`), and equal stars of
-distinct centres count once.  Only a maximum of another kind (none, or a weak
-star) is closed by a breadth-first search under generators of the group (per
-part the swap (1 2) and the n_i-cycle, `matchings.relabelling_generators`),
-whose index tables are built only then.  The list is sorted in the order of
-`Family.indices` (`_index_order`), so its order, and everything read from it,
-does not depend on the path.  Two checks that fail only through an engine
-bug guard the path.  By double counting the pairs (vertex, maximum containing
-it), the list must hold exactly |V| * m0 / size maxima, which a generator set
-too small for the group, or too few star centres, would miss.  The star kind
-is invariant too, so `extremal` requires each kind's tally times the size to
-equal |V| times that kind's tally among the maxima through vertex 0.  The
-node budget bounds the root-0 listing.  The cap bounds the orbits, which make
-the whole list, so it overflows exactly when the full listing would, with at
-most cap + 1 maxima held.
+classified (`predicates.classify_star`), and one that no orbit listed so far
+holds adds its orbit.  A relabelling g maps the star of a t-edge centre c
+onto the star of g(c), and the group acts transitively on the t-edge
+matchings, so the orbit of a full t-star is the full star of every t-edge
+matching; likewise the orbit of a t-set-star is the box star of every box of
+per-part t-sets.  These are read off the edge postings (`_star_orbit`), and
+equal stars of distinct centres count once.  Only a maximum of another kind
+(none, or a weak star) is closed by a breadth-first search under generators
+of the group (per part the swap (1 2) and the n_i-cycle,
+`matchings.relabelling_generators`), whose index tables are built only then.
+The members of an orbit inherit their classification rather than being
+classified again.  A star's centres are the centres that `_star_orbit` gives
+it, in ascending order as `classify_star` lists them; every member of a
+generator closure shares its seed's classification, since the kind, the
+box-star flag of a weak t-set-star and the notes are invariant under the
+relabellings.  The list is sorted in the order of `Family.indices`
+(`_index_order`), so its order, and everything read from it, does not
+depend on the path.  Three checks that fail only through an engine bug guard
+the path.  Each maximum through vertex 0, a share size / |V| of the list,
+must get from `classify_star` exactly the classification its orbit gave it,
+so a wrong or missing centre there is caught.  By double counting the pairs
+(vertex, maximum containing it), the list must hold exactly |V| * m0 / size
+maxima, which a generator set too small for the group, or too few star
+centres, would miss.  The star kind is invariant too, so `extremal` requires
+each kind's tally times the size to equal |V| times that kind's tally among
+the maxima through vertex 0.  The node budget bounds the root-0 listing.
+The cap bounds the orbits, which make the whole list, so it overflows
+exactly when the full listing would, with at most cap + 1 maxima held.
 
 A graph from `build_compat_graph` is marked symmetric: its rows come from a
 whole (union) universe, so the part relabellings map them onto themselves.
@@ -188,7 +196,6 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
-from multiprocessing import get_context
 
 from .counts import t_set_star_size, t_star_size
 from .matchings import (
@@ -201,8 +208,8 @@ from .matchings import (
     enumerate_union_universe,
     relabelling_generators,
 )
-from .predicates import (Predicate, box_star_bits, check_strength, classify_star, holders, signature_index,
-                         signature_rows, signatures, star_bits)
+from .predicates import (Predicate, StarClassification, box_star_bits, check_strength, classify_star, holders,
+                         signature_index, signature_rows, signatures, star_bits, star_param_notes)
 
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
@@ -280,6 +287,13 @@ class CompatGraph:
 # graph construction
 
 
+def fork_pool(processes: int, initializer=None, initargs=()):
+    """A pool of forked workers; `multiprocessing` is imported only here, so `import ekrmatch` skips it."""
+    from multiprocessing import get_context
+
+    return get_context("fork").Pool(processes, initializer=initializer, initargs=initargs)
+
+
 _BUILD_CTX = None
 
 
@@ -315,8 +329,7 @@ def build_compat_graph(
         step = -(-n // (workers * 4))
         blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
         rows = [0] * n
-        ctx = get_context("fork")
-        with ctx.Pool(workers, initializer=_init_build, initargs=(index, sigs)) as pool:
+        with fork_pool(workers, _init_build, (index, sigs)) as pool:
             for lo, block_rows in pool.map(_build_row_block, blocks):
                 rows[lo : lo + len(block_rows)] = block_rows
     else:
@@ -514,7 +527,7 @@ def _search_with_workers(nadj, roots, state: _SearchState, workers: int):
         return
     # strided chunks balance load (early roots carry the larger subtrees)
     chunks = [c for c in (roots[i::workers] for i in range(workers)) if c]
-    with get_context("fork").Pool(len(chunks), initializer=_init_clique, initargs=(nadj, state)) as pool:
+    with fork_pool(len(chunks), _init_clique, (nadj, state)) as pool:
         results = pool.map(_solve_root_chunk, chunks)
     state.nodes += sum(r[3] for r in results)
     if state.nodes > state.budget:
@@ -781,16 +794,19 @@ def _orbit_closure(seeds: list, generators, cap: int) -> list:
 
 
 def _star_orbit(universe: Universe, kind: str, t: int):
-    """The bitsets of every full t-star (kind "t-star") or every box star of a uniform universe.
+    """(centre, bits) of every full t-star (kind "t-star") or every box star of a uniform universe.
 
-    They form the orbit of any one of them under the part relabellings
-    (module docstring); distinct centres may give the same star.
+    The stars form the orbit of any one of them under the part relabellings
+    (module docstring); distinct centres may give the same star.  A centre is
+    a t-edge matching, its edges in ascending order, or a box of per-part
+    t-sets, as `classify_star` reports them.
     """
     ranges = [range(1, n + 1) for n in universe.parts]
     if kind == "t-set-star":
-        return (box_star_bits(universe, box) for box in product(*(combinations(xs, t) for xs in ranges)))
-    return (star_bits(universe, zip(rows, *cols))
-            for rows in combinations(ranges[0], t) for cols in product(*(permutations(xs, t) for xs in ranges[1:])))
+        return ((box, box_star_bits(universe, box)) for box in product(*(combinations(xs, t) for xs in ranges)))
+    centres = (tuple(zip(rows, *cols))
+               for rows in combinations(ranges[0], t) for cols in product(*(permutations(xs, t) for xs in ranges[1:])))
+    return ((centre, star_bits(universe, centre)) for centre in centres)
 
 
 _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
@@ -808,16 +824,30 @@ def _index_order(found, n: int) -> list:
     return sorted(found, key=lambda bits: bits.to_bytes(width, "little").translate(_REVERSED_BITS), reverse=True)
 
 
+class _Maxima(list):
+    """The maximum families of `all_max_cliques`, with their classifications where the listing derived them.
+
+    `classifications` holds each family's `StarClassification` on a
+    transitive graph, inherited from its orbit, and is None on any other.
+    """
+
+    def __init__(self, families, classifications=None):
+        super().__init__(families)
+        self.classifications = classifications
+
+
 def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP,
                     node_budget: int = DEFAULT_NODE_BUDGET):
     """Every clique of the maximum size, in index-lexicographic order.
 
     A transitive graph lists the maxima through vertex 0 alone, within the
     node budget, and adds each one's orbit under the part relabellings: the
-    stars of every centre for a star, the generator closure otherwise.  The
-    list must hold |V| * m0 / size members by double counting (module
-    docstring).  Other graphs search every root.  Raises past cap maxima,
-    past the node budget, or on a clique larger than size.
+    stars of every centre for a star, the generator closure otherwise.  Each
+    member inherits its orbit's classification, and each maximum through
+    vertex 0 must get the same from `classify_star`.  The list must hold
+    |V| * m0 / size members by double counting (module docstring).  Other
+    graphs search every root.  Raises past cap maxima, past the node budget,
+    or on a clique larger than size.
     """
     if size < 1:
         raise ValueError("clique size must be positive")
@@ -826,28 +856,37 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
     _search_roots(nadj, roots, state)
     universe = graph.universe
     if not graph.transitive:
-        return [Family(universe, bits) for bits in _index_order(state.found, graph.n)]
-    found, generators = set(), None
+        return _Maxima(Family(universe, bits) for bits in _index_order(state.found, graph.n))
+    t = graph.pred.t
+    notes = star_param_notes(universe, t)
+    found, generators = {}, None  # each maximum's classification, derived from its orbit
     for seed in [_to_vertices(bits, members) for bits in state.found]:
+        own = classify_star(Family(universe, seed), t)
         if seed in found:  # an orbit already listed holds it
-            continue
-        kind = classify_star(Family(universe, seed), graph.pred.t).kind
-        if kind in ("t-star", "t-set-star"):
-            for bits in _star_orbit(universe, kind, graph.pred.t):
-                found.add(bits)
-                if len(found) > cap:
+            pass
+        elif own.kind in ("t-star", "t-set-star"):
+            orbit = {}  # each star's centres
+            for centre, bits in _star_orbit(universe, own.kind, t):
+                orbit.setdefault(bits, []).append(centre)
+                if len(found) + len(orbit) > cap:
                     raise MaximaOverflowError(cap)
+            for bits, centres in orbit.items():
+                found[bits] = StarClassification(own.kind, t, tuple(sorted(centres)), annotations=notes)
         else:
             if generators is None:
                 generators = [g for part in relabelling_generators(universe) for g in part]
-            found.update(_orbit_closure([seed], generators, cap - len(found)))
+            found.update(dict.fromkeys(_orbit_closure([seed], generators, cap - len(found)), own))
+        if found.get(seed) != own:
+            raise InternalCheckError(
+                f"a maximum through vertex 0 classifies as {own}, but its orbit lists it as {found.get(seed)}")
     if len(found) * size != graph.n * len(state.found):
         raise InternalCheckError(
             f"the orbit list holds {len(found)} maxima, but double counting {len(state.found)} "
             f"through vertex 0 over {graph.n} vertices at size {size} gives "
             f"{graph.n * len(state.found) / size}"
         )
-    return [Family(universe, bits) for bits in _index_order(found, graph.n)]
+    order = _index_order(found, graph.n)
+    return _Maxima((Family(universe, bits) for bits in order), [found[bits] for bits in order])
 
 
 # ---------------------------------------------------------------------------
@@ -929,7 +968,12 @@ def extremal(
 ) -> ExtremalReport:
     """Enumerate, build the graph, solve, optionally enumerate and classify all maxima.
 
-    A t above every edge count raises ValueError (`check_strength`).
+    On a transitive graph the maxima come classified from `all_max_cliques`:
+    each inherits its orbit's classification, and only the maxima through
+    vertex 0 are classified independently (`classify_star`), as a check; the
+    kind tallies are checked against theirs.  Any other graph's maxima are
+    each classified.  A t above every edge count raises ValueError
+    (`check_strength`).
     """
     from .constructions import diagonal_matching, t_set_star, t_star
 
@@ -970,7 +1014,9 @@ def extremal(
         try:
             maxima = all_max_cliques(graph, max_size, maxima_cap, node_budget)
             maxima_count = len(maxima)
-            classifications = [classify_star(f, pred.t) for f in maxima]
+            classifications = maxima.classifications
+            if classifications is None:
+                classifications = [classify_star(f, pred.t) for f in maxima]
             maxima_kinds, through_zero = {}, {}
             for f, c in zip(maxima, classifications):
                 maxima_kinds[c.kind] = maxima_kinds.get(c.kind, 0) + 1

@@ -1,6 +1,9 @@
-"""Module boundaries: no module of the package imports another's private name."""
+"""Module boundaries: no module of the package imports another's private name, nor loads `multiprocessing` on import."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ekrmatch
@@ -32,3 +35,12 @@ def test_the_private_import_scan_sees_relative_and_absolute_imports(tmp_path):
                       "from ekrmatch.search import _plan\nfrom os import _exit\n")
     assert private_imports(module) == ["sample.py:2 imports _rule from .predicates",
                                        "sample.py:3 imports _plan from ekrmatch.search"]
+
+
+def test_importing_the_package_and_cli_loads_no_multiprocessing():
+    # a pool's module comes in with its first pool (`search.fork_pool`)
+    path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    code = "import sys, ekrmatch.cli; assert 'multiprocessing' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

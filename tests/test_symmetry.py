@@ -24,7 +24,7 @@ from ekrmatch.matchings import (
     enumerate_universe,
     relabelling_generators,
 )
-from ekrmatch.predicates import PREDICATE_KINDS, Predicate, StarClassification
+from ekrmatch.predicates import PREDICATE_KINDS, Predicate, StarClassification, classify_star
 from ekrmatch.search import (
     CompatGraph,
     InternalCheckError,
@@ -226,6 +226,25 @@ def test_orbit_closed_maxima_equal_full_listing(parts, r, pred):
     assert want == lexicographic(want, marked.universe)
 
 
+# the all-maxima cells of the benchmark's `all-maxima` workload
+BENCH_MAXIMA_CELLS = [((6, 6), 3, Predicate("intersecting", 1)), ((5, 5), 4, Predicate("intersecting", 2))]
+
+
+def test_closure_cells_hold_the_builtin_and_benchmark_cells():
+    assert set(uniform_builtin_cells() + BENCH_MAXIMA_CELLS) <= set(CLOSURE_CELLS)
+
+
+@pytest.mark.parametrize("parts,r,pred", CLOSURE_CELLS,
+                         ids=[f"{p}-r{r}-{pred}" for p, r, pred in CLOSURE_CELLS])
+def test_orbit_classifications_equal_classify_star(parts, r, pred, monkeypatch):
+    calls, real = [], search.classify_star
+    monkeypatch.setattr(search, "classify_star", lambda fam, t: calls.append(fam.bits) or real(fam, t))
+    rep = extremal(parts, (r,), pred, all_maxima=True)
+    # the listing classifies the maxima through vertex 0 alone; the others inherit their orbit's
+    assert sorted(calls) == sorted(f.bits for f in rep.maxima if f.bits & 1)
+    assert rep.classifications == [classify_star(f, pred.t) for f in rep.maxima]
+
+
 def test_klein_cell_kinds_pass_the_tally_check():
     rep = extremal((4, 4), (4,), Predicate("set-intersecting", 2), all_maxima=True)
     assert rep.maxima_count == 24
@@ -283,11 +302,43 @@ def test_double_count_catches_missing_star_centres(monkeypatch):
         all_max_cliques(g, 200)
 
 
-def test_kind_tally_catches_a_kind_that_depends_on_vertex_zero(monkeypatch):
+def test_orbit_guard_catches_a_kind_that_depends_on_vertex_zero(monkeypatch):
+    # the listing classifies only the maxima through vertex 0; every other maximum inherits its orbit's
     fake = lambda fam, t: StarClassification("t-star" if fam.bits & 1 else "none", t)
     monkeypatch.setattr(search, "classify_star", fake)
-    with pytest.raises(InternalCheckError, match="kind"):
+    with pytest.raises(InternalCheckError, match="through vertex 0 classifies as .*kind='t-star'"):
         extremal((3, 3), (2,), Predicate("intersecting", 1), all_maxima=True)
+
+
+def wrong_first_centre(real):
+    """`_star_orbit` with the first star given the second star's centre."""
+    def orbit(*args):
+        pairs = list(real(*args))
+        pairs[0] = (pairs[1][0], pairs[0][1])
+        return iter(pairs)
+    return orbit
+
+
+@pytest.mark.parametrize("parts,r,pred,mutate", [
+    ((5, 5), 4, Predicate("intersecting", 2), wrong_first_centre),
+    # each one-member star has three centres: dropping the first leaves item 0 with two
+    ((3, 3), 3, Predicate("intersecting", 2), lambda real: lambda *args: islice(real(*args), 1, None)),
+], ids=["wrong-centre", "dropped-degenerate-centre"])
+def test_orbit_guard_catches_wrong_star_centres(parts, r, pred, mutate, monkeypatch):
+    # the first centre's star holds item 0; the count and the kinds stay right, so only the guard sees it
+    graph = build_compat_graph(enumerate_universe(parts, r), pred)
+    size = max_clique(graph)[0]
+    all_max_cliques(graph, size)
+    monkeypatch.setattr(search, "_star_orbit", mutate(search._star_orbit))
+    with pytest.raises(InternalCheckError, match="through vertex 0 classifies as .*kind='t-star'"):
+        all_max_cliques(graph, size)
+
+
+def test_kind_tally_check_scales_each_kind_through_vertex_zero():
+    # (6,) r=3 intersecting:1: 20 vertices, maxima of size 10, and half of each kind through vertex 0
+    search._check_kind_tallies({"t-star": 6, "none": 1018}, {"t-star": 3, "none": 509}, 10, 20)
+    with pytest.raises(InternalCheckError, match="1018 maxima of kind none but 508 through vertex 0"):
+        search._check_kind_tallies({"t-star": 6, "none": 1018}, {"t-star": 3, "none": 508}, 10, 20)
 
 
 # cells where t > r: item 0 has no signature, so N[0] = {0}
@@ -396,7 +447,7 @@ def test_transitive_cell_builds_no_full_rows_weak_index_or_pool(monkeypatch):
         return built[-1]
 
     indexed, real_index = [], search.signature_index
-    monkeypatch.setattr(search, "get_context", no_pool)
+    monkeypatch.setattr(search, "fork_pool", no_pool)
     monkeypatch.setattr(search, "build_compat_graph", recording)
     monkeypatch.setattr(search, "signature_index",
                         lambda items, *rest: indexed.append(len(items)) or real_index(items, *rest))
@@ -444,7 +495,7 @@ def test_union_universe_builds_rows_eagerly(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr(search, "get_context", no_pool)
+    monkeypatch.setattr(search, "fork_pool", no_pool)
     with pytest.raises(AssertionError, match="worker pool"):
         build_compat_graph(universe, pred, workers=2)
 
