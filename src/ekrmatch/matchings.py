@@ -8,12 +8,14 @@ one or more edge counts; a Family is a bit-vector over one Universe.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, permutations, product
 from operator import add, getitem, itemgetter
 
 from .counts import count_matchings, validate_parts
 
 DEFAULT_UNIVERSE_CAP = 10**6
+_ONE = re.compile("1")
 
 Edge = tuple
 Matching = tuple
@@ -68,14 +70,19 @@ def _edge_table(parts) -> list:
 
 
 def _enumerate_level(parts, r, table):
-    """Yield all r-edge matchings, unsorted, read off the edge table (`_edge_table`).
+    """Yield all r-edge matchings read off the edge table (`_edge_table`), as one ascending run per row set.
 
     A matching takes the table rows of an r-subset of part 1 and reads row p
     at column ``col[p]``.  ``cols`` lists every choice of one r-arrangement
-    per part 2..k, summed into the table's column numbers; it is built once
-    per level and shared by all subsets, so no invalid tuple is made and
-    equal edges are one object.  At r = 0 every pool yields one empty tuple,
-    and at k = 1 every row has the one column 0.
+    per part 2..k, summed into the table's column numbers; it is built and
+    sorted once per level and shared by all subsets, so no invalid tuple is
+    made and equal edges are one object.  Within one row set the edges'
+    part-1 vertices are fixed, and a column number orders its edges as their
+    coordinates do (mixed radix, part k fastest), so the sorted columns give
+    the row set's matchings in ascending order: the level is C(n_1, r) sorted
+    runs for `sorted` to merge.  At r = 0 every pool yields one empty tuple,
+    and at k = 1 every row has the one column 0; at k <= 2 the columns come
+    out sorted already, and the sort only checks them.
     """
     cols = list(permutations(range(parts[-1]), r)) if len(parts) > 1 else [(0,) * r]
     stride = parts[-1]
@@ -83,6 +90,7 @@ def _enumerate_level(parts, r, table):
         pool = list(permutations(range(0, n * stride, stride), r))
         cols = [tuple(map(add, col, arr)) for arr in pool for col in cols]
         stride *= n
+    cols.sort()
     for rows in combinations(table, r):
         for col in cols:
             yield tuple(map(getitem, rows, col))
@@ -93,21 +101,29 @@ class Universe:
 
     Items are ordered by edge count, then lexicographically on the canonical
     edge list, so indices are stable across runs.  Instances are immutable
-    after construction, apart from the memos that `predicates.unit_postings`
-    and `projection_ids` fill.
+    after construction, apart from three memos, each filled on first use:
+    ``index``, each item's position, and the ones that
+    `predicates.unit_postings` and `projection_ids` fill.
     """
 
-    __slots__ = ("parts", "sizes", "items", "index", "level_offsets", "postings_memo", "projections_memo")
+    __slots__ = ("parts", "sizes", "items", "_index", "level_offsets", "postings_memo", "projections_memo")
 
     def __init__(self, parts, sizes, items):
         self.parts = validate_parts(parts)
         self.sizes = tuple(sizes)
         self.items = tuple(items)
-        self.index = {m: i for i, m in enumerate(self.items)}
+        self._index = None
         lengths = list(map(len, self.items))
         self.level_offsets = {r: lengths.index(r) for r in sorted(set(lengths), key=lengths.index)}
         self.postings_memo = {}
         self.projections_memo = None
+
+    @property
+    def index(self) -> dict:
+        """Each item's position, as {matching: index}, built on the first read and kept."""
+        if self._index is None:
+            self._index = {m: i for i, m in enumerate(self.items)}
+        return self._index
 
     @property
     def k(self) -> int:
@@ -383,13 +399,29 @@ def item_projections(universe: Universe, indices: list) -> list:
 
 
 def bit_positions(bits: int) -> list:
-    """The positions of a bitset's set bits, ascending."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return out
+    """The positions of a bitset's set bits, ascending, in one pass over its binary digits.
+
+    The digits are read lowest first, so each '1' is found at its position;
+    the time is linear in the width, not in the width times the set bits.
+    """
+    if bits < 0:
+        raise ValueError("a bitset cannot be negative")
+    return [m.start() for m in _ONE.finditer(bin(bits)[:1:-1])]
+
+
+def index_bits(indices, size: int) -> int:
+    """The bitset with bit i set for each of the indices, each in range(size).
+
+    Each index sets its bit in a little-endian byte buffer, which becomes an
+    int once, so no bit is set by rebuilding an int as wide as the bitset.
+    Raises ValueError at the first index out of range.
+    """
+    buf = bytearray((size + 7) >> 3)
+    for i in indices:
+        if not 0 <= i < size:
+            raise ValueError(f"index {i} out of range for universe of size {size}")
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 class Family:
@@ -414,12 +446,7 @@ class Family:
 
     @classmethod
     def from_indices(cls, universe: Universe, indices, annotations: tuple = ()) -> "Family":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < len(universe):
-                raise ValueError(f"index {i} out of range for universe of size {len(universe)}")
-            bits |= 1 << i
-        return cls(universe, bits, annotations)
+        return cls(universe, index_bits(indices, len(universe)), annotations)
 
     @classmethod
     def from_matchings(cls, universe: Universe, ms, annotations: tuple = ()) -> "Family":

@@ -206,6 +206,7 @@ from .matchings import (
     bit_positions,
     clique_atoms,
     enumerate_union_universe,
+    index_bits,
     relabelling_generators,
 )
 from .predicates import (Predicate, StarClassification, box_star_bits, check_strength, classify_star, holders,
@@ -392,13 +393,13 @@ def _root_rows(graph: CompatGraph):
 
 
 def _to_vertices(bits: int, members) -> int:
-    """A bitset over local positions, mapped to the vertices members[i]."""
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= 1 << members[low.bit_length() - 1]
-        bits ^= low
-    return out
+    """A bitset over local positions, mapped to the vertices members[i], in time linear in the width.
+
+    members is ascending, so the last vertex bounds the width; the positions
+    are read by `bit_positions` and the vertices set by `index_bits`.
+    """
+    vertices = list(map(members.__getitem__, bit_positions(bits)))
+    return index_bits(vertices, vertices[-1] + 1 if vertices else 0)
 
 
 def _plan(graph: CompatGraph):

@@ -6,10 +6,12 @@ from ekrmatch.counts import count_matchings
 from ekrmatch.matchings import (
     Family,
     UniverseTooLargeError,
+    bit_positions,
     canonical_matching,
     drop_part,
     enumerate_union_universe,
     enumerate_universe,
+    index_bits,
     project_all,
     project_pair,
     reduce_projection,
@@ -18,7 +20,8 @@ from ekrmatch.matchings import (
     validate_matching,
     vertex_shadow,
 )
-from ekrmatch.search import ExtremalReport
+from ekrmatch.predicates import predicate
+from ekrmatch.search import ExtremalReport, _to_vertices, extremal
 from ekrmatch.storage import (
     REPORT_COLUMNS,
     load_family,
@@ -73,6 +76,23 @@ def test_edge_table_enumeration_matches_brute_force(parts, sizes):
     assert u.level_offsets == {r: sum(count_matchings(parts, s) for s in sizes if s < r) for r in sizes}
     edges = [e for m in u.items for e in m]
     assert len({id(e) for e in edges}) == len(set(edges))
+
+
+@pytest.mark.parametrize("parts,sizes", [((4, 3, 4), (3,)), ((5, 4, 4), (2,)), ((3, 3, 4, 3), (2,)),
+                                         ((4, 3, 4), (1, 2, 3)), ((3, 3, 4, 3), (0, 1, 2))])
+def test_sorted_runs_merge_to_the_brute_force_order(parts, sizes):
+    # k = 3 and 4 with r < n_1, so each level merges C(n_1, r) runs, and unions of sizes
+    u = enumerate_union_universe(parts, sizes)
+    assert list(u.items) == [m for r in sizes for m in sorted(brute_matchings(parts, r))]
+
+
+def test_index_is_built_on_first_read():
+    u = enumerate_universe((4, 4, 4), 3)
+    rep = extremal((4, 4, 4), (3,), predicate("weakly-intersecting", 1), universe=u)
+    assert rep.max_size == 108
+    assert u._index is None  # the cell never looked a matching up
+    assert u.index == {m: i for i, m in enumerate(u.items)}
+    assert u.index is u.index
 
 
 def test_index_round_trip():
@@ -347,3 +367,107 @@ def test_report_row_reads_a_report_and_fields_override_it():
                       expect="record-only", elapsed_s=1.235)
     assert over["formula"] == 7 and over["maxima_count"] == "" and over["expect"] == "record-only"
     assert over["max_size"] == 6 and over["detail"] == "" and over["elapsed_s"] == 1.235
+
+
+# the per-bit read-out loops, kept as the oracles of the one-pass versions
+
+
+def _positions_oracle(bits):
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
+
+
+def _from_indices_oracle(indices, size):
+    bits = 0
+    for i in indices:
+        if not 0 <= i < size:
+            raise ValueError(f"index {i} out of range for universe of size {size}")
+        bits |= 1 << i
+    return bits
+
+
+def _to_vertices_oracle(bits, members):
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= 1 << members[low.bit_length() - 1]
+        bits ^= low
+    return out
+
+
+def _bitsets():
+    """Random bitsets of every width 0-130 (across byte and word edges), then sparse and dense wide ones."""
+    rng = random.Random(29)
+    for width in range(131):
+        yield width, 0
+        yield width, (1 << width) - 1
+        for _ in range(4):
+            yield width, rng.getrandbits(width)
+            yield width, rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+        if width:
+            yield width, 1 << (width - 1)
+    for width in (288_000, 362_880):
+        yield width, sum(1 << i for i in rng.sample(range(width), 4_000))
+        yield width, rng.getrandbits(width) & rng.getrandbits(width)  # about a quarter set
+
+
+def test_bit_positions_equals_the_per_bit_loop():
+    for _, bits in _bitsets():
+        assert bit_positions(bits) == _positions_oracle(bits)
+
+
+def test_bit_positions_rejects_a_negative_bitset():
+    # the per-bit loop never ends on a negative int; bin() would read its magnitude
+    for bits in (-1, -2, -(1 << 100), -12345):
+        with pytest.raises(ValueError, match="negative"):
+            bit_positions(bits)
+
+
+def test_index_bits_and_from_indices_equal_the_per_bit_loop():
+    for width, bits in _bitsets():
+        positions = _positions_oracle(bits) if width < 288_000 else bit_positions(bits)
+        rng = random.Random(width)
+        shuffled = rng.sample(positions, len(positions)) + positions[: len(positions) // 3]  # any order, repeats
+        expected = _from_indices_oracle(shuffled, width)
+        assert expected == bits
+        assert index_bits(shuffled, width) == expected
+        assert index_bits(iter(shuffled), width) == expected
+        if 0 < width <= 130:
+            assert Family.from_indices(enumerate_universe((width,), 1), shuffled).bits == expected
+
+
+@pytest.mark.parametrize("indices", [[3, 18], [-1], [0, 17, 18, 19], [5, -3, 40], [1 << 70], [0, 2, 4, 18]])
+def test_from_indices_raises_the_per_bit_loop_error_at_the_first_bad_index(indices):
+    u = enumerate_universe((3, 3), 2)  # 18 items
+    with pytest.raises(ValueError) as expected:
+        _from_indices_oracle(indices, 18)
+    for form in (list, iter):
+        with pytest.raises(ValueError) as got:
+            Family.from_indices(u, form(indices))
+        assert str(got.value) == str(expected.value)
+
+    def stops_at_the_bad_index():
+        yield from indices
+        raise AssertionError("read past the first index out of range")
+
+    with pytest.raises(ValueError) as got:
+        Family.from_indices(u, stops_at_the_bad_index())
+    assert str(got.value) == str(expected.value)
+
+
+def test_to_vertices_equals_the_per_bit_loop():
+    rng = random.Random(9)
+    for width, bits in _bitsets():
+        if width > 130:
+            assert _to_vertices(bits, range(width)) == bits
+            continue
+        assert _to_vertices(bits, range(width)) == _to_vertices_oracle(bits, range(width)) == bits
+        members = sorted(rng.sample(range(3 * width), width))  # ascending, with gaps
+        assert _to_vertices(bits, members) == _to_vertices_oracle(bits, members)
+    members = sorted(random.Random(3).sample(range(362_880), 95_887))
+    bits = random.Random(4).getrandbits(95_887)
+    assert _to_vertices(bits, members) == _to_vertices_oracle(bits, members)
