@@ -12,6 +12,7 @@ power, both read off `_field`'s tables of GF(q)) are listed member by member.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 from itertools import product
 
@@ -220,17 +221,22 @@ def cyclic_class_intervals(universe: Universe) -> Family:
     Z_n to (y + c_i mod n_i) in every part i, with c_p = 0.  Distinct classes
     share no edge.  Each class gives its n intervals {y, ..., y + r - 1 mod
     n}, a single matching at r = n.  Each interval is built canonical, its
-    edges sorted, and looked up in the universe's index.
+    edges sorted, and found by bisection in the universe's items, which a
+    uniform universe keeps sorted; a missing one raises KeyError.
     """
     parts, r = universe.parts, universe.r
     n = min(parts)
     p = parts.index(n)
     classes = product(*(range(m) if i != p else (0,) for i, m in enumerate(parts)))
-    index, bits = universe.index, 0
+    items, bits = universe.items, 0
     for c in classes:
         edges = [tuple((y + ci) % m + 1 for ci, m in zip(c, parts)) for y in range(n)]
         for start in range(n):
-            bits |= 1 << index[tuple(sorted(edges[(start + y) % n] for y in range(r)))]
+            interval = tuple(sorted(edges[(start + y) % n] for y in range(r)))
+            pos = bisect_left(items, interval)
+            if pos == len(items) or items[pos] != interval:
+                raise KeyError(interval)
+            bits |= 1 << pos
     return Family(universe, bits)
 
 

@@ -22,10 +22,10 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice, product
+from itertools import combinations, islice, permutations, product
 from math import factorial
 
-from . import __version__
+from . import __version__, matchings
 from .counts import (
     ak_family_size,
     count_matchings,
@@ -53,11 +53,11 @@ from .matchings import (
     DEFAULT_UNIVERSE_CAP,
     Family,
     UniverseTooLargeError,
+    drop_part,
     enumerate_union_universe,
     enumerate_universe,
-    item_projections,
     project_all,
-    projection_ids,
+    reduce_projection,
     vertex_shadow,
 )
 from .predicates import (
@@ -265,6 +265,42 @@ def random_weak_family(graph, rng: random.Random) -> Family:
     return Family(universe, bits)
 
 
+def _lemma1_views(universe) -> tuple:
+    """Each item's projections for the Lemma 1 checks, numbered, built once per universe.
+
+    Returns (values, drops, pairs), kept in ``universe.memo["lemma1"]``.
+    Equal values get equal numbers, and ``values[n]`` is the value numbered
+    n.  ``drops[j - 1][v]`` numbers item v with part j dropped (no drops at
+    k = 1).  ``pairs[i, j][v]`` numbers item v's (reduced projection, pair
+    projection) over the ordered part pair (i, j), the pairs in
+    lexicographic order.  The projections are read through the `matchings`
+    module, so a patched operator there reaches every check.
+    """
+    views = universe.memo.get("lemma1")
+    if views is None:
+        k, items = universe.k, universe.items
+        ids: dict = {}
+
+        def number(value):
+            return ids.setdefault(value, len(ids))
+
+        drops = [[number(drop_part(m, j)) for m in items] for j in range(1, k + 1)] if k > 1 else []
+        pairs = {(i, j): [(number(reduce_projection(m, i, j)), number(matchings.project_pair(m, i, j)))
+                          for m in items]
+                 for i, j in permutations(range(1, k + 1), 2)}
+        views = universe.memo["lemma1"] = (list(ids), drops, pairs)
+    return views
+
+
+def _restriction_classes(column, indices) -> dict:
+    """The restriction classes of the items at these indices: reduced number -> set of pair numbers."""
+    classes: dict = {}
+    for v in indices:
+        x, p = column[v]
+        classes.setdefault(x, set()).add(p)
+    return classes
+
+
 def operator_violations(universe) -> list:
     """Violations of the identities that guard the projection operators, over a whole universe.
 
@@ -277,18 +313,15 @@ def operator_violations(universe) -> list:
     k, items = universe.k, universe.items
     if k < 2:
         raise ValueError(f"the projection identities are stated for k >= 2, got k = {k}")
-    ids = projection_ids(universe)
-    rows = item_projections(universe, range(len(items)))
-    values = ids.values
+    values, _, pairs = _lemma1_views(universe)
     bad = []
     for i in range(1, k + 1):
         if len({project_all(m, i, k) for m in items}) != len(items):
             bad.append(f"projection from part {i} is not injective")
-    for n, (i, j) in enumerate(ids.ordered):
-        if sum(map(len, ids.classes(rows, n).values())) != len(rows):
+    for (i, j), column in pairs.items():
+        if sum(map(len, _restriction_classes(column, range(len(items))).values())) != len(items):
             bad.append(f"restriction classes over ({i},{j}) do not partition the family")
-        if k >= 3 and any(vertex_shadow(values[row.reduced[n]][0], 1) != vertex_shadow(values[row.pairs[n]], 1)
-                          for row in rows):
+        if k >= 3 and any(vertex_shadow(values[x][0], 1) != vertex_shadow(values[p], 1) for x, p in column):
             bad.append(f"restriction at ({i},{j}) leaves the shadow of its class")
     return bad
 
@@ -296,35 +329,34 @@ def operator_violations(universe) -> list:
 def closure_violations(fam: Family, t: int) -> list:
     """Lemma 1's violations for one family: its drops and restrictions stay weakly t-intersecting.
 
-    The checks read the members' `item_projections` as ids, and each
-    pairwise test runs once per universe, t and pair of projections.
+    The checks read the members' numbers from `_lemma1_views`, and each
+    pairwise test runs once per universe, t and pair of values: the results
+    are kept in ``universe.memo["lemma1", t]``.
     """
-    k = fam.universe.k
-    ids = projection_ids(fam.universe)
-    rows = item_projections(fam.universe, fam.indices())
-    values = ids.values
+    universe = fam.universe
+    k = universe.k
+    values, drops, pairs = _lemma1_views(universe)
+    drop_tests, pair_tests = universe.memo.setdefault(("lemma1", t), ({}, {}))
+    members = fam.indices()
     bad = []
 
     plain = pair_checker(predicate("intersecting", t), 2)
-    if k > 1:
-        # a drop has k - 1 parts, and on at most two parts the weak kind is the plain one
-        weak = plain if k <= 3 else pair_checker(predicate("weakly-intersecting", t), k - 1)
-        met = ids.drop_tests
-        for j in range(k):
-            for p, q in combinations(sorted({row.drops[j] for row in rows}), 2):
-                ok = met.get((t, p, q))
-                if ok is None:
-                    ok = met[t, p, q] = weak(values[p], values[q])
-                if not ok:
-                    bad.append(f"drop of part {j + 1} not weakly {t}-intersecting")
+    # a drop has k - 1 parts, and on at most two parts the weak kind is the plain one
+    weak = plain if k <= 3 else pair_checker(predicate("weakly-intersecting", t), k - 1)
+    for j, column in enumerate(drops, 1):
+        for p, q in combinations(sorted({column[v] for v in members}), 2):
+            ok = drop_tests.get((p, q))
+            if ok is None:
+                ok = drop_tests[p, q] = weak(values[p], values[q])
+            if not ok:
+                bad.append(f"drop of part {j} not weakly {t}-intersecting")
 
-    met = ids.pair_tests
-    for n, (i, j) in enumerate(ids.ordered):
-        for projs in ids.classes(rows, n).values():
+    for (i, j), column in pairs.items():
+        for projs in _restriction_classes(column, members).values():
             for p, q in combinations(sorted(projs), 2):
-                ok = met.get((t, p, q))
+                ok = pair_tests.get((p, q))
                 if ok is None:
-                    ok = met[t, p, q] = plain(values[p], values[q])
+                    ok = pair_tests[p, q] = plain(values[p], values[q])
                 if not ok:
                     bad.append(f"restriction at ({i},{j}) not {t}-intersecting")
     return bad

@@ -101,12 +101,13 @@ class Universe:
 
     Items are ordered by edge count, then lexicographically on the canonical
     edge list, so indices are stable across runs.  Instances are immutable
-    after construction, apart from three memos, each filled on first use:
-    ``index``, each item's position, and the ones that
-    `predicates.unit_postings` and `projection_ids` fill.
+    after construction, apart from two memos, each filled on first use:
+    ``index``, each item's position, and ``memo``, a dict in which each
+    reader keeps what it derives from the items under keys of its own
+    (`predicates.unit_postings`' postings, the Lemma 1 checks' projections).
     """
 
-    __slots__ = ("parts", "sizes", "items", "_index", "level_offsets", "postings_memo", "projections_memo")
+    __slots__ = ("parts", "sizes", "items", "_index", "level_offsets", "memo")
 
     def __init__(self, parts, sizes, items):
         self.parts = validate_parts(parts)
@@ -115,8 +116,7 @@ class Universe:
         self._index = None
         lengths = list(map(len, self.items))
         self.level_offsets = {r: lengths.index(r) for r in sorted(set(lengths), key=lengths.index)}
-        self.postings_memo = {}
-        self.projections_memo = None
+        self.memo = {}
 
     @property
     def index(self) -> dict:
@@ -322,78 +322,6 @@ def reduce_projection(m, i: int, j: int) -> tuple:
     return tuple(project_pair(m, i, l) for l in range(1, k + 1) if l != i and l != j)
 
 
-class ProjectionIds:
-    """The projections of one universe's items, numbered, for the projection/restriction checks.
-
-    Each distinct projection value gets an int id, in the order first seen;
-    ``values[n]`` is the value of id n, so equal ids mean equal values.
-    ``rows`` maps an item index to its `ItemProjections`, filled on the
-    item's first read by `item_projections`.  ``ordered`` lists the ordered
-    part pairs (i, j) in the order of ``ItemProjections.pairs``.
-    ``drop_tests`` and ``pair_tests`` memoise pairwise tests keyed
-    (t, id, id); their callers fill them.
-    """
-
-    __slots__ = ("k", "ordered", "ids", "values", "rows", "drop_tests", "pair_tests")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.ordered = tuple(permutations(range(1, k + 1), 2))
-        self.ids = {}
-        self.values = []
-        self.rows = {}
-        self.drop_tests = {}
-        self.pair_tests = {}
-
-    def number(self, value) -> int:
-        n = self.ids.get(value)
-        if n is None:
-            n = self.ids[value] = len(self.values)
-            self.values.append(value)
-        return n
-
-    def classes(self, rows, n: int) -> dict:
-        """The restriction classes over the n-th ordered part pair: reduced id -> set of pair ids."""
-        classes: dict = {}
-        for row in rows:
-            classes.setdefault(row.reduced[n], set()).add(row.pairs[n])
-        return classes
-
-
-class ItemProjections:
-    """One matching's projections as ids of its universe's `ProjectionIds`.
-
-    ``drops[j - 1]`` is by 1-based part index; ``pairs[n]`` and
-    ``reduced[n]`` are over the n-th ordered part pair of
-    ``ProjectionIds.ordered``.
-    """
-
-    __slots__ = ("drops", "pairs", "reduced")
-
-    def __init__(self, m, ids: ProjectionIds):
-        k, number = ids.k, ids.number
-        self.drops = tuple(number(drop_part(m, j)) for j in range(1, k + 1)) if k > 1 else ()
-        self.pairs = tuple(number(project_pair(m, i, j)) for i, j in ids.ordered)
-        self.reduced = tuple(number(reduce_projection(m, i, j)) for i, j in ids.ordered)
-
-
-def projection_ids(universe: Universe) -> ProjectionIds:
-    """The universe's `ProjectionIds`, made on first use and kept in its projection memo."""
-    if universe.projections_memo is None:
-        universe.projections_memo = ProjectionIds(universe.k)
-    return universe.projections_memo
-
-
-def item_projections(universe: Universe, indices: list) -> list:
-    """The `ItemProjections` of the items at these indices, each computed on its first read."""
-    ids = projection_ids(universe)
-    rows = ids.rows
-    for v in indices:
-        if v not in rows:
-            rows[v] = ItemProjections(universe.items[v], ids)
-    return [rows[v] for v in indices]
-
-
 # ---------------------------------------------------------------------------
 # families
 
@@ -484,15 +412,15 @@ def reduction_classes(fam: Family, i: int, j: int) -> dict:
     """Group the members' pair projections onto (i, j), sorted, by their reduced projection.
 
     The reduced projection keeps the pair projections from part i onto every
-    part except i and j.  Both are read off `item_projections`.
+    part except i and j; both are computed from each member.
     """
     k = fam.universe.k
     if i == j or not (1 <= i <= k and 1 <= j <= k):
         raise ValueError(f"reduction needs two distinct part indices in 1..{k}, got {i} and {j}")
-    ids = projection_ids(fam.universe)
-    classes = ids.classes(item_projections(fam.universe, fam.indices()), ids.ordered.index((i, j)))
-    values = ids.values
-    return {values[x]: sorted(values[p] for p in ps) for x, ps in classes.items()}
+    classes: dict = {}
+    for m in fam.members():
+        classes.setdefault(reduce_projection(m, i, j), set()).add(project_pair(m, i, j))
+    return {x: sorted(ps) for x, ps in classes.items()}
 
 
 def restrict_family(fam: Family, i: int, j: int, x) -> list:

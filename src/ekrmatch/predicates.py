@@ -286,7 +286,7 @@ def unit_postings(universe, weak: bool = False) -> tuple:
     posting is the OR of its edges' postings.
     """
     key = ("units", weak)
-    units = universe.postings_memo.get(key)
+    units = universe.memo.get(key)
     if units is None:
         if weak:
             pairs = part_pairs(universe.k)
@@ -302,7 +302,7 @@ def unit_postings(universe, weak: bool = False) -> tuple:
                 for e in m:
                     bufs[e][byte] |= bit
             units = ({e: int.from_bytes(buf, "little") for e, buf in bufs.items()},)
-        universe.postings_memo[key] = units
+        universe.memo[key] = units
     return units
 
 

@@ -45,6 +45,8 @@ def load_universe(path: str, cap: int = DEFAULT_UNIVERSE_CAP) -> Universe:
             )
         i = -1
         for i, line in enumerate(fh):
+            if i >= len(universe):  # a surplus line: count the rest for the error below
+                continue
             m = tuple(tuple(x) for x in json.loads(line))
             if universe.items[i] != m:
                 raise ValueError(f"{path}: item {i} is {m}, expected {universe.items[i]}")

@@ -27,7 +27,7 @@ from ekrmatch.constructions import (
     projective_line_group,
 )
 from ekrmatch.counts import t_star_size
-from ekrmatch.matchings import Family, enumerate_union_universe, enumerate_universe
+from ekrmatch.matchings import Family, Universe, enumerate_union_universe, enumerate_universe
 from ekrmatch.predicates import PREDICATE_KINDS, Predicate, family_satisfies, pair_checker
 from ekrmatch.search import (
     CompatGraph,
@@ -80,6 +80,20 @@ def test_cyclic_class_intervals_are_the_intervals_of_every_class(parts, r):
         assert any(ys == {(s + j) % n for j in range(r)} for s in range(n))
         for e in m:
             assert owner.setdefault(e, keys) == keys
+
+
+def test_cyclic_class_intervals_read_the_sorted_items_without_the_index(monkeypatch):
+    real, calls = constructions.cyclic_class_intervals, []
+    monkeypatch.setattr(constructions, "cyclic_class_intervals", lambda u: calls.append(u) or real(u))
+    universe = enumerate_universe((6, 6), 3)
+    rep = extremal((6, 6), (3,), Predicate("intersecting", 1), universe=universe)
+    assert rep.max_size == t_star_size((6, 6), 3, 1) and calls == [universe]
+    assert universe._index is None  # the intervals were found by bisection
+    # an interval missing from the items raises, as an index lookup would
+    family = real(universe)
+    gap = Universe(universe.parts, universe.sizes, [m for m in universe.items if m != family.members()[0]])
+    with pytest.raises(KeyError):
+        real(gap)
 
 
 AGL_ORDERS = [2, 3, 4, 5, 7, 8]

@@ -34,7 +34,6 @@ from ekrmatch.matchings import (
     drop_part,
     enumerate_universe,
     project_pair,
-    projection_ids,
     reduce_projection,
     vertex_shadow,
 )
@@ -229,20 +228,21 @@ def test_lemma1_memo_is_keyed_by_t_and_held_per_universe():
     rng = random.Random(11)
     families = [random_weak_family(graph, rng) for _ in range(30)]
     families += [Family(u, rng.getrandbits(len(u))) for _ in range(10)]
-    ids = projection_ids(u)
-    assert u.projections_memo is ids
+    assert "lemma1" not in u.memo
     # the t=1 draws mostly fail at t=2: a memo that ignored t would answer t=2 with t=1's results
     assert any(family_violations_oracle(f, 1) != family_violations_oracle(f, 2) for f in families)
-    seen = {}
+    closure_violations(families[0], 1)
+    views = u.memo["lemma1"]
     for t in (1, 2):
         for fam in families:
             assert closure_violations(fam, t) == family_violations_oracle(fam, t)
-        assert projection_ids(u) is ids
-        seen[t] = {key[0] for memo in (ids.drop_tests, ids.pair_tests) for key in memo}
-    assert seen == {1: {1}, 2: {1, 2}}
-    # a second universe of the same key keeps a table of its own
+        assert u.memo["lemma1"] is views  # the views are built once, whatever t
+        assert all(u.memo["lemma1", t])  # both the drop and the restriction tests are kept
+    assert set(u.memo) == {"lemma1", ("lemma1", 1), ("lemma1", 2)}
+    # a second universe of the same key gets views and tests of its own
     other = enumerate_universe((3, 3, 3), 2)
-    assert projection_ids(other) is not ids and not projection_ids(other).pair_tests
+    assert closure_violations(Family.full(other), 1) == family_violations_oracle(Family.full(other), 1)
+    assert other.memo["lemma1"] is not views and other.memo["lemma1", 1] is not u.memo["lemma1", 1]
 
 
 def test_nonuniform_campaign_solves_each_cell_once(monkeypatch):

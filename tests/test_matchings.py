@@ -271,17 +271,6 @@ def test_reduction_classes_reject_bad_part_indices():
                 restrict_family(fam, i, j, ())
 
 
-def test_projection_memo_fills_only_for_the_members_read():
-    u = enumerate_universe((6, 6), 6)  # 720 matchings
-    fam = Family.from_indices(u, [0, 359, 719])
-    assert u.projections_memo is None
-    classes = reduction_classes(fam, 1, 2)
-    assert sorted(u.projections_memo.rows) == [0, 359, 719]
-    assert classes == reduction_classes_oracle(fam, 1, 2)
-    restrict_family(fam, 2, 1, ())
-    assert sorted(u.projections_memo.rows) == [0, 359, 719]
-
-
 def test_restriction_stays_over_the_class_shadow():
     u = enumerate_universe((3, 3, 3), 2)
     fam = Family.from_indices(u, range(0, 108, 7))
@@ -326,6 +315,19 @@ def test_universe_storage_rejects_tampering(tmp_path):
     lines[1], lines[2] = lines[2], lines[1]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError):
+        load_universe(str(path))
+
+
+@pytest.mark.parametrize("change,found", [(lambda lines: lines + lines[-1:], 19), (lambda lines: lines[:-1], 17)],
+                         ids=["extra-line", "missing-line"])
+def test_universe_storage_rejects_a_wrong_item_count(tmp_path, change, found):
+    # an extra item line is counted, not read past the end of the universe
+    u = enumerate_universe((3, 3), 2)
+    path = tmp_path / "universe.jsonl"
+    save_universe(u, str(path))
+    header, *lines = path.read_text().splitlines()
+    path.write_text("\n".join([header] + change(lines)) + "\n")
+    with pytest.raises(ValueError, match=f"expected 18 items, found {found}"):
         load_universe(str(path))
 
 

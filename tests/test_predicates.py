@@ -356,7 +356,7 @@ def test_all_maxima_build_no_t_intersecting_index(monkeypatch):
     assert rep.maxima_kinds == {"t-star": rep.maxima_count}
     # the only index is the one over N[0]; the universe keeps nothing but its unit postings
     assert indexed and max(indexed) < len(u)
-    assert set(u.postings_memo) <= {("units", False), ("units", True)}
+    assert set(u.memo) <= {("units", False), ("units", True)}
     for fam, cls in zip(rep.maxima, rep.classifications):
         assert cls.centres == brute_star_centres(fam, 2)
 

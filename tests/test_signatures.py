@@ -88,7 +88,7 @@ def test_postings_are_memoised_per_universe():
         for e in m:
             want[e] = want.get(e, 0) | 1 << idx
     assert unit_postings(a) == (want,)
-    assert set(a.postings_memo) == {("units", False), ("units", True)}
+    assert set(a.memo) == {("units", False), ("units", True)}
 
 
 @pytest.mark.parametrize("parts,sizes", [((2, 3, 3), (2,)), ((3, 3, 3), (0, 1, 2)), ((3, 4), (1, 2, 3)),

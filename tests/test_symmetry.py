@@ -457,7 +457,7 @@ def test_transitive_cell_builds_no_full_rows_weak_index_or_pool(monkeypatch):
     assert rep.max_size == 108
     # one index, over N[0]; the universe keeps nothing but its unit postings
     assert indexed == [307]
-    assert set(universe.postings_memo) <= {("units", False), ("units", True)}
+    assert set(universe.memo) <= {("units", False), ("units", True)}
     [graph] = built
     assert graph._full_rows is None and graph.n == 2304
     assert search._root_rows(graph) is search._root_rows(graph)
