@@ -27,8 +27,17 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
+def int_tuple(values, what: str) -> tuple:
+    """The values as a tuple, each an int (a bool is not one); raises ValueError naming the first that is not."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            raise ValueError(f"{what} must be integers, got {v!r}")
+    return values
+
+
 def validate_parts(parts) -> tuple:
-    parts = tuple(int(n) for n in parts)
+    parts = int_tuple(parts, "part sizes")
     if len(parts) < 1 or any(n < 1 for n in parts):
         raise ValueError(f"part sizes must be a non-empty tuple of positive integers, got {parts}")
     return parts

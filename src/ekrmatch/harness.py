@@ -1001,6 +1001,8 @@ def load_campaign_file(path: str):
                     for key, value in cell.items() if type(value) is not CELL_FIELDS.get(key)]
         problems += [f"no {key!r}" for key in ("parts", "pred", "sizes" if "sizes" in cell else "r")
                      if key not in cell]
+        problems += [f"{key}: expected integers, got {x!r}" for key in ("parts", "sizes")
+                     if type(cell.get(key)) is list for x in cell[key] if type(x) is not int]
         if cell.get("expect", ASSERT_EQUALITY) not in EXPECT_MODES:
             problems.append(f"expect is not one of {', '.join(EXPECT_MODES)}")
         if problems:

@@ -12,7 +12,7 @@ import re
 from itertools import combinations, permutations, product
 from operator import add, getitem, itemgetter
 
-from .counts import count_matchings, validate_parts
+from .counts import count_matchings, int_tuple, validate_parts
 
 DEFAULT_UNIVERSE_CAP = 10**6
 _ONE = re.compile("1")
@@ -69,31 +69,40 @@ def _edge_table(parts) -> list:
     return [edges[lo : lo + width] for lo in range(0, len(edges), width)]
 
 
-def _enumerate_level(parts, r, table):
-    """Yield all r-edge matchings read off the edge table (`_edge_table`), as one ascending run per row set.
+def _enumerate_level(parts, r, table) -> list:
+    """All r-edge matchings read off the edge table (`_edge_table`), as one ascending run per row set.
 
     A matching takes the table rows of an r-subset of part 1 and reads row p
     at column ``col[p]``.  ``cols`` lists every choice of one r-arrangement
     per part 2..k, summed into the table's column numbers; it is built and
-    sorted once per level and shared by all subsets, so no invalid tuple is
-    made and equal edges are one object.  Within one row set the edges'
-    part-1 vertices are fixed, and a column number orders its edges as their
-    coordinates do (mixed radix, part k fastest), so the sorted columns give
-    the row set's matchings in ascending order: the level is C(n_1, r) sorted
-    runs for `sorted` to merge.  At r = 0 every pool yields one empty tuple,
-    and at k = 1 every row has the one column 0; at k <= 2 the columns come
-    out sorted already, and the sort only checks them.
+    sorted once per level, then transposed into r per-edge columns and
+    dropped, so no invalid tuple is made and equal edges are one object.
+    Each row set zips its rows' reads of the per-edge columns, so the tuples
+    are built in C.  Within one row set the edges' part-1 vertices are
+    fixed, and a column number orders its edges as their coordinates do
+    (mixed radix, part k fastest), so the sorted columns give the row set's
+    matchings in ascending order: the level is C(n_1, r) sorted runs for the
+    caller's sort to merge.  At k = 1 every row is one edge and the level is
+    ``combinations`` of them, ascending already; r = 0 is the one empty
+    matching, which ``zip`` of no columns would not yield.
     """
-    cols = list(permutations(range(parts[-1]), r)) if len(parts) > 1 else [(0,) * r]
+    if r == 0:
+        return [()]
+    if len(parts) == 1:
+        return list(combinations([row[0] for row in table], r))
+    cols = list(permutations(range(parts[-1]), r))
     stride = parts[-1]
     for n in reversed(parts[1:-1]):
         pool = list(permutations(range(0, n * stride, stride), r))
         cols = [tuple(map(add, col, arr)) for arr in pool for col in cols]
         stride *= n
     cols.sort()
+    per_edge = [list(map(itemgetter(p), cols)) for p in range(r)]
+    del cols
+    level = []
     for rows in combinations(table, r):
-        for col in cols:
-            yield tuple(map(getitem, rows, col))
+        level.extend(zip(*map(map, [row.__getitem__ for row in rows], per_edge)))
+    return level
 
 
 class Universe:
@@ -234,9 +243,13 @@ def atom_orbits(universe: Universe, atoms: tuple, candidates: int) -> dict:
 
 
 def enumerate_union_universe(parts, sizes, cap: int = DEFAULT_UNIVERSE_CAP) -> Universe:
-    """Enumerate the union universe over the given edge counts (ascending)."""
+    """Enumerate the union universe over the given edge counts (ascending).
+
+    Each level comes from `_enumerate_level` as sorted runs and is sorted in
+    place, so no second copy of it is made.
+    """
     parts = validate_parts(parts)
-    sizes = tuple(sorted(set(int(r) for r in sizes)))
+    sizes = tuple(sorted(set(int_tuple(sizes, "edge counts"))))
     if not sizes:
         raise ValueError("need at least one edge count")
     if sizes[0] < 0 or sizes[-1] > min(parts):
@@ -247,7 +260,8 @@ def enumerate_union_universe(parts, sizes, cap: int = DEFAULT_UNIVERSE_CAP) -> U
     table = _edge_table(parts)
     items = []
     for r in sizes:
-        level = sorted(_enumerate_level(parts, r, table))
+        level = _enumerate_level(parts, r, table)
+        level.sort()
         if len(level) != count_matchings(parts, r):
             raise AssertionError(
                 f"enumeration bug: got {len(level)} matchings at r={r}, "

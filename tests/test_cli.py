@@ -211,6 +211,7 @@ CAMPAIGN_FILES = {
     "CAMPAIGN-STRING-ALL-MAXIMA": {"cells": [dict(CELL, all_maxima="yes")]},
     "CAMPAIGN-NUMBER-WEAK-TWIN": {"cells": [dict(CELL, weak_twin=1)]},
     "CAMPAIGN-FLOAT-EXPECT-MAX": {"cells": [dict(CELL, expect_max=6.5)]},
+    "CAMPAIGN-FRACTIONAL-SIZES": {"cells": [{"parts": [3, 3], "sizes": [1.5, 2], "pred": "intersecting:1"}]},
     "CAMPAIGN-NO-CELLS": {"name": "empty"},
     "CAMPAIGN-NO-PARTS": {"cells": [{"r": 2, "pred": "intersecting:1"}]},
     "CAMPAIGN-NO-PRED": {"cells": [{"parts": [3, 3], "r": 2}]},
@@ -236,6 +237,8 @@ CAMPAIGN_FILES = {
     ["verify", "--campaign", "CAMPAIGN-STRING-ALL-MAXIMA"],
     ["verify", "--campaign", "CAMPAIGN-NUMBER-WEAK-TWIN"],
     ["verify", "--campaign", "CAMPAIGN-FLOAT-EXPECT-MAX"],
+    # a fractional edge count is refused, not truncated to 1
+    ["verify", "--campaign", "CAMPAIGN-FRACTIONAL-SIZES"],
     ["verify", "--campaign", "CAMPAIGN-NO-CELLS"],
     ["verify", "--campaign", "CAMPAIGN-NO-PARTS"],
     ["scan", "--campaign", "CAMPAIGN-NO-PRED"],

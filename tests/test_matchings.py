@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -67,9 +68,11 @@ def test_equal_edges_are_one_object_per_universe(parts, sizes):
 
 
 @pytest.mark.parametrize("parts,sizes", [((2, 3, 4), (2,)), ((5, 5), (5,)), ((3, 3, 3), (3,)),
-                                         ((2, 3, 3), (0, 1, 2))])
+                                         ((2, 3, 3), (0, 1, 2)), ((2, 3, 3, 2), (2,)),
+                                         ((2, 2, 2, 2, 2), (2,)), ((4, 3, 5), (0, 1, 2, 3))])
 def test_edge_table_enumeration_matches_brute_force(parts, sizes):
-    # unequal parts, a full level, three parts at r = min part, and a union from r = 0
+    # unequal parts, a full level, three parts at r = min part, unions from r = 0, and
+    # k = 4 and 5 at r = n_1, one row set, so only the column pools and their zip act
     u = enumerate_union_universe(parts, sizes)
     assert list(u.items) == [m for r in sizes for m in sorted(brute_matchings(parts, r))]
     assert u.index == {m: i for i, m in enumerate(u.items)}
@@ -114,6 +117,12 @@ def test_enumerate_range_errors():
         enumerate_universe((3, 3), 0)
     with pytest.raises(ValueError):
         enumerate_universe((3, 3), 4)
+    # part sizes and edge counts are ints, never truncated: 3.5, True and "2" are refused by name
+    for parts, sizes in [((3.5, 3), (1,)), ((True, 3), (1,)), (("2", 3), (1,)),
+                         ((3, 3), (1.5, 2)), ((3, 3), (True,)), ((3, 3), ("2",))]:
+        bad = next(v for v in parts + sizes if type(v) is not int)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            enumerate_union_universe(parts, sizes)
 
 
 def test_union_universe_levels():
