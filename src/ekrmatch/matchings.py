@@ -34,7 +34,8 @@ class UniverseTooLargeError(ValueError):
 
 
 def canonical_matching(edges) -> Matching:
-    return tuple(sorted(tuple(int(x) for x in e) for e in edges))
+    """The edges as sorted tuples; raises ValueError naming a coordinate that is not an int (a bool is not one)."""
+    return tuple(sorted(int_tuple(e, "matching coordinates") for e in edges))
 
 
 def validate_matching(parts, m, r: int | None = None) -> Matching:

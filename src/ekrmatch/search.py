@@ -38,6 +38,24 @@ exceptions are those of the walked chain.  The Re-NUMBER proof walks its
 chains: a clique candidate set above its incumbent means a larger clique,
 which is rare there.
 
+Under the greedy colouring a node's first child may inherit its colouring.
+The greedy colouring, class by class with each class filled in ascending
+index order, is first-fit in index order: each vertex takes the least class
+that holds no lower-index neighbour.  The first branch is on v, the last
+vertex of the top class.  When v sees every other candidate, the child's
+candidate set is P without v, and so is its colouring: a vertex below v never
+reads v, and a vertex above v could read v only if its own class were v's,
+the top one, of which v is the highest member.  The child reads the first
+end - 1 entries of the parent's order and colours, passed down as the lists
+and an end index, not as slices, which would hold O(depth * |P|) entries on
+a long path.  The colouring is the one the child would compute, so the tree,
+node counts, witnesses, maxima and budget exceptions do not change.  On a
+tight cell the witness search is one path of w - 1 nodes, most of which drop
+only their branched vertex, so it colours in full only where more leave.
+The witness search, the listing, the unmarked search and the averaging
+bound's omega(G[S]) inherit alike.  Re-NUMBER moves vertices between
+classes, so the proof colours every node in full.
+
 A graph built from a uniform universe (one edge count) is searched from the
 root at vertex 0 alone, serially.  The group S_{n_1} x ... x S_{n_k} of
 per-part vertex permutations acts transitively on the r-edge matchings, and
@@ -618,28 +636,36 @@ def _close_clique(pmask: int, width: int, rbits: int, rsize: int, state: _Search
     return True
 
 
-def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
+def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState, order=None, colours=None, end=0):
     """Search the cliques rbits + some of pmask, recording each larger one, or listing each maximum.
 
     The bound is the greedy colouring, or with state.renumber Re-NUMBER's.
     Under the greedy colouring a clique candidate set closes in one step
-    (`_close_clique`).  With state.relabel set, at nodes of at most
-    ORBIT_DEPTH members each branched vertex takes its whole orbit under the
-    clique's atom group out of the candidates (module docstring).
+    (`_close_clique`), and a node may inherit its colouring: given order and
+    colours, its own is their first end entries.  Its first branch, on the
+    last vertex of the top class, passes the same lists on with end - 1 when
+    that vertex sees every other candidate (module docstring).  With
+    state.relabel set, at nodes of at most ORBIT_DEPTH members each branched
+    vertex takes its whole orbit under the clique's atom group out of the
+    candidates (module docstring).
     """
     state.nodes += 1
     if state.nodes > state.budget:
         raise NodeBudgetExceeded(state.nodes, state.budget)
     if state.renumber:
         order, colours = _renumber_order(pmask, nadj, state.best - rsize)
+        end, last = len(order), None
     else:
-        order, colours = _colour_order(pmask, nadj)
-        if colours and _close_clique(pmask, colours[-1], rbits, rsize, state):
+        if order is None:
+            order, colours = _colour_order(pmask, nadj)
+            end = len(order)
+        if _close_clique(pmask, colours[end - 1], rbits, rsize, state):
             return
+        last = end - 1  # the first branch, whose child may inherit the colouring
     universe = state.relabel if rsize <= ORBIT_DEPTH else None
     # each candidate's orbit once a second branch is due, {} for a trivial group; till then the first branch
     orbit = first = None
-    for idx in range(len(order) - 1, -1, -1):
+    for idx in range(end - 1, -1, -1):
         if rsize + colours[idx] <= state.best:
             return
         v = order[idx]
@@ -654,7 +680,10 @@ def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState):
         vbit = 1 << v
         newp = pmask & nadj[v]
         if newp:
-            _branch(nadj, newp, rbits | vbit, rsize + 1, state)
+            if idx == last and newp == pmask ^ vbit:
+                _branch(nadj, newp, rbits | vbit, rsize + 1, state, order, colours, last)
+            else:
+                _branch(nadj, newp, rbits | vbit, rsize + 1, state)
         elif rsize + 1 > state.best:
             _record(state, rbits | vbit, rsize + 1)
         pmask ^= vbit

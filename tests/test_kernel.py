@@ -8,6 +8,10 @@ kmin <= 0 is the greedy colouring, which is what lets one kernel serve both
 bounds.  Under the greedy bound a clique candidate set closes in one step,
 its chain's nodes counted; with that switched off (`chains_off`) each node is
 one `_branch` call, and the two must give the same counts, bits and budgets.
+A first branch whose vertex sees every other candidate passes its colouring
+on to the child, which reads a prefix of it; every such colouring must be the
+child's own greedy colouring, and with the inheritance switched off
+(`inheritance_off`) the answers, counts and budgets must be the same.
 """
 
 import random
@@ -262,3 +266,112 @@ def test_budget_whose_last_node_is_inside_a_collapsed_chain(monkeypatch):
             with pytest.raises(NodeBudgetExceeded) as exc:
                 max_clique(graph, node_budget=nodes - 1)
         assert (exc.value.nodes, exc.value.budget) == (nodes, nodes - 1)
+
+
+# ---------------------------------------------------------------------------
+# a first branch whose vertex sees every other candidate inherits the colouring
+
+
+def inheritance_off(monkeypatch):
+    """Every node colours its candidate set in full: each `_branch` call drops the colouring passed to it."""
+    real = search._branch
+    monkeypatch.setattr(search, "_branch",
+                        lambda nadj, pmask, rbits, rsize, state, *inherited: real(nadj, pmask, rbits, rsize, state))
+
+
+def inherited_colourings(monkeypatch):
+    """Spy on `_branch`: each inherited colouring must be `_colour_order` of the candidate set; a count of them."""
+    checked = [0]
+    real = search._branch
+
+    def checking(nadj, pmask, rbits, rsize, state, order=None, colours=None, end=0):
+        if order is not None:
+            assert (order[:end], colours[:end]) == _colour_order(pmask, nadj)
+            checked[0] += 1
+        return real(nadj, pmask, rbits, rsize, state, order, colours, end)
+
+    monkeypatch.setattr(search, "_branch", checking)
+    return checked
+
+
+def assert_inheritance_changes_nothing(graph, monkeypatch) -> int:
+    """Every inherited colouring is the full one, and the answers are those without inheritance; the count."""
+    with monkeypatch.context() as mp:
+        checked = inherited_colourings(mp)
+        on = kernel_answers(graph, mp)
+    with monkeypatch.context() as mp:
+        inheritance_off(mp)
+        off = kernel_answers(graph, mp)
+    assert on == off, (graph.universe.key, str(graph.pred))
+    return checked[0]
+
+
+def test_inheritance_changes_nothing_on_random_complete_and_disjoint_clique_graphs(monkeypatch):
+    rng = random.Random(32)
+    graphs = [_complete_graph(n) for n in (1, 2, 3, 7, 20)]
+    graphs += [disjoint_cliques([rng.randint(1, 8) for _ in range(rng.randint(1, 6))]) for _ in range(30)]
+    graphs += [_random_graph(rng.randint(1, 40), rng.choice([0.3, 0.6, 0.9, 0.97]), rng) for _ in range(150)]
+    assert sum(assert_inheritance_changes_nothing(graph, monkeypatch) for graph in graphs) > 100
+
+
+def test_inheritance_changes_nothing_on_every_transitive_builtin_cell(monkeypatch):
+    from test_two_phase import builtin_graphs
+
+    graphs = [g for g in builtin_graphs() if g.transitive]
+    assert len(graphs) > 20
+    assert sum(assert_inheritance_changes_nothing(graph, monkeypatch) for graph in graphs) > 0
+
+
+@pytest.mark.parametrize("parts,r,pred", BENCH, ids=[f"{p}-r{r}-{pred}" for p, r, pred in BENCH])
+def test_inheritance_changes_nothing_on_the_benchmark_cells(parts, r, pred, monkeypatch):
+    assert_inheritance_changes_nothing(build_compat_graph(enumerate_universe(parts, r), Predicate.parse(pred)),
+                                       monkeypatch)
+
+
+def test_every_budget_raises_at_the_same_node_with_and_without_inheritance(monkeypatch):
+    rng = random.Random(33)
+    graphs = [_complete_graph(9), disjoint_cliques([3, 6, 2, 6])]
+    graphs += [_random_graph(rng.randint(5, 25), rng.choice([0.6, 0.9]), rng) for _ in range(20)]
+    graphs.append(build_compat_graph(enumerate_universe((5, 5), 5), Predicate("intersecting", 1)))
+    for graph in graphs:
+        size, _, nodes = max_clique(graph)
+        listed = kernel_answers(graph, monkeypatch)[4][0]
+        for budget in range(1, max(nodes, listed) + 2):
+            raised = []
+            for off in (False, True):
+                with monkeypatch.context() as mp:
+                    if off:
+                        inheritance_off(mp)
+                    answers = []
+                    for solve in (lambda: max_clique(graph, node_budget=budget),
+                                  lambda: [f.bits for f in all_max_cliques(graph, size, node_budget=budget)]):
+                        try:
+                            answers.append(solve())
+                        except NodeBudgetExceeded as exc:
+                            answers.append(("raised", exc.nodes, exc.budget))
+                    raised.append(answers)
+            assert raised[0] == raised[1]
+            assert (raised[0][0] == ("raised", budget + 1, budget)) == (budget < nodes)
+
+
+def test_the_witness_path_of_s7_colours_16_times_not_129(monkeypatch):
+    # (7,7) r=7 intersecting:1: a path of 719 nodes to the star, none backtracking
+    graph = build_compat_graph(enumerate_universe((7, 7), 7), Predicate("intersecting", 1))
+    counts, answers = [], []
+    for off in (False, True):
+        with monkeypatch.context() as mp:
+            if off:
+                inheritance_off(mp)
+            colourings = [0]
+            real = search._colour_order
+
+            def counting(pmask, nadj):
+                colourings[0] += 1
+                return real(pmask, nadj)
+
+            mp.setattr(search, "_colour_order", counting)
+            size, witness, nodes = max_clique(graph)
+        counts.append(colourings[0])
+        answers.append((size, witness.bits, nodes))
+    assert answers[0] == answers[1] and answers[0][0] == 720 and answers[0][2] == 719
+    assert counts == [16, 129]

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 
@@ -144,6 +145,22 @@ def test_validate_matching():
         validate_matching((3, 3), [(1, 4)])  # out of range
     with pytest.raises(ValueError):
         validate_matching((3, 3), [(1, 1, 1)])  # wrong arity
+
+
+@pytest.mark.parametrize("call,bad", [
+    (lambda: validate_matching((3, 3), [(1.5, 1), (2, 2)]), "1.5"),
+    (lambda: enumerate_universe((3, 3), 1).matching_index([(2.9, 1)]), "2.9"),
+    (lambda: canonical_matching([(True, 2)]), "True"),
+], ids=["validate-fraction", "index-fraction", "canonical-bool"])
+def test_matching_coordinates_must_be_ints_not_truncated(call, bad):
+    # int() used to truncate: ((1, 1), (2, 2)), index 3 and ((1, 2),)
+    with pytest.raises(ValueError, match=f"matching coordinates must be integers, got {bad}$"):
+        call()
+
+
+def test_a_well_formed_non_member_is_still_a_key_error():
+    with pytest.raises(KeyError, match=re.escape("matching [(2, 4)] is not in universe ((3, 3), (1,))")):
+        enumerate_universe((3, 3), 1).matching_index([(2, 4)])
 
 
 def test_project_pair_examples():
@@ -349,6 +366,17 @@ def test_family_storage_round_trip(tmp_path, form):
     loaded = load_family(str(path))
     assert loaded == fam
     assert loaded.annotations == ("demo",)
+
+
+def test_family_file_with_a_fractional_coordinate_is_rejected(tmp_path):
+    fam = Family.from_indices(enumerate_universe((3, 3), 2), [0, 4])
+    path = tmp_path / "family.json"
+    save_family(fam, str(path), form="matchings")
+    doc = json.loads(path.read_text())
+    doc["matchings"][0][0][0] = 1.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="matching coordinates must be integers, got 1.5"):
+        load_family(str(path))
 
 
 def test_report_row_defaults_every_column_to_empty():
