@@ -12,11 +12,10 @@ power, both read off `_field`'s tables of GF(q)) are listed member by member.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import cache
 from itertools import product
 
-from .counts import validate_parts
+from .counts import int_tuple, validate_parts
 from .matchings import (
     Family,
     Universe,
@@ -45,7 +44,7 @@ def t_star(universe: Universe, centre) -> Family:
 def t_set_star(universe: Universe, box) -> Family:
     """All matchings with exactly t edges inside the box of per-part t-sets."""
     parts = universe.parts
-    box = tuple(frozenset(int(x) for x in side) for side in box)
+    box = tuple(frozenset(int_tuple(side, "box coordinates")) for side in box)
     if len(box) != universe.k:
         raise ValueError(f"box has {len(box)} sides, expected {universe.k}")
     sizes = {len(side) for side in box}
@@ -83,8 +82,7 @@ def semi_star(universe: Universe, centres, set_variant: bool = False) -> Family:
     for j, centre in enumerate(centres, start=1):
         pin_parts = (parts[-1], parts[j - 1])
         if set_variant:
-            a, b = centre
-            a, b = frozenset(int(x) for x in a), frozenset(int(x) for x in b)
+            a, b = (frozenset(int_tuple(side, "box coordinates")) for side in centre)
             if len(a) != len(b):
                 raise ValueError(f"box sides for part {j} have different sizes")
             if not a <= set(range(1, pin_parts[0] + 1)) or not b <= set(range(1, pin_parts[1] + 1)):
@@ -169,7 +167,7 @@ def frame_family(universe: Universe, t: int, i: int, base=None) -> Family:
     if base is None:
         base = diagonal_matching(parts)
     else:
-        base = tuple(tuple(int(x) for x in e) for e in base)
+        base = tuple(int_tuple(e, "base coordinates") for e in base)
         validate_matching(parts, base, min(parts))
     w = t + 2 * i
     if t < 1 or i < 0 or w > len(base):
@@ -221,23 +219,18 @@ def cyclic_class_intervals(universe: Universe) -> Family:
     Z_n to (y + c_i mod n_i) in every part i, with c_p = 0.  Distinct classes
     share no edge.  Each class gives its n intervals {y, ..., y + r - 1 mod
     n}, a single matching at r = n.  Each interval is built canonical, its
-    edges sorted, and found by bisection in the universe's items, which a
-    uniform universe keeps sorted; a missing one raises KeyError.
+    edges sorted, and placed by `Family.from_matchings`; a missing one
+    raises KeyError.
     """
     parts, r = universe.parts, universe.r
     n = min(parts)
     p = parts.index(n)
     classes = product(*(range(m) if i != p else (0,) for i, m in enumerate(parts)))
-    items, bits = universe.items, 0
+    intervals = []
     for c in classes:
         edges = [tuple((y + ci) % m + 1 for ci, m in zip(c, parts)) for y in range(n)]
-        for start in range(n):
-            interval = tuple(sorted(edges[(start + y) % n] for y in range(r)))
-            pos = bisect_left(items, interval)
-            if pos == len(items) or items[pos] != interval:
-                raise KeyError(interval)
-            bits |= 1 << pos
-    return Family(universe, bits)
+        intervals += (tuple(sorted(edges[(start + y) % n] for y in range(r))) for start in range(n))
+    return Family.from_matchings(universe, intervals)
 
 
 @cache

@@ -9,6 +9,7 @@ one or more edge counts; a Family is a bit-vector over one Universe.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from itertools import combinations, permutations, product
 from operator import add, getitem, itemgetter
 
@@ -110,30 +111,34 @@ class Universe:
     """All matchings for a part structure at one or more edge counts.
 
     Items are ordered by edge count, then lexicographically on the canonical
-    edge list, so indices are stable across runs.  Instances are immutable
-    after construction, apart from two memos, each filled on first use:
-    ``index``, each item's position, and ``memo``, a dict in which each
-    reader keeps what it derives from the items under keys of its own
-    (`predicates.unit_postings`' postings, the Lemma 1 checks' projections).
+    edge list, so indices are stable across runs.  Every lookup
+    (`position`) bisects the items, so it holds for any item list sorted in
+    that order, a sub-list of a universe's items too, and never returns a
+    wrong index.  Instances are immutable after construction, apart from
+    ``memo``, a dict in which each reader keeps what it derives from the
+    items under keys of its own (`predicates.unit_postings`' postings, the
+    Lemma 1 checks' projections).
     """
 
-    __slots__ = ("parts", "sizes", "items", "_index", "level_offsets", "memo")
+    __slots__ = ("parts", "sizes", "items", "memo")
 
     def __init__(self, parts, sizes, items):
         self.parts = validate_parts(parts)
         self.sizes = tuple(sizes)
         self.items = tuple(items)
-        self._index = None
-        lengths = list(map(len, self.items))
-        self.level_offsets = {r: lengths.index(r) for r in sorted(set(lengths), key=lengths.index)}
         self.memo = {}
 
-    @property
-    def index(self) -> dict:
-        """Each item's position, as {matching: index}, built on the first read and kept."""
-        if self._index is None:
-            self._index = {m: i for i, m in enumerate(self.items)}
-        return self._index
+    def position(self, m) -> int | None:
+        """The index of a canonical matching (`canonical_matching`), or None when it is not an item.
+
+        Bisection finds m's edge-count run of the items, then m inside it;
+        a hit is confirmed by equality.
+        """
+        items, r = self.items, len(m)
+        lo = bisect_left(items, r, key=len)
+        hi = bisect_right(items, r, lo, key=len)
+        i = bisect_left(items, m, lo, hi)
+        return i if i < hi and items[i] == m else None
 
     @property
     def k(self) -> int:
@@ -153,10 +158,10 @@ class Universe:
         return (self.parts, self.sizes)
 
     def matching_index(self, m) -> int:
-        try:
-            return self.index[canonical_matching(m)]
-        except KeyError:
-            raise KeyError(f"matching {m} is not in universe {self.key}") from None
+        i = self.position(canonical_matching(m))
+        if i is None:
+            raise KeyError(f"matching {m} is not in universe {self.key}")
+        return i
 
     def __repr__(self):
         return f"Universe(parts={self.parts}, sizes={self.sizes}, count={len(self.items)})"
@@ -406,7 +411,7 @@ class Family:
         return [items[i] for i in self.indices()]
 
     def contains(self, m) -> bool:
-        idx = self.universe.index.get(canonical_matching(m))
+        idx = self.universe.position(canonical_matching(m))
         return idx is not None and bool(self.bits >> idx & 1)
 
     def __eq__(self, other):

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, permutations, product
 
-from .counts import t_set_star_size
+from .counts import int_tuple, t_set_star_size
 from .matchings import Family, enumerate_universe, project_pair
 
 PREDICATE_KINDS = (
@@ -62,6 +62,7 @@ class Predicate:
     def __post_init__(self):
         if self.kind not in PREDICATE_KINDS:
             raise ValueError(f"unknown predicate kind {self.kind!r}; expected one of {PREDICATE_KINDS}")
+        int_tuple((self.t,), "predicate strengths")
         if self.t < 1:
             raise ValueError(f"predicate strength t must be positive, got {self.t}")
 
@@ -452,7 +453,8 @@ def pair_universe(n_i: int, n_j: int, r: int):
 def pair_projections(fam: Family):
     """Yield a uniform family's pair projections in `part_pairs` order, each a Family of its pair universe.
 
-    They index `project_pair`'s canonical output in `pair_universe` directly.
+    `project_pair`'s output is canonical already, so each is placed in
+    `pair_universe` by `Universe.position` with no validation step.
     """
     u = fam.universe
     members, r = fam.members(), u.r
@@ -460,7 +462,7 @@ def pair_projections(fam: Family):
         pu = pair_universe(u.parts[i - 1], u.parts[j - 1], r)
         bits = 0
         for m in members:
-            bits |= 1 << pu.index[project_pair(m, i, j)]
+            bits |= 1 << pu.position(project_pair(m, i, j))
         yield Family(pu, bits)
 
 

@@ -212,6 +212,7 @@ from __future__ import annotations
 
 import sys
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
@@ -697,12 +698,15 @@ def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState, order
 def _proof_roots(graph: CompatGraph, nadj):
     """(position, v, v's later neighbours) per edge-count level, v its lowest index.
 
-    The part relabellings act transitively on each level, and a clique whose
-    lowest level is i has an image through root i that avoids earlier levels.
+    v is found by bisection on edge count in the universe's items, which
+    hold every level of `sizes`, sorted by edge count.  The part
+    relabellings act transitively on each level, and a clique whose lowest
+    level is i has an image through root i that avoids earlier levels.
     A transitive graph has the single root 0, with candidates nadj[0], at
     local positions too, since members[0] = 0.
     """
-    levels = sorted(graph.universe.level_offsets.values())
+    items = graph.universe.items
+    levels = [bisect_left(items, r, key=len) for r in graph.universe.sizes]
     return [(pos, v, nadj[v] >> v << v) for pos, v in enumerate(levels)]
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 
+from .counts import int_tuple
 from .matchings import DEFAULT_UNIVERSE_CAP, Family, Universe, enumerate_union_universe
 
 
@@ -80,7 +81,7 @@ def load_family(path: str, cap: int = DEFAULT_UNIVERSE_CAP) -> Family:
     universe = enumerate_union_universe(doc["universe"]["parts"], doc["universe"]["sizes"], cap)
     annotations = tuple(doc.get("annotations", ()))
     if doc["form"] == "indices":
-        return Family.from_indices(universe, doc["indices"], annotations)
+        return Family.from_indices(universe, int_tuple(doc["indices"], "family indices"), annotations)
     ms = [tuple(tuple(x) for x in m) for m in doc["matchings"]]
     return Family.from_matchings(universe, ms, annotations)
 

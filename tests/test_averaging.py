@@ -88,7 +88,7 @@ def test_cyclic_class_intervals_read_the_sorted_items_without_the_index(monkeypa
     universe = enumerate_universe((6, 6), 3)
     rep = extremal((6, 6), (3,), Predicate("intersecting", 1), universe=universe)
     assert rep.max_size == t_star_size((6, 6), 3, 1) and calls == [universe]
-    assert universe._index is None  # the intervals were found by bisection
+    assert Universe.__slots__ == ("parts", "sizes", "items", "memo")  # no lookup table: every interval is bisected
     # an interval missing from the items raises, as an index lookup would
     family = real(universe)
     gap = Universe(universe.parts, universe.sizes, [m for m in universe.items if m != family.members()[0]])

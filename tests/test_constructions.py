@@ -1,4 +1,5 @@
 import math
+import re
 import random
 import sys
 
@@ -92,6 +93,19 @@ def test_t_set_star_rejects_malformed_boxes():
         t_set_star(u, ((1, 2), (1, 2, 3)))  # ragged sides
     with pytest.raises(ValueError):
         t_set_star(u, ((1, 5), (1, 2)))  # out of range
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+def test_box_and_base_coordinates_must_be_ints(bad):
+    # never truncated or coerced: each is refused by name, as part sizes and matchings are
+    u = enumerate_universe((4, 4), 3)
+    with pytest.raises(ValueError, match=f"box coordinates must be integers, got {re.escape(repr(bad))}"):
+        t_set_star(u, ((bad, 2), (1, 2)))
+    u3 = enumerate_universe((4, 4, 4), 3)
+    with pytest.raises(ValueError, match=f"box coordinates must be integers, got {re.escape(repr(bad))}"):
+        semi_star(u3, [((bad, 2), (1, 2)), ((1, 2), (1, 2))], set_variant=True)
+    with pytest.raises(ValueError, match=f"base coordinates must be integers, got {re.escape(repr(bad))}"):
+        frame_family(u, 1, 0, base=[(bad, 1), (2, 2), (3, 3), (4, 4)])
 
 
 def test_semi_star_aligned_is_a_star():

@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from ekrmatch.matchings import canonical_matching, enumerate_union_universe
+from ekrmatch.matchings import enumerate_union_universe
 from ekrmatch.predicates import PREDICATE_KINDS, Predicate, family_satisfies, pair_checker
 from ekrmatch.search import build_compat_graph, extremal, max_clique_naive
 
@@ -99,7 +99,6 @@ def test_a_random_part_relabelling_maps_the_maxima_onto_themselves(seed):
         image = list(range(1, n + 1))
         rng.shuffle(image)
         perms.append(dict(zip(range(1, n + 1), image)))
-    index, items = universe.index, universe.items
-    move = [index[canonical_matching(tuple(pi[x] for pi, x in zip(perms, e)) for e in m)] for m in items]
+    move = [universe.matching_index([tuple(pi[x] for pi, x in zip(perms, e)) for e in m]) for m in universe.items]
     moved = {sum(1 << move[v] for v in f.indices()) for f in report.maxima}
     assert moved == {f.bits for f in report.maxima}, (universe.key, pred, perms)

@@ -4,9 +4,11 @@ import re
 
 import pytest
 
+from ekrmatch import search
 from ekrmatch.counts import count_matchings
 from ekrmatch.matchings import (
     Family,
+    Universe,
     UniverseTooLargeError,
     bit_positions,
     canonical_matching,
@@ -23,7 +25,7 @@ from ekrmatch.matchings import (
     vertex_shadow,
 )
 from ekrmatch.predicates import predicate
-from ekrmatch.search import ExtremalReport, _to_vertices, extremal
+from ekrmatch.search import CompatGraph, ExtremalReport, _to_vertices, build_compat_graph, extremal
 from ekrmatch.storage import (
     REPORT_COLUMNS,
     load_family,
@@ -33,10 +35,16 @@ from ekrmatch.storage import (
     save_universe,
 )
 from helpers import brute_matchings, random_subfamily
+from test_averaging import averaging_off
 
 PAPER_P = ((1, 1, 1), (2, 2, 2), (3, 3, 3))
 PAPER_Q = ((1, 1, 4), (2, 4, 2), (4, 3, 3))
 
+
+def level_starts(u):
+    """Each edge-count level's first position, as the proof phase's roots (`search._proof_roots`) find it."""
+    rows = [0] * len(u)
+    return [v for _, v, _ in search._proof_roots(CompatGraph(u, predicate("intersecting", 1), rows), rows)]
 
 @pytest.mark.parametrize("parts,r", [((2, 2), 2), ((3, 3), 2), ((3, 4), 2),
                                      ((3, 3, 3), 2), ((4,), 2), ((4, 4), 3)])
@@ -76,8 +84,8 @@ def test_edge_table_enumeration_matches_brute_force(parts, sizes):
     # k = 4 and 5 at r = n_1, one row set, so only the column pools and their zip act
     u = enumerate_union_universe(parts, sizes)
     assert list(u.items) == [m for r in sizes for m in sorted(brute_matchings(parts, r))]
-    assert u.index == {m: i for i, m in enumerate(u.items)}
-    assert u.level_offsets == {r: sum(count_matchings(parts, s) for s in sizes if s < r) for r in sizes}
+    assert [u.position(m) for m in u.items] == list(range(len(u)))
+    assert level_starts(u) == [sum(count_matchings(parts, s) for s in sizes if s < r) for r in sizes]
     edges = [e for m in u.items for e in m]
     assert len({id(e) for e in edges}) == len(set(edges))
 
@@ -91,12 +99,59 @@ def test_sorted_runs_merge_to_the_brute_force_order(parts, sizes):
 
 
 def test_index_is_built_on_first_read():
+    # no lookup table is ever built: a universe keeps its items and one memo, and every lookup bisects
     u = enumerate_universe((4, 4, 4), 3)
     rep = extremal((4, 4, 4), (3,), predicate("weakly-intersecting", 1), universe=u)
     assert rep.max_size == 108
-    assert u._index is None  # the cell never looked a matching up
-    assert u.index == {m: i for i, m in enumerate(u.items)}
-    assert u.index is u.index
+    assert Universe.__slots__ == ("parts", "sizes", "items", "memo")
+    assert [u.position(m) for m in u.items] == list(range(len(u)))
+
+
+# every universe of these tests: k = 1..5, unions from r = 0 (the empty matching), full levels
+LOOKUP_CELLS = [((1,), (0, 1)), ((4,), (0, 1, 2, 3, 4)), ((5,), (1, 2, 3)), ((6,), (0, 3, 6)),
+                ((3, 3), (1, 2)), ((3, 3), (0, 1, 2, 3)), ((1, 3), (0, 1)), ((3, 4), (2,)), ((5, 5), (5,)),
+                ((6, 6), (3,)), ((2, 3, 4), (2,)), ((3, 3, 3), (3,)), ((2, 3, 3), (0, 1, 2)), ((4, 4, 4), (3,)),
+                ((4, 3, 5), (0, 1, 2, 3)), ((2, 3, 3, 2), (2,)), ((3, 3, 4, 3), (0, 1, 2)), ((2, 2, 2, 2, 2), (2,))]
+
+
+@pytest.mark.parametrize("parts,sizes", LOOKUP_CELLS, ids=[f"{p}-R{s}" for p, s in LOOKUP_CELLS])
+def test_position_and_matching_index_equal_a_dict_of_the_items(parts, sizes):
+    u = enumerate_union_universe(parts, sizes)
+    index = {m: i for i, m in enumerate(u.items)}
+    assert [u.position(m) for m in index] == list(index.values())
+    # matching_index canonicalises first: each member with its edges reversed is found too
+    assert [u.matching_index(m[::-1]) for m in index] == list(index.values())
+    assert u.position(()) == index.get(()) == (0 if 0 in sizes else None)
+
+
+def test_position_on_the_n0_sub_universe_of_a_transitive_cell(monkeypatch):
+    # the proof phase's matchings at the rows' bit positions: N[0]'s items, a sub-list of the universe's
+    averaging_off(monkeypatch)
+    locals_, real = [], search._search_roots
+    monkeypatch.setattr(search, "_search_roots",
+                        lambda nadj, roots, state: locals_.append(state.relabel) or real(nadj, roots, state))
+    u = enumerate_universe((3, 3, 3), 2)
+    graph = build_compat_graph(u, predicate("intersecting", 1))
+    assert graph.transitive and search.max_clique(graph)[0] == 8  # the 1-star
+    local = locals_[0]
+    assert 1 < len(local) < len(u)
+    index = {m: i for i, m in enumerate(local.items)}
+    assert [local.position(m) for m in u.items] == [index.get(m) for m in u.items]
+    assert [local.matching_index(m) for m in local.items] == list(range(len(local)))
+
+
+def test_every_kind_of_non_member_keeps_the_key_error_text():
+    u = enumerate_union_universe((3, 3), (1, 2))
+    gap = Universe(u.parts, u.sizes, u.items[:3] + u.items[4:])
+    for universe, m in [(u, ((1, 1), (2, 2), (3, 3))),  # a level the universe lacks
+                        (u, ()),  # the empty level too
+                        (gap, u.items[3]),  # a gap in the items
+                        (u, ((1, 1, 1),)),  # the wrong arity
+                        (u, ((4, 1),))]:  # a coordinate out of range
+        with pytest.raises(KeyError, match=re.escape(f"matching {m} is not in universe {universe.key}")):
+            universe.matching_index(m)
+        assert universe.position(m) is None
+        assert not Family.full(universe).contains(m)
 
 
 def test_index_round_trip():
@@ -130,7 +185,7 @@ def test_union_universe_levels():
     u = enumerate_union_universe((3, 3), (1, 2))
     assert len(u) == 9 + 18
     assert u.sizes == (1, 2)
-    assert u.level_offsets == {1: 0, 2: 9}
+    assert level_starts(u) == [0, 9]
     assert all(len(m) == 1 for m in u.items[:9])
     assert all(len(m) == 2 for m in u.items[9:])
     with pytest.raises(ValueError):
@@ -376,6 +431,19 @@ def test_family_file_with_a_fractional_coordinate_is_rejected(tmp_path):
     doc["matchings"][0][0][0] = 1.5
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="matching coordinates must be integers, got 1.5"):
+        load_family(str(path))
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_family_file_with_a_non_int_index_is_rejected(tmp_path, bad):
+    # JSON true would read as index 1, and 1.0 would fail deep in the bitset build
+    fam = Family.from_indices(enumerate_universe((3, 3), 2), [0, 4])
+    path = tmp_path / "family.json"
+    save_family(fam, str(path))
+    doc = json.loads(path.read_text())
+    doc["indices"] = [bad]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"family indices must be integers, got {bad!r}"):
         load_family(str(path))
 
 

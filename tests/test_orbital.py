@@ -17,7 +17,6 @@ from ekrmatch import search
 from ekrmatch.counts import count_matchings
 from ekrmatch.matchings import (
     atom_orbits,
-    canonical_matching,
     clique_atoms,
     enumerate_union_universe,
     enumerate_universe,
@@ -44,7 +43,7 @@ def index_permutations(universe):
     out = []
     for perms in product(*(permutations(range(1, n + 1)) for n in universe.parts)):
         pis = [dict(zip(range(1, len(p) + 1), p)) for p in perms]
-        out.append([universe.index[canonical_matching([tuple(pi[x] for pi, x in zip(pis, e)) for e in m])]
+        out.append([universe.matching_index([tuple(pi[x] for pi, x in zip(pis, e)) for e in m])
                     for m in universe.items])
     return out
 

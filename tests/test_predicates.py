@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -43,6 +44,14 @@ def test_predicate_parse():
         Predicate.parse("intersecting")
     with pytest.raises(ValueError):
         Predicate("intersecting", 0)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1"])
+def test_predicate_strength_must_be_an_int(bad):
+    with pytest.raises(ValueError, match=f"predicate strengths must be integers, got {re.escape(repr(bad))}"):
+        Predicate("intersecting", bad)
+    with pytest.raises(ValueError, match="predicate strengths must be integers"):
+        extremal((3, 3), (2,), Predicate("intersecting", bad))
 
 
 def test_intersects_examples():

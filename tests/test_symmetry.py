@@ -16,10 +16,10 @@ import pytest
 
 from ekrmatch import predicates, search
 from ekrmatch.constructions import diagonal_matching, t_set_star, t_star
+from ekrmatch.counts import count_matchings
 from ekrmatch.harness import BOUND_CAMPAIGNS
 from ekrmatch.matchings import (
     Family,
-    canonical_matching,
     enumerate_union_universe,
     enumerate_universe,
     relabelling_generators,
@@ -59,7 +59,7 @@ def part_permutations(parts, source, target):
 
 
 def image_index(universe, perms, m):
-    return universe.index[canonical_matching(tuple(p[x] for p, x in zip(perms, e)) for e in m)]
+    return universe.matching_index([tuple(p[x] for p, x in zip(perms, e)) for e in m])
 
 
 def maps_rows_onto_themselves(rows, pi):
@@ -106,7 +106,7 @@ def relabelled_indices(universe):
     for i, n in enumerate(universe.parts):
         cycles = ([{1: 2, 2: 1}] if n >= 2 else []) + ([{x: x % n + 1 for x in range(1, n + 1)}] if n >= 3 else [])
         out.append(tuple(
-            [universe.index[canonical_matching([e[:i] + (pi.get(e[i], e[i]),) + e[i + 1:] for e in m])]
+            [universe.matching_index([e[:i] + (pi.get(e[i], e[i]),) + e[i + 1:] for e in m])
              for m in universe.items]
             for pi in cycles))
     return tuple(out)
@@ -124,12 +124,15 @@ def test_relabelling_generators_equal_the_resorting_oracle(parts, sizes):
 def test_relabellings_map_union_rows_onto_themselves(parts, sizes, kind, t):
     # the premise of the proof phase's roots: the orbits are exactly the edge-count levels
     universe = enumerate_union_universe(parts, sizes)
-    rows = build_compat_graph(universe, Predicate(kind, t)).rows
+    graph = build_compat_graph(universe, Predicate(kind, t))
+    rows = graph.rows
     flat = [perm for part in relabelling_generators(universe) for perm in part]
     for perm in flat:
         assert sorted(perm) == list(range(len(universe)))
         assert maps_rows_onto_themselves(rows, perm)
-    ends = sorted(universe.level_offsets.values()) + [len(universe)]
+    starts = [v for _, v, _ in search._proof_roots(graph, rows)]
+    assert starts == [sum(count_matchings(parts, s) for s in sizes if s < r) for r in sizes]
+    ends = starts + [len(universe)]
     for lo, hi in zip(ends, ends[1:]):
         orbit = _orbit_closure([1 << lo], flat, len(universe))
         assert sorted(orbit) == [1 << v for v in range(lo, hi)]
@@ -418,7 +421,7 @@ def test_local_positions_give_the_universe_position_search(parts, r, pred, monke
         def recording(local, atoms, candidates):
             # each orbit the proof takes out, mapped to universe vertices through the local items
             keyed = real(local, atoms, candidates)
-            vertex = [universe.index[m] for m in local.items]
+            vertex = [universe.matching_index(m) for m in local.items]
             orbits.append(sorted((vertex[v], sum(1 << vertex[w] for w in keyed if bits >> w & 1))
                                  for v, bits in keyed.items()))
             return keyed
