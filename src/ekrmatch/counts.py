@@ -28,8 +28,11 @@ def _exact_div(num: int, den: int) -> int:
 
 
 def int_tuple(values, what: str) -> tuple:
-    """The values as a tuple, each an int (a bool is not one); raises ValueError naming the first that is not."""
-    values = tuple(values)
+    """The values as a tuple, each an int (a bool is not one); raises ValueError naming values or the first non-int."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what} must be a list of integers, got {values!r}") from None
     for v in values:
         if type(v) is not int:
             raise ValueError(f"{what} must be integers, got {v!r}")

@@ -432,14 +432,14 @@ def box_star_bits(universe, box) -> int:
 
 
 def _set_star_boxes(fam: Family, t: int) -> tuple:
-    """All t-boxes whose full set-star in the universe equals the family."""
-    first = fam.members()[0]
-    k = fam.universe.k
+    """All t-boxes whose full set-star in the universe equals the family, read off its lowest member."""
+    u, bits = fam.universe, fam.bits
+    first = u.items[(bits & -bits).bit_length() - 1]
     found = []
     # distinct t-subsets of one matching have distinct boxes
     for sub in combinations(first, t):
-        box = tuple(frozenset(e[i] for e in sub) for i in range(k))
-        if box_star_bits(fam.universe, box) == fam.bits:
+        box = tuple(frozenset(e[i] for e in sub) for i in range(u.k))
+        if box_star_bits(u, box) == bits:
             found.append(tuple(tuple(sorted(side)) for side in box))
     return tuple(found)
 

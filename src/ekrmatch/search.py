@@ -15,11 +15,12 @@ build a row.  One branch-and-bound kernel over bit-rows
 greedy-colouring bound and degeneracy root ordering it finds the maximum
 clique and, holding its incumbent one below the maximum, lists all maximum
 cliques; with the Re-NUMBER bound and orbital branching it proves the
-maximum of a graph marked symmetric (below).  Workers each search a strided
-chunk of the roots under one incumbent, and the budget bounds their summed
-nodes.  All tie-breaking is by lowest vertex index, so results are
-deterministic; the reported witness is the first maximum clique in the fixed
-depth-first order, which is also independent of the worker count.
+maximum of the predicate's graph, one built without rows (below).  Workers
+each search a strided chunk of the roots under one incumbent, and the budget
+bounds their summed nodes.  All tie-breaking is by lowest vertex index, so
+results are deterministic; the reported witness is the first maximum clique
+in the fixed depth-first order, which is also independent of the worker
+count.
 
 Under the greedy colouring a clique candidate set closes in one step
 (`_close_clique`), and its chain's nodes are still counted.  A candidate set
@@ -56,8 +57,8 @@ The witness search, the listing, the unmarked search and the averaging
 bound's omega(G[S]) inherit alike.  Re-NUMBER moves vertices between
 classes, so the proof colours every node in full.
 
-A graph built from a uniform universe (one edge count) is searched from the
-root at vertex 0 alone, serially.  The group S_{n_1} x ... x S_{n_k} of
+The predicate's graph on a uniform universe (one edge count) is searched from
+the root at vertex 0 alone, serially.  The group S_{n_1} x ... x S_{n_k} of
 per-part vertex permutations acts transitively on the r-edge matchings, and
 all four predicates are invariant under it, so the graph is vertex-transitive
 and some maximum clique contains vertex 0.  The bits are those of the full
@@ -118,23 +119,27 @@ must get from `classify_star` exactly the classification its orbit gave it,
 so a wrong or missing centre there is caught.  By double counting the pairs
 (vertex, maximum containing it), the list must hold exactly |V| * m0 / size
 maxima, which a generator set too small for the group, or too few star
-centres, would miss.  The star kind is invariant too, so `extremal` requires
-each kind's tally times the size to equal |V| times that kind's tally among
-the maxima through vertex 0.  The node budget bounds the root-0 listing.
-The cap bounds the orbits, which make the whole list, so it overflows
-exactly when the full listing would, with at most cap + 1 maxima held.
+centres, would miss.  The star kind is invariant too, so the listing
+requires each kind's tally times the size to equal |V| times that kind's
+tally among the maxima through vertex 0.  The maxima of any other graph are
+each classified by `classify_star`, so every listing comes classified.  The
+node budget bounds the root-0 listing.  The cap bounds the orbits, which
+make the whole list, so it overflows exactly when the full listing would,
+with at most cap + 1 maxima held.
 
-A graph from `build_compat_graph` is marked symmetric: its rows come from a
-whole (union) universe, so the part relabellings map them onto themselves.
-Its maximum comes in two phases, the proof first; a graph built by hand is
-unmarked and gets the single search above.  The proof phase is the kernel
-with `_SearchState.renumber` and `relabel` set, from the incumbent
-max(seed size, s), where s is the star bound (`star_formula_value`).  A star
-is a clique of size s, so nothing is lost below it, and the proof ends at the
-maximum w.  It colours by MCS Re-NUMBER (Tomita et al., WALCOM 2010): with
-kmin = incumbent - depth, the first kmin greedy classes are never branched
-on, and a vertex past them first tries to join one of them, directly or by
-moving its single conflicting neighbour there to a later class up to kmin.
+A graph built without rows, as `build_compat_graph` builds it, is the
+predicate's graph on a whole (union) universe, so the part relabellings map
+it onto itself, and it is marked symmetric.  Its maximum comes in two phases,
+the proof first.  A graph given its rows is built by hand: it is never
+marked, and it gets the single search above on those rows.  The proof phase
+is the kernel with `_SearchState.renumber` and `relabel` set, from the
+incumbent max(seed size, s), where s is the star bound
+(`star_formula_value`).  A star is a clique of size s, so nothing is lost
+below it, and the proof ends at the maximum w.  It colours by MCS
+Re-NUMBER (Tomita et al., WALCOM 2010): with kmin = incumbent - depth, the
+first kmin greedy classes are never branched on, and a vertex past them
+first tries to join one of them, directly or by moving its single
+conflicting neighbour there to a later class up to kmin.
 The listing keeps the greedy bound, which costs less at its incumbent.  The
 proof's roots, one per orbit of the relabelling group, go through
 `_search_roots` too.  The group acts transitively on each edge-count level,
@@ -213,6 +218,7 @@ from __future__ import annotations
 import sys
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
@@ -276,13 +282,21 @@ class InternalCheckError(RuntimeError):
 
 
 class CompatGraph:
+    """A compatibility graph: the predicate's graph on the universe, or, given rows, a graph built by hand.
+
+    Without rows the graph is the predicate's on the whole universe, so the
+    part relabellings map it onto itself: it is marked `symmetric`, and its
+    rows are built from the signature index on first read of `rows`.  A graph
+    given its rows is searched on those rows alone and is never marked.
+    """
+
     __slots__ = ("universe", "pred", "symmetric", "_full_rows", "_root_rows")
 
-    def __init__(self, universe: Universe, pred: Predicate, rows, symmetric: bool = False):
+    def __init__(self, universe: Universe, pred: Predicate, rows=None):
         self.universe = universe
         self.pred = pred
-        self.symmetric = symmetric  # rows from the whole universe: invariant under the part relabellings
-        self._full_rows = rows  # None: built from the signature index on first read of `rows`
+        self.symmetric = rows is None
+        self._full_rows = rows
         self._root_rows = None  # the root-0 search's rows of a transitive graph, once built
 
     @property
@@ -325,7 +339,7 @@ def _init_build(index, sigs):
 def _build_row_block(block):
     lo, hi = block
     index, sigs = _BUILD_CTX
-    return lo, signature_rows(index, sigs[lo:hi], lo)
+    return signature_rows(index, sigs[lo:hi], lo)
 
 
 def build_compat_graph(
@@ -334,27 +348,24 @@ def build_compat_graph(
     cap: int = DEFAULT_GRAPH_CAP,
     workers: int = 1,
 ) -> CompatGraph:
-    """Adjacency bit-rows under the pairwise predicate; diagonal bits are set.
+    """The predicate's graph on the universe, marked symmetric; adjacency bit-rows have the diagonal set.
 
-    A uniform universe gives a transitive graph, whose rows are built on
-    first read: its searches read only the rows of N[0] (`_root_rows`).
+    Its rows are built on first read, except on a union universe at several
+    workers, where a pool builds them in blocks now.  A uniform universe
+    gives a transitive graph, whose searches read only the rows of N[0]
+    (`_root_rows`).
     """
     n = len(universe)
     if n > cap:
         raise GraphTooLargeError(n, cap)
-    if len(universe.sizes) == 1:
-        rows = None
-    elif workers > 1 and n >= 64:
+    graph = CompatGraph(universe, pred)
+    if len(universe.sizes) > 1 and workers > 1 and n >= 64:
         index, sigs = signature_index(universe.items, pred, universe.parts)
         step = -(-n // (workers * 4))
         blocks = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
-        rows = [0] * n
-        with fork_pool(workers, _init_build, (index, sigs)) as pool:
-            for lo, block_rows in pool.map(_build_row_block, blocks):
-                rows[lo : lo + len(block_rows)] = block_rows
-    else:
-        rows = signature_rows(*signature_index(universe.items, pred, universe.parts))
-    return CompatGraph(universe, pred, rows, symmetric=True)
+        with fork_pool(workers, _init_build, (index, sigs)) as pool:  # map keeps the blocks' order
+            graph._full_rows = [row for block_rows in pool.map(_build_row_block, blocks) for row in block_rows]
+    return graph
 
 
 # ---------------------------------------------------------------------------
@@ -859,39 +870,36 @@ def _index_order(found, n: int) -> list:
 
 
 class _Maxima(list):
-    """The maximum families of `all_max_cliques`, with their classifications where the listing derived them.
+    """The maximum families of `all_max_cliques`, and in `classifications` each one's `StarClassification`."""
 
-    `classifications` holds each family's `StarClassification` on a
-    transitive graph, inherited from its orbit, and is None on any other.
-    """
-
-    def __init__(self, families, classifications=None):
+    def __init__(self, families, classifications):
         super().__init__(families)
         self.classifications = classifications
 
 
 def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP,
                     node_budget: int = DEFAULT_NODE_BUDGET):
-    """Every clique of the maximum size, in index-lexicographic order.
+    """Every clique of the maximum size, in index-lexicographic order, each classified.
 
     A transitive graph lists the maxima through vertex 0 alone, within the
     node budget, and adds each one's orbit under the part relabellings: the
     stars of every centre for a star, the generator closure otherwise.  Each
     member inherits its orbit's classification, and each maximum through
     vertex 0 must get the same from `classify_star`.  The list must hold
-    |V| * m0 / size members by double counting (module docstring).  Other
-    graphs search every root.  Raises past cap maxima, past the node budget,
-    or on a clique larger than size.
+    |V| * m0 / size members, and each kind n / size times its tally through
+    vertex 0, by double counting (module docstring).  Other graphs search
+    every root and classify each maximum with `classify_star`.  Raises past
+    cap maxima, past the node budget, or on a clique larger than size.
     """
     if size < 1:
         raise ValueError("clique size must be positive")
     state = _SearchState(budget=node_budget, best=size - 1, found=[], cap=cap)
     nadj, roots, members = _plan(graph)
     _search_roots(nadj, roots, state)
-    universe = graph.universe
+    universe, t = graph.universe, graph.pred.t
     if not graph.transitive:
-        return _Maxima(Family(universe, bits) for bits in _index_order(state.found, graph.n))
-    t = graph.pred.t
+        maxima = [Family(universe, bits) for bits in _index_order(state.found, graph.n)]
+        return _Maxima(maxima, [classify_star(f, t) for f in maxima])
     notes = star_param_notes(universe, t)
     found, generators = {}, None  # each maximum's classification, derived from its orbit
     for seed in [_to_vertices(bits, members) for bits in state.found]:
@@ -919,6 +927,8 @@ def all_max_cliques(graph: CompatGraph, size: int, cap: int = DEFAULT_MAXIMA_CAP
             f"through vertex 0 over {graph.n} vertices at size {size} gives "
             f"{graph.n * len(state.found) / size}"
         )
+    through_zero = Counter(cls.kind for bits, cls in found.items() if bits & 1)
+    _check_kind_tallies(Counter(cls.kind for cls in found.values()), through_zero, size, graph.n)
     order = _index_order(found, graph.n)
     return _Maxima((Family(universe, bits) for bits in order), [found[bits] for bits in order])
 
@@ -1000,17 +1010,14 @@ def extremal(
     seed_star: bool = False,
     universe: Universe | None = None,
 ) -> ExtremalReport:
-    """Enumerate, build the graph, solve, optionally enumerate and classify all maxima.
+    """Enumerate, build the graph, solve, optionally enumerate all maxima and tally their kinds.
 
-    On a transitive graph the maxima come classified from `all_max_cliques`:
-    each inherits its orbit's classification, and only the maxima through
-    vertex 0 are classified independently (`classify_star`), as a check; the
-    kind tallies are checked against theirs.  Any other graph's maxima are
-    each classified.  A t above every edge count raises ValueError
-    (`check_strength`).
+    The maxima come classified from `all_max_cliques`.  With seed_star the
+    search starts from the star of the diagonal centre, the t-edge matching
+    (1, ..., 1), ..., (t, ..., t), or for the set kinds the box of the sets
+    {1, ..., t}; it is read off the edge postings.  A t above every edge
+    count raises ValueError (`check_strength`).
     """
-    from .constructions import diagonal_matching, t_set_star, t_star
-
     start = time.perf_counter()
     if isinstance(sizes, int):
         sizes = (sizes,)
@@ -1023,12 +1030,13 @@ def extremal(
 
     seed = None
     annotations = []
-    if seed_star and pred.t <= max(sizes) and pred.t <= min(parts):
+    if seed_star:
+        diagonal = range(1, pred.t + 1)
         if pred.is_set:
-            box = tuple(tuple(range(1, pred.t + 1)) for _ in parts)
-            seed = t_set_star(universe, box)
+            bits = box_star_bits(universe, (tuple(diagonal),) * universe.k)
         else:
-            seed = t_star(universe, diagonal_matching(parts, pred.t))
+            bits = star_bits(universe, [(x,) * universe.k for x in diagonal])
+        seed = Family(universe, bits)
         annotations.append("seeded-with-star")
 
     max_size, witness, nodes = max_clique(graph, node_budget, workers, seed)
@@ -1043,21 +1051,11 @@ def extremal(
     maxima = None
     maxima_count = None
     maxima_kinds = None
-    classifications = None
     if all_maxima:
         try:
             maxima = all_max_cliques(graph, max_size, maxima_cap, node_budget)
             maxima_count = len(maxima)
-            classifications = maxima.classifications
-            if classifications is None:
-                classifications = [classify_star(f, pred.t) for f in maxima]
-            maxima_kinds, through_zero = {}, {}
-            for f, c in zip(maxima, classifications):
-                maxima_kinds[c.kind] = maxima_kinds.get(c.kind, 0) + 1
-                if f.bits & 1:
-                    through_zero[c.kind] = through_zero.get(c.kind, 0) + 1
-            if graph.transitive:
-                _check_kind_tallies(maxima_kinds, through_zero, max_size, graph.n)
+            maxima_kinds = dict(Counter(c.kind for c in maxima.classifications))
         except MaximaOverflowError:
             maxima_count = "overflow"
             annotations.append(f"maxima-overflow:cap={maxima_cap}")
@@ -1075,7 +1073,7 @@ def extremal(
         maxima_count=maxima_count,
         maxima_kinds=maxima_kinds,
         maxima=maxima,
-        classifications=classifications,
+        classifications=None if maxima is None else maxima.classifications,
         annotations=tuple(annotations),
         nodes=nodes,
         elapsed=time.perf_counter() - start,

@@ -32,27 +32,31 @@ def save_universe(universe: Universe, path: str):
             fh.write(_dump([list(e) for e in m]) + "\n")
 
 
+def _get(doc, key: str, path: str):
+    """doc[key]; a ValueError naming doc unless it is a JSON object holding key."""
+    if not isinstance(doc, dict) or key not in doc:
+        raise ValueError(f"{path}: no {key!r} in {doc!r:.60}")
+    return doc[key]
+
+
 def load_universe(path: str, cap: int = DEFAULT_UNIVERSE_CAP) -> Universe:
-    """Load and re-validate a universe file against a fresh enumeration."""
+    """Load and re-validate a universe file against a fresh enumeration; a malformed file raises ValueError."""
     with open(path) as fh:
         header = json.loads(fh.readline())
-        if header.get("kind") != "universe":
+        if _get(header, "kind", path) != "universe":
             raise ValueError(f"{path} is not a universe file")
-        universe = enumerate_union_universe(header["parts"], header["sizes"], cap)
-        if len(universe) != header["count"]:
-            raise ValueError(
-                f"universe header count {header['count']} does not match "
-                f"enumerated count {len(universe)}"
-            )
+        universe = enumerate_union_universe(_get(header, "parts", path), _get(header, "sizes", path), cap)
+        count = _get(header, "count", path)
+        if len(universe) != count:
+            raise ValueError(f"universe header count {count} does not match enumerated count {len(universe)}")
         i = -1
-        for i, line in enumerate(fh):
-            if i >= len(universe):  # a surplus line: count the rest for the error below
-                continue
-            m = tuple(tuple(x) for x in json.loads(line))
-            if universe.items[i] != m:
-                raise ValueError(f"{path}: item {i} is {m}, expected {universe.items[i]}")
-        if i + 1 != header["count"]:
-            raise ValueError(f"{path}: expected {header['count']} items, found {i + 1}")
+        for i, (want, line) in enumerate(zip(universe.items, fh)):
+            m = json.loads(line)  # compared as JSON, so a line of any other shape is a mismatch
+            if m != [list(e) for e in want]:
+                raise ValueError(f"{path}: item {i} is {m}, expected {want}")
+        found = i + 1 + sum(1 for _ in fh)  # lines past the universe are counted, not read
+        if found != count:
+            raise ValueError(f"{path}: expected {count} items, found {found}")
     return universe
 
 
@@ -74,16 +78,23 @@ def save_family(fam: Family, path: str, form: str = "indices"):
 
 
 def load_family(path: str, cap: int = DEFAULT_UNIVERSE_CAP) -> Family:
+    """Load a family file in either form of `save_family`; a malformed file raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    if doc.get("kind") != "family":
+    if _get(doc, "kind", path) != "family":
         raise ValueError(f"{path} is not a family file")
-    universe = enumerate_union_universe(doc["universe"]["parts"], doc["universe"]["sizes"], cap)
+    spec, form = _get(doc, "universe", path), _get(doc, "form", path)
+    universe = enumerate_union_universe(_get(spec, "parts", path), _get(spec, "sizes", path), cap)
     annotations = tuple(doc.get("annotations", ()))
-    if doc["form"] == "indices":
-        return Family.from_indices(universe, int_tuple(doc["indices"], "family indices"), annotations)
-    ms = [tuple(tuple(x) for x in m) for m in doc["matchings"]]
-    return Family.from_matchings(universe, ms, annotations)
+    if form == "indices":
+        return Family.from_indices(universe, int_tuple(_get(doc, "indices", path), "family indices"), annotations)
+    if form != "matchings":
+        raise ValueError(f"{path}: unknown family form {form!r}")
+    matchings = _get(doc, "matchings", path)
+    try:
+        return Family.from_matchings(universe, matchings, annotations)
+    except (KeyError, TypeError) as exc:  # a matching not in the universe, or not a list of edges
+        raise ValueError(f"{path}: matchings {matchings!r:.60}: {exc.args[0]}") from None
 
 
 REPORT_COLUMNS = [

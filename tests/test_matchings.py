@@ -447,6 +447,59 @@ def test_family_file_with_a_non_int_index_is_rejected(tmp_path, bad):
         load_family(str(path))
 
 
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+# each family file is the matchings form of {0, 4} in (3,3) r=2, changed; each error must name the value
+MALFORMED_FAMILIES = {
+    "edge-not-a-list": (lambda doc: dict(doc, matchings=[[1]]),
+                        "matching coordinates must be a list of integers, got 1"),
+    "matching-not-a-list": (lambda doc: dict(doc, matchings=[1]), "matchings [1]: 'int' object is not iterable"),
+    "non-member": (lambda doc: dict(doc, matchings=[[[1, 1]]]),
+                   "matching [[1, 1]] is not in universe ((3, 3), (2,))"),
+    "edge-arity": (lambda doc: dict(doc, matchings=[[[1, 1, 1], [2, 2, 2]]]),
+                   "matching [[1, 1, 1], [2, 2, 2]] is not in universe"),
+    "no-form": (lambda doc: _without(doc, "form"), "no 'form' in {"),
+    "no-universe": (lambda doc: _without(doc, "universe"), "no 'universe' in {"),
+    "unknown-form": (lambda doc: dict(doc, form="bits"), "unknown family form 'bits'"),
+    "not-an-object": (lambda doc: [doc], "no 'kind' in [{"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FAMILIES)
+def test_malformed_family_file_raises_value_error(tmp_path, case):
+    change, message = MALFORMED_FAMILIES[case]
+    path = tmp_path / "family.json"
+    save_family(Family.from_indices(enumerate_universe((3, 3), 2), [0, 4]), str(path), form="matchings")
+    path.write_text(json.dumps(change(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_family(str(path))
+
+
+# each universe file is (3,3) r=2 with its header or item lines changed
+MALFORMED_UNIVERSES = {
+    "list-header": (lambda header, lines: ([header], lines), "no 'kind' in [{"),
+    "no-parts": (lambda header, lines: (_without(header, "parts"), lines), "no 'parts' in {"),
+    "parts-not-a-list": (lambda header, lines: (dict(header, parts=3), lines),
+                         "part sizes must be a list of integers, got 3"),
+    "int-item": (lambda header, lines: (header, lines[:1] + [7] + lines[2:]),
+                 "item 1 is 7, expected ((1, 1), (2, 3))"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_UNIVERSES)
+def test_malformed_universe_file_raises_value_error(tmp_path, case):
+    change, message = MALFORMED_UNIVERSES[case]
+    path = tmp_path / "universe.jsonl"
+    save_universe(enumerate_universe((3, 3), 2), str(path))
+    header, *lines = map(json.loads, path.read_text().splitlines())
+    header, lines = change(header, lines)
+    path.write_text("".join(json.dumps(doc) + "\n" for doc in [header] + lines))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_universe(str(path))
+
+
 def test_report_row_defaults_every_column_to_empty():
     row = report_row("demo", "case-1", "pass")
     assert list(row) == REPORT_COLUMNS

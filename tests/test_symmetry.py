@@ -248,6 +248,47 @@ def test_orbit_classifications_equal_classify_star(parts, r, pred, monkeypatch):
     assert rep.classifications == [classify_star(f, pred.t) for f in rep.maxima]
 
 
+def test_every_listing_comes_classified():
+    klein = build_compat_graph(enumerate_universe((4, 4), 4), Predicate("set-intersecting", 2))
+    graphs = {
+        "transitive": klein,  # box stars and non-stars
+        "hand-built": CompatGraph(klein.universe, klein.pred, klein.rows),
+        "union": build_compat_graph(enumerate_union_universe((5,), (1, 2, 3)), Predicate("intersecting", 2)),
+        "union-set": build_compat_graph(enumerate_union_universe((4, 4), (2, 3, 4)), Predicate("set-intersecting", 2)),
+    }
+    for name, graph in graphs.items():
+        maxima = all_max_cliques(graph, max_clique(graph)[0])
+        kinds = {c.kind for c in maxima.classifications}
+        assert maxima.classifications == [classify_star(f, graph.pred.t) for f in maxima], name
+        # all but the set-kind union mix kinds, so one kind copied to every maximum would not pass
+        assert len(kinds) > 1 or name == "union-set", (name, kinds)
+
+
+SEED_CELLS = [
+    ((3, 3), (2,), Predicate("intersecting", 1)),
+    ((5,), (1, 2, 3), Predicate("intersecting", 2)),
+    ((3, 3, 3), (2,), Predicate("weakly-intersecting", 2)),
+    ((3, 3, 3), (1, 2), Predicate("weakly-intersecting", 1)),
+    ((4, 4), (4,), Predicate("set-intersecting", 2)),
+    ((4, 4), (2, 3, 4), Predicate("set-intersecting", 2)),
+    ((3, 3, 3), (3,), Predicate("weakly-set-intersecting", 2)),
+    ((3, 3, 3), (2, 3), Predicate("weakly-set-intersecting", 1)),
+]
+
+
+@pytest.mark.parametrize("parts,sizes,pred", SEED_CELLS,
+                         ids=[f"{p}-{s}-{pred}" for p, s, pred in SEED_CELLS])
+def test_star_seed_is_the_diagonal_star(parts, sizes, pred, monkeypatch):
+    seeds, real = [], search.max_clique
+    monkeypatch.setattr(search, "max_clique",
+                        lambda graph, budget, workers, seed: seeds.append(seed) or real(graph, budget, workers, seed))
+    universe = enumerate_union_universe(parts, sizes)
+    rep = extremal(parts, sizes, pred, seed_star=True, universe=universe)
+    [seed] = seeds
+    assert seed.universe is universe and seed.bits == star_seed(universe, pred).bits
+    assert "seeded-with-star" in rep.annotations
+
+
 def test_klein_cell_kinds_pass_the_tally_check():
     rep = extremal((4, 4), (4,), Predicate("set-intersecting", 2), all_maxima=True)
     assert rep.maxima_count == 24
@@ -489,11 +530,16 @@ def test_row_builds_compute_each_item_signatures_once(monkeypatch):
         assert calls == Counter()
 
 
-def test_union_universe_builds_rows_eagerly(monkeypatch):
+def test_union_universe_builds_rows_on_first_read(monkeypatch):
     universe = enumerate_union_universe((3, 3, 3), (1, 2))
     pred = Predicate("weakly-intersecting", 1)
     graph = build_compat_graph(universe, pred)
-    assert graph._full_rows is not None and graph.n == len(universe) == 135
+    assert graph._full_rows is None and graph.n == len(universe) == 135
+    want = predicates.signature_rows(*predicates.signature_index(universe.items, pred, universe.parts))
+    assert graph.rows == want and graph._full_rows is graph.rows
+    # at two workers a pool builds the rows in blocks, at once
+    pooled = build_compat_graph(universe, pred, workers=2)
+    assert pooled._full_rows == want and pooled.symmetric
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")

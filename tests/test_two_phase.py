@@ -8,7 +8,6 @@ cells, seeded and unseeded, at one and two workers.
 """
 
 import functools
-import inspect
 import random
 
 import pytest
@@ -197,17 +196,21 @@ def test_exceeds_cell_closes_in_few_nodes():
     assert nodes < 60  # 60 when the witness search stopped at the star bound before the proof
 
 
-def test_only_build_compat_graph_sets_the_mark():
+def test_a_graph_is_marked_exactly_when_built_without_rows():
     u = enumerate_universe((3, 3), 2)
-    built = build_compat_graph(u, Predicate("intersecting", 1))
+    pred = Predicate("intersecting", 1)
+    built = build_compat_graph(u, pred)
     assert built.symmetric and built.transitive
-    hand = CompatGraph(u, built.pred, built.rows)
-    assert not hand.symmetric and not hand.transitive
-    union = build_compat_graph(enumerate_union_universe((3, 3), (1, 2)), Predicate("intersecting", 1))
+    assert CompatGraph(u, pred).symmetric
+    union = build_compat_graph(enumerate_union_universe((3, 3), (1, 2)), pred)
     assert union.symmetric and not union.transitive
-    source = inspect.getsource(search)
-    assert source.count("symmetric=True") == 1
-    assert "symmetric=True" in inspect.getsource(search.build_compat_graph)
+    for graph in (built, union):
+        hand = CompatGraph(graph.universe, pred, graph.rows)
+        assert not hand.symmetric and not hand.transitive
+    # given rows are searched as given, never swapped for the predicate's: all 18 vertices are adjacent
+    complete = CompatGraph(u, pred, [(1 << len(u)) - 1] * len(u))
+    assert not complete.symmetric
+    assert max_clique(complete)[0] == 18
 
 
 def test_unmarked_graph_keeps_the_single_search():
