@@ -176,9 +176,9 @@ def cmd_search(args) -> int:
     line = (f"max={rep.max_size} formula={rep.formula_value} status={rep.status} "
             f"universe={rep.universe_size}")
     if rep.maxima_count is not None:
-        kinds = rep.maxima_kinds or {}
-        tally = ", ".join(f"{v} {k}" for k, v in sorted(kinds.items()))
-        line += f" maxima={rep.maxima_count} ({tally})"
+        line += f" maxima={rep.maxima_count}"
+    if rep.maxima_kinds is not None:  # none on an overflow
+        line += f" ({', '.join(f'{v} {k}' for k, v in sorted(rep.maxima_kinds.items()))})"
     print(line)
     if args.out:
         config = _run_config(args, pred=str(pred), sizes=sizes)
@@ -214,7 +214,7 @@ def _run_campaign(args, record_only: bool) -> tuple[int, CampaignReport | None]:
         else:
             name, cells = load_campaign_file(spec)
             report = run_bound_campaign(name, cells, caps, workers=args.workers)
-    except (KeyError, FileNotFoundError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
     except NodeBudgetExceeded as exc:

@@ -971,7 +971,7 @@ POOLED_CAMPAIGNS = tuple(BOUND_CAMPAIGNS)
 
 def run_builtin(name: str, **kwargs) -> CampaignReport:
     if name not in BUILTIN_CAMPAIGNS:
-        raise KeyError(f"unknown builtin campaign {name!r}; available: {sorted(BUILTIN_CAMPAIGNS)}")
+        raise ValueError(f"unknown builtin campaign {name!r}; available: {sorted(BUILTIN_CAMPAIGNS)}")
     if kwargs.get("workers", 1) > 1 and name not in POOLED_CAMPAIGNS:
         raise ValueError(f"builtin:{name} runs serially: only {', '.join(POOLED_CAMPAIGNS)} "
                          f"take more than one worker")

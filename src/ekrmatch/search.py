@@ -132,14 +132,13 @@ predicate's graph on a whole (union) universe, so the part relabellings map
 it onto itself, and it is marked symmetric.  Its maximum comes in two phases,
 the proof first.  A graph given its rows is built by hand: it is never
 marked, and it gets the single search above on those rows.  The proof phase
-is the kernel with `_SearchState.renumber` and `relabel` set, from the
-incumbent max(seed size, s), where s is the star bound
-(`star_formula_value`).  A star is a clique of size s, so nothing is lost
-below it, and the proof ends at the maximum w.  It colours by MCS
-Re-NUMBER (Tomita et al., WALCOM 2010): with kmin = incumbent - depth, the
-first kmin greedy classes are never branched on, and a vertex past them
-first tries to join one of them, directly or by moving its single
-conflicting neighbour there to a later class up to kmin.
+is the kernel with `_SearchState.relabel` set, from the incumbent max(seed
+size, s), where s is the star bound (`star_formula_value`).  A star is a
+clique of size s, so nothing is lost below it, and the proof ends at the
+maximum w.  It colours by MCS Re-NUMBER (Tomita et al., WALCOM 2010): with
+kmin = incumbent - depth, the first kmin greedy classes are never branched
+on, and a vertex past them first tries to join one of them, directly or by
+moving its single conflicting neighbour there to a later class up to kmin.
 The listing keeps the greedy bound, which costs less at its incumbent.  The
 proof's roots, one per orbit of the relabelling group, go through
 `_search_roots` too.  The group acts transitively on each edge-count level,
@@ -190,10 +189,10 @@ until it stops, so the earliest root position to reach the stop holds the
 serial witness.  The proof runs serially.
 
 The proof branches on orbits (Ostrowski, Linderoth, Rossi and Smriglio,
-*Orbital branching*, Math. Prog. 2011).  At a node whose clique C has at
-most ORBIT_DEPTH members, once the search under a candidate v returns, v's
-whole orbit under G_C leaves the candidate set, not v alone, and a later
-candidate that has already left is skipped.  G_C is the clique's atom group
+*Orbital branching*, Math. Prog. 2011).  At every node, with clique C,
+once the search under a candidate v returns, v's whole orbit under G_C
+leaves the candidate set, not v alone, and a later candidate that has
+already left is skipped.  G_C is the clique's atom group
 (`matchings.clique_atoms`): the per-part relabellings that permute each
 part's vertices only inside the atoms of C, where two vertices of a part
 share an atom when every member of C misses both or has edges through both
@@ -222,7 +221,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
-from .counts import t_set_star_size, t_star_size
+from .counts import t_set_star_size, t_star_size, validate_parts
 from .matchings import (
     DEFAULT_UNIVERSE_CAP,
     Family,
@@ -240,7 +239,6 @@ from .predicates import (Predicate, StarClassification, box_star_bits, check_str
 DEFAULT_GRAPH_CAP = 20_000
 DEFAULT_NODE_BUDGET = 10**9
 DEFAULT_MAXIMA_CAP = 10**5
-ORBIT_DEPTH = 4  # the proof branches on whole orbits at nodes of at most this many clique members
 
 
 class GraphTooLargeError(ValueError):
@@ -381,8 +379,7 @@ class _SearchState:
     found: list | None = None
     cap: int = 0
     stop: int | None = None  # the witness phase ends at its first clique this large
-    renumber: bool = False  # the proof's Re-NUMBER bound in place of the greedy colouring
-    relabel: Universe | None = None  # the proof's matchings at the rows' bit positions, for the atom groups
+    relabel: Universe | None = None  # set in the proof: Re-NUMBER, and the matchings at the rows' bit positions
 
 
 class _Stopped(Exception):
@@ -651,20 +648,20 @@ def _close_clique(pmask: int, width: int, rbits: int, rsize: int, state: _Search
 def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState, order=None, colours=None, end=0):
     """Search the cliques rbits + some of pmask, recording each larger one, or listing each maximum.
 
-    The bound is the greedy colouring, or with state.renumber Re-NUMBER's.
-    Under the greedy colouring a clique candidate set closes in one step
-    (`_close_clique`), and a node may inherit its colouring: given order and
-    colours, its own is their first end entries.  Its first branch, on the
-    last vertex of the top class, passes the same lists on with end - 1 when
-    that vertex sees every other candidate (module docstring).  With
-    state.relabel set, at nodes of at most ORBIT_DEPTH members each branched
-    vertex takes its whole orbit under the clique's atom group out of the
-    candidates (module docstring).
+    The bound is the greedy colouring, or in the proof, with state.relabel
+    set, Re-NUMBER's.  Under the greedy colouring a clique candidate set
+    closes in one step (`_close_clique`), and a node may inherit its
+    colouring: given order and colours, its own is their first end entries.
+    Its first branch, on the last vertex of the top class, passes the same
+    lists on with end - 1 when that vertex sees every other candidate (module
+    docstring).  In the proof each branched vertex takes its whole orbit under
+    the clique's atom group out of the candidates (module docstring).
     """
     state.nodes += 1
     if state.nodes > state.budget:
         raise NodeBudgetExceeded(state.nodes, state.budget)
-    if state.renumber:
+    universe = state.relabel
+    if universe is not None:
         order, colours = _renumber_order(pmask, nadj, state.best - rsize)
         end, last = len(order), None
     else:
@@ -674,7 +671,6 @@ def _branch(nadj, pmask: int, rbits: int, rsize: int, state: _SearchState, order
         if _close_clique(pmask, colours[end - 1], rbits, rsize, state):
             return
         last = end - 1  # the first branch, whose child may inherit the colouring
-    universe = state.relabel if rsize <= ORBIT_DEPTH else None
     # each candidate's orbit once a second branch is due, {} for a trivial group; till then the first branch
     orbit = first = None
     for idx in range(end - 1, -1, -1):
@@ -782,11 +778,11 @@ def max_clique(
         return seeded, Family(universe, state.witness), state.nodes
     nadj, roots, members = _plan(graph)
     if bound != state.best:
-        state.renumber, state.relabel, state.stop = True, universe, bound
-        if graph.transitive:  # the atom helpers read the matchings at the rows' bit positions, those of N[0]
-            state.relabel = Universe(universe.parts, universe.sizes, [universe.items[v] for v in members])
+        # the atom helpers read the matchings at the rows' bit positions
+        state.relabel = Universe(universe.parts, universe.sizes, [universe.items[v] for v in members])
+        state.stop = bound
         _search_roots(nadj, _proof_roots(graph, nadj), state)
-        state.renumber, state.relabel, state.stop = False, None, None
+        state.relabel = state.stop = None
         if bound is not None and state.best > bound:
             raise InternalCheckError(
                 f"the proof found a clique of size {state.best} above the averaging bound {bound}")
@@ -1016,15 +1012,17 @@ def extremal(
     search starts from the star of the diagonal centre, the t-edge matching
     (1, ..., 1), ..., (t, ..., t), or for the set kinds the box of the sets
     {1, ..., t}; it is read off the edge postings.  A t above every edge
-    count raises ValueError (`check_strength`).
+    count raises ValueError (`check_strength`), and so does a universe
+    given for another cell than parts and sizes.
     """
     start = time.perf_counter()
     if isinstance(sizes, int):
         sizes = (sizes,)
     if universe is None:
         universe = enumerate_union_universe(parts, sizes, universe_cap)
-    parts = universe.parts
-    sizes = universe.sizes
+    elif (validate_parts(parts), tuple(sorted(set(sizes)))) != (universe.parts, universe.sizes):
+        raise ValueError(f"the universe {universe.key} given for parts {parts} and sizes {sizes}")
+    parts, sizes = universe.parts, universe.sizes
     check_strength(pred, sizes)
     graph = build_compat_graph(universe, pred, graph_cap, workers)
 
@@ -1048,9 +1046,7 @@ def extremal(
         )
     status = STATUS_MATCHES if max_size == formula else STATUS_EXCEEDS
 
-    maxima = None
-    maxima_count = None
-    maxima_kinds = None
+    maxima = maxima_count = maxima_kinds = None
     if all_maxima:
         try:
             maxima = all_max_cliques(graph, max_size, maxima_cap, node_budget)

@@ -85,7 +85,9 @@ def load_family(path: str, cap: int = DEFAULT_UNIVERSE_CAP) -> Family:
         raise ValueError(f"{path} is not a family file")
     spec, form = _get(doc, "universe", path), _get(doc, "form", path)
     universe = enumerate_union_universe(_get(spec, "parts", path), _get(spec, "sizes", path), cap)
-    annotations = tuple(doc.get("annotations", ()))
+    annotations = doc.get("annotations", [])
+    if not isinstance(annotations, list) or not all(isinstance(a, str) for a in annotations):
+        raise ValueError(f"{path}: annotations {annotations!r:.60} are not a list of strings")
     if form == "indices":
         return Family.from_indices(universe, int_tuple(_get(doc, "indices", path), "family indices"), annotations)
     if form != "matchings":

@@ -148,7 +148,18 @@ def test_verify_examples(capsys):
 
 def test_verify_unknown_campaign(capsys):
     code, _, err = run_cli(capsys, "verify", "--campaign", "builtin:nope")
-    assert code == 2 and "unknown builtin" in err
+    assert code == 2 and err.startswith("error: unknown builtin campaign 'nope'")
+
+
+def test_search_maxima_overflow_prints_no_tally(capsys):
+    code, out, _ = run_cli(capsys, "search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1",
+                           "--all-maxima", "--maxima-cap", "1")
+    assert code == 0 and out == "max=4 formula=4 status=MATCHES_STAR_BOUND universe=18 maxima=overflow\n"
+
+
+def test_search_sizes_in_any_order(capsys):
+    code, out, _ = run_cli(capsys, "search", "--parts", "3,3", "--sizes", "2,1", "--pred", "intersecting:1")
+    assert code == 0 and out == "max=5 formula=5 status=MATCHES_STAR_BOUND universe=27\n"
 
 
 def test_verify_custom_campaign_failure_and_scan_downgrade(capsys, tmp_path):

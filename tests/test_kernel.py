@@ -1,9 +1,10 @@
 """The one branch-and-bound kernel: the proof, the witness search and the listing.
 
 Node counts are pinned exactly.  The depth-first tree is fixed by the inputs,
-so a count moves only when the search itself changes; the counts of PINNED
-are those of the separate proof and witness kernels that `search._branch`
-replaced, with the averaging bound off.  The Re-NUMBER colouring at
+so a count moves only when the search itself changes; with the averaging
+bound off, the counts of PINNED are those of the separate proof and witness
+kernels that `search._branch` replaced, less the nodes that orbital branching
+at every proof node cuts.  The Re-NUMBER colouring at
 kmin <= 0 is the greedy colouring, which is what lets one kernel serve both
 bounds.  Under the greedy bound a clique candidate set closes in one step,
 its chain's nodes counted; with that switched off (`chains_off`) each node is
@@ -45,7 +46,9 @@ PINNED = [
     ((10,), (4,), "intersecting:1", 84, "MATCHES_STAR_BOUND", 103),
     ((5, 5), (4,), "intersecting:2", 18, "MATCHES_STAR_BOUND", 20),
     ((8,), (4,), "intersecting:2", 17, "EXCEEDS_STAR_BOUND", 46),
-    ((6,), (1, 2, 3, 4, 5, 6), "intersecting:2", 22, "EXCEEDS_STAR_BOUND", 363),
+    ((6,), (1, 2, 3, 4, 5, 6), "intersecting:2", 22, "EXCEEDS_STAR_BOUND", 359),
+    ((8,), (0, 1, 2, 3, 4, 5), "intersecting:1", 99, "MATCHES_STAR_BOUND", 1652),
+    ((6,), (0, 1, 2, 3, 4, 5, 6), "intersecting:1", 32, "MATCHES_STAR_BOUND", 65),
     ((3, 3), (1, 2), "intersecting:1", 5, "MATCHES_STAR_BOUND", 6),
 ]
 
@@ -141,13 +144,13 @@ def test_proof_state_is_reset_before_the_witness_phase(monkeypatch):
     real = search._witness_phase
 
     def spy(nadj, roots, state, workers, stop):
-        seen.append((state.renumber, state.relabel))
+        seen.append((state.relabel, state.stop))
         return real(nadj, roots, state, workers, stop)
 
     monkeypatch.setattr(search, "_witness_phase", spy)
     graph = build_compat_graph(enumerate_universe((8,), 4), Predicate("intersecting", 2))
     assert max_clique(graph)[0] == 17
-    assert seen == [(False, None)]
+    assert seen == [(None, None)]
 
 
 # ---------------------------------------------------------------------------

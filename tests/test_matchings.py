@@ -477,6 +477,16 @@ def test_malformed_family_file_raises_value_error(tmp_path, case):
         load_family(str(path))
 
 
+@pytest.mark.parametrize("bad", [3, "star", [1, None]])
+def test_family_file_annotations_must_be_a_list_of_strings(tmp_path, bad):
+    # a string would load as its letters, and a number or a null would pass into the family
+    path = tmp_path / "family.json"
+    save_family(Family.from_indices(enumerate_universe((3, 3), 2), [0, 4]), str(path))
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), annotations=bad)))
+    with pytest.raises(ValueError, match=re.escape(f"annotations {bad!r} are not a list of strings")):
+        load_family(str(path))
+
+
 # each universe file is (3,3) r=2 with its header or item lines changed
 MALFORMED_UNIVERSES = {
     "list-header": (lambda header, lines: ([header], lines), "no 'kind' in [{"),

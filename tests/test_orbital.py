@@ -5,7 +5,8 @@ brute force: every per-part permutation of the vertices, kept when it fixes
 each member of the clique.  At k = 1 the key classes are exactly those orbits;
 at k >= 2 the atom group misses the coupled stabilisers, so each key class
 lies inside one orbit.  The orbital proof is checked against the plain one
-(`search.ORBIT_DEPTH` at 0) on symmetric cells of every kind, k and size shape.
+(`orbits_off`: every atom group trivial) on symmetric cells of every kind, k
+and size shape.
 """
 
 import random
@@ -31,6 +32,7 @@ from ekrmatch.search import (
     _SearchState,
     build_compat_graph,
     max_clique,
+    max_clique_naive,
 )
 
 from test_averaging import averaging_off
@@ -108,11 +110,16 @@ def symmetric_cells(limit):
     return out
 
 
+def orbits_off(monkeypatch):
+    """The plain Re-NUMBER proof: every clique's atom group is trivial, so each branch takes out its vertex alone."""
+    monkeypatch.setattr(search, "clique_atoms", lambda universe, members: None)
+
+
 def proofs(graph, monkeypatch):
     """max_clique's (size, witness bits, nodes) with orbital branching, then with the plain proof."""
     size, witness, nodes = max_clique(graph)
     with monkeypatch.context() as mp:
-        mp.setattr(search, "ORBIT_DEPTH", 0)
+        orbits_off(mp)
         plain = max_clique(graph)
     return (size, witness.bits, nodes), (plain[0], plain[1].bits, plain[2])
 
@@ -141,6 +148,36 @@ def test_orbital_proof_equals_plain_proof_on_deeper_cells(parts, sizes, t, monke
     graph = build_compat_graph(enumerate_union_universe(parts, sizes), Predicate("intersecting", t))
     orbital, plain = proofs(graph, monkeypatch)
     assert orbital[:2] == plain[:2] and orbital[2] < plain[2]
+
+
+DEEP = [((5,), (0, 1, 2, 3, 4, 5), 1), ((6,), (0, 1, 2, 3, 4, 5, 6), 1), ((6,), (1, 2, 3, 4, 5, 6), 2),
+        ((8,), (0, 1, 2, 3, 4, 5), 1)]
+
+
+@pytest.mark.parametrize("parts,sizes,t", DEEP, ids=[f"{p}-R{s}-t{t}" for p, s, t in DEEP])
+def test_proof_nodes_of_five_or_more_members_take_out_whole_orbits(parts, sizes, t, monkeypatch):
+    graph = build_compat_graph(enumerate_union_universe(parts, sizes), Predicate("intersecting", t))
+    deep, clique = [], [0]
+    real_atoms, real_orbits = search.clique_atoms, search.atom_orbits
+
+    def atoms_spy(universe, members):
+        clique[0] = members.bit_count()
+        return real_atoms(universe, members)
+
+    def orbits_spy(universe, atoms, candidates):  # called at the node whose clique atoms_spy just saw
+        orbits = real_orbits(universe, atoms, candidates)
+        if clique[0] >= 5:
+            deep.append(max(orbit.bit_count() for orbit in orbits.values()))
+        return orbits
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "clique_atoms", atoms_spy)
+        mp.setattr(search, "atom_orbits", orbits_spy)
+        orbital, plain = proofs(graph, mp)
+    assert max(deep, default=1) > 1  # some orbit of several candidates leaves a node of at least five members
+    assert orbital[:2] == plain[:2] and orbital[2] < plain[2]
+    if graph.n <= 64:
+        assert orbital[0] == max_clique_naive(graph)[0]
 
 
 def pair_orbits(universe):
@@ -187,9 +224,11 @@ def test_orbital_kernel_on_random_invariant_graphs(monkeypatch):
             nadj = _neighbour_rows(graph)
             best = 0
             for root in _proof_roots(graph, nadj):
-                plain = _SearchState(budget=10**7, renumber=True)
-                orbital = _SearchState(budget=10**7, renumber=True, relabel=universe)
-                _search_roots(nadj, [root], plain)
+                plain = _SearchState(budget=10**7, relabel=universe)
+                orbital = _SearchState(budget=10**7, relabel=universe)
+                with monkeypatch.context() as mp:
+                    orbits_off(mp)
+                    _search_roots(nadj, [root], plain)
                 _search_roots(nadj, [root], orbital)
                 assert orbital.best == plain.best
                 best = max(best, orbital.best)

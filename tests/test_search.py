@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -255,6 +256,16 @@ def test_extremal_rejects_t_above_every_edge_count(parts, sizes, t):
         extremal(parts, sizes, Predicate("intersecting", t))
     with pytest.raises(ValueError, match="t at most the largest edge count"):
         extremal(parts, sizes, Predicate("intersecting", t), universe=enumerate_union_universe(parts, sizes))
+
+
+@pytest.mark.parametrize("parts,sizes", [((3, 3), (2,)), ((4, 4), (2, 3)), ((4, 4, 4), (3,))])
+def test_extremal_rejects_a_universe_of_another_cell(parts, sizes):
+    universe = enumerate_universe((4, 4), 3)
+    with pytest.raises(ValueError, match=re.escape("the universe ((4, 4), (3,)) given for")):
+        extremal(parts, sizes, Predicate("intersecting", 1), universe=universe)
+    # the sizes are compared as a set, in any order
+    rep = extremal((4, 4), (3, 3), Predicate("intersecting", 1), universe=universe)
+    assert (rep.parts, rep.sizes, rep.max_size) == ((4, 4), (3,), 18)
 
 
 def test_extremal_seed_star_witness():

@@ -30,18 +30,21 @@ from ekrmatch.search import (
     star_formula_value,
 )
 
+from test_orbital import orbits_off
 from test_search import _random_graph
 from test_symmetry import star_seed
 
 
-def test_proof_kernel_equals_naive_from_every_incumbent():
+def test_proof_kernel_equals_naive_from_every_incumbent(monkeypatch):
+    # a random graph has no symmetry to branch on: the proof's kernel under the trivial group, Re-NUMBER alone
+    orbits_off(monkeypatch)
     rng = random.Random(8)
     for _ in range(300):
         g = _random_graph(rng.randint(1, 22), rng.choice([0.2, 0.5, 0.8, 0.95]), rng)
         omega = max_clique_naive(g)[0]
         nadj = _neighbour_rows(g)
         for best in sorted({0, max(omega - 2, 0), max(omega - 1, 0), omega, omega + 1}):
-            state = _SearchState(budget=10**9, best=best, renumber=True)
+            state = _SearchState(budget=10**9, best=best, relabel=g.universe)
             _branch(nadj, (1 << g.n) - 1, 0, 0, state)
             assert state.best == max(best, omega)
             if omega > best:  # the proof's last leaf is a maximum clique
