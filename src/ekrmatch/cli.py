@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -71,7 +72,9 @@ def _env_int(name: str, default: int) -> int:
         raise UsageError(f"{name}: {exc}") from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later `main` call."""
     parser = argparse.ArgumentParser(
         prog="ekrmatch",
         description="Exact intersection-extremal verification on matchings of "
@@ -212,9 +215,12 @@ def _run_campaign(args, record_only: bool) -> tuple[int, CampaignReport | None]:
         if spec.startswith("builtin:"):
             report = run_builtin(spec.removeprefix("builtin:"), **kwargs)
         else:
-            name, cells = load_campaign_file(spec)
+            try:
+                name, cells = load_campaign_file(spec)
+            except OSError as exc:  # the file only: an OSError of the run, such as a failed fork, is no usage error
+                raise ValueError(exc) from None
             report = run_bound_campaign(name, cells, caps, workers=args.workers)
-    except (FileNotFoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE, None
     except NodeBudgetExceeded as exc:
@@ -246,12 +252,17 @@ def cmd_verify(args, record_only: bool = False) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code; may be called repeatedly in one process."""
+    args = _build_parser().parse_args(argv)
     try:
         # a report path is checked before the run, not after it
-        if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
-            raise UsageError(f"--out: no directory {os.path.dirname(args.out)!r}")
+        if args.out:
+            directory, name = os.path.split(args.out)
+            if not os.path.isdir(directory or "."):
+                raise UsageError(f"--out: no directory {directory!r}")
+            # enumerate writes the path itself, search, verify and scan <out>.csv and <out>.json
+            if name in ("", ".", "..") or (args.command == "enumerate" and os.path.isdir(args.out)):
+                raise UsageError(f"--out: {args.out!r} names a directory, not a file")
         if args.command == "enumerate":
             return cmd_enumerate(args)
         if args.command == "search":

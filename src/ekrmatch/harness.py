@@ -988,8 +988,10 @@ def load_campaign_file(path: str):
     """Load a bound-campaign definition, name and cells; a malformed cell raises ValueError."""
     with open(path) as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "cells" not in doc:
-        raise ValueError(f"campaign file {path} is not a JSON object with 'cells'")
+    if not isinstance(doc, dict) or type(doc.get("cells")) is not list:
+        raise ValueError(f"campaign file {path} is not a JSON object with a 'cells' list")
+    if type(doc.get("name", "")) is not str:
+        raise ValueError(f"campaign file {path}: name: expected str, got {doc['name']!r}")
     if doc.get("kind", "bound") != "bound":
         raise ValueError(f"campaign file {path} has unsupported kind {doc.get('kind')!r}")
     cells = []

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ekrmatch import harness
 from ekrmatch.cli import main
 from ekrmatch.storage import load_universe
 
@@ -228,6 +230,10 @@ CAMPAIGN_FILES = {
     "CAMPAIGN-NO-PRED": {"cells": [{"parts": [3, 3], "r": 2}]},
     "CAMPAIGN-LIST": [CELL],
     "CAMPAIGN-LIST-CELL": {"cells": [[3, 3]]},
+    "CAMPAIGN-NUMBER-CELLS": {"cells": 5},
+    "CAMPAIGN-NULL-CELLS": {"cells": None},
+    "CAMPAIGN-OBJECT-CELLS": {"cells": {"a": 1}},
+    "CAMPAIGN-LIST-NAME": {"name": ["x"], "cells": [CELL]},
 }
 
 
@@ -255,6 +261,13 @@ CAMPAIGN_FILES = {
     ["scan", "--campaign", "CAMPAIGN-NO-PRED"],
     ["verify", "--campaign", "CAMPAIGN-LIST"],
     ["verify", "--campaign", "CAMPAIGN-LIST-CELL"],
+    ["verify", "--campaign", "CAMPAIGN-NUMBER-CELLS"],
+    ["verify", "--campaign", "CAMPAIGN-NULL-CELLS"],
+    ["scan", "--campaign", "CAMPAIGN-OBJECT-CELLS"],
+    ["verify", "--campaign", "CAMPAIGN-LIST-NAME"],
+    # a directory as the campaign file
+    ["verify", "--campaign", "DIR"],
+    ["scan", "--campaign", "DIR/"],
     # a builtin without a cell pool takes no workers
     ["verify", "--campaign", "builtin:katona", "--workers", "2"],
     ["scan", "--campaign", "builtin:formulas", "--workers", "2"],
@@ -266,12 +279,20 @@ CAMPAIGN_FILES = {
     ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--out", "MISSING/rep"],
     ["verify", "--campaign", "builtin:semi-stars", "--out", "MISSING/rep"],
     ["enumerate", "--parts", "3,3", "--r", "2", "--out", "MISSING/u.jsonl"],
+    # an --out that names a directory, not a file: no hidden DIR/.csv, no traceback
+    ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1", "--out", "DIR/"],
+    ["verify", "--campaign", "builtin:semi-stars", "--out", "DIR/"],
+    ["scan", "--campaign", "builtin:formulas", "--out", "DIR/."],
+    ["enumerate", "--parts", "3,3", "--r", "2", "--out", "DIR"],
+    ["enumerate", "--parts", "3,3", "--r", "2", "--out", "DIR/"],
 ], ids=" ".join)
 def test_configuration_errors_exit_2_with_one_error_line(argv, tmp_path):
     for name, doc in CAMPAIGN_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "dir").mkdir()
     argv = [str(tmp_path / f"{a}.json") if a in CAMPAIGN_FILES
-            else a.replace("MISSING", str(tmp_path / "missing")) for a in argv]
+            else a.replace("MISSING", str(tmp_path / "missing")).replace("DIR", str(tmp_path / "dir"))
+            for a in argv]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "ekrmatch.cli", *argv],
@@ -279,6 +300,7 @@ def test_configuration_errors_exit_2_with_one_error_line(argv, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert sum("error:" in line for line in proc.stderr.splitlines()) == 1
+    assert os.listdir(tmp_path / "dir") == []
 
 
 def test_t_at_the_largest_edge_count_is_accepted(capsys):
@@ -300,6 +322,9 @@ def test_timings_flag_adds_columns(capsys, tmp_path):
     run_cli(capsys, "verify", "--campaign", "builtin:examples", "--out", str(base), "--timings")
     csv_header = (tmp_path / "rep.csv").read_text().splitlines()[0]
     assert csv_header.endswith("elapsed_s")
+    # the next call in the same process parses its own flags: no --timings, no column
+    run_cli(capsys, "verify", "--campaign", "builtin:examples", "--out", str(base))
+    assert "elapsed_s" not in (tmp_path / "rep.csv").read_text()
 
 
 def test_builtin_reports_match_the_benchmark_reference(capsys, monkeypatch, tmp_path):
@@ -323,3 +348,31 @@ def test_builtin_reports_match_the_benchmark_reference(capsys, monkeypatch, tmp_
         if got != want:
             mismatches.append(campaign)
     assert len(reference["campaigns"]) == 16 and mismatches == []
+
+
+def test_the_parser_is_built_once_per_process(capsys, monkeypatch):
+    run_cli(capsys, "enumerate", "--parts", "3,3", "--r", "2")
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["enumerate", "--parts", "3,3", "--r", "2"],
+                 ["search", "--parts", "3,3", "--r", "2", "--pred", "intersecting:1"],
+                 ["verify", "--campaign", "builtin:formulas"]):
+        assert run_cli(capsys, *argv)[0] == 0
+    assert built == []
+
+
+def test_a_failed_fork_is_not_a_usage_error(monkeypatch, tmp_path):
+    # only the campaign file's own open maps an OSError to exit 2; the run's pool raises through
+    def no_fork(processes, *args):
+        raise OSError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(harness, "fork_pool", no_fork)
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({"cells": [CELL, CELL]}))
+    with pytest.raises(OSError):
+        main(["verify", "--campaign", str(path), "--workers", "2"])

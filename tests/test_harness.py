@@ -448,6 +448,20 @@ def test_campaign_file_bad_kind(tmp_path):
         load_campaign_file(str(path))
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"cells": 5}, "'cells' list"),
+    ({"cells": None}, "'cells' list"),
+    ({"cells": {"a": 1}}, "'cells' list"),
+    ({"name": ["x"], "cells": []}, "name: expected str, got ['x']"),
+], ids=["number-cells", "null-cells", "object-cells", "list-name"])
+def test_campaign_file_top_level_is_checked(tmp_path, doc, message):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        load_campaign_file(str(path))
+    assert message in str(exc.value)
+
+
 def test_examples_campaign_enumerates_no_large_universe(monkeypatch):
     # the n = 8 fixed-point family is counted over permutations, not over a 40,320-matching universe
     sizes, real = [], matchings.enumerate_union_universe
